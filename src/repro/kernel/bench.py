@@ -9,9 +9,12 @@ full-width universe.  The CI perf-smoke job runs the same harness in
 the kernel is ever *slower* than stepping; the full-size run lives in
 ``benchmarks/perf/`` and asserts the 5x bar.
 
-Timings include batch compilation — the kernel's python loop over
-requests is part of its cost, so the speedups reported here are
-end-to-end, not eval-only.
+Each algorithm's entry splits the kernel path by layer:
+``generate_seconds`` (drawing the batch from the seed, which both paths
+need), ``compile_seconds`` (:func:`compile_batch`) and
+``evaluate_seconds`` (per-request costs plus per-trace totals).
+``kernel_seconds`` is compile plus evaluate, so the speedups reported
+here include compilation and are not eval-only.
 """
 
 from __future__ import annotations
@@ -77,11 +80,13 @@ def _time_stepped(
 
 def _time_kernel(
     algorithm, schedules: List[Schedule], model: CostModel
-) -> tuple[float, List[float]]:
+) -> tuple[float, float, List[float]]:
+    """``(compile seconds, evaluate seconds, per-trace totals)``."""
     start = time.perf_counter()
     batch = compile_batch(schedules, algorithm.initial_scheme)
+    compiled = time.perf_counter()
     costs = schedule_totals(request_costs(algorithm, batch, model), batch.lengths)
-    return time.perf_counter() - start, costs
+    return compiled - start, time.perf_counter() - compiled, costs
 
 
 def run_kernel_bench(
@@ -104,11 +109,8 @@ def run_kernel_bench(
     generator = UniformWorkload(
         range(1, config["processors"] + 1), config["length"], write_fraction
     )
-    schedules = list(
-        generator.batch_independent(config["batch_size"], root_seed=seed)
-    )
     scheme = frozenset({1, 2})
-    total_requests = sum(len(schedule) for schedule in schedules)
+    total_requests = config["batch_size"] * config["length"]
 
     result: Dict = {"config": config, "model": str(model), "algorithms": {}}
     all_match = True
@@ -117,12 +119,20 @@ def run_kernel_bench(
         ("SA", lambda: StaticAllocation(scheme)),
         ("DA", lambda: DynamicAllocation(scheme)),
     ):
+        # Each algorithm draws its own (identical) batch, so its compile
+        # starts from a fresh generator output, as in a sweep.
+        start = time.perf_counter()
+        schedules = generator.batch_independent(
+            config["batch_size"], root_seed=seed
+        )
+        generate_seconds = time.perf_counter() - start
         stepped_seconds, stepped_costs = _time_stepped(
             factory, schedules, model
         )
-        kernel_seconds, kernel_costs = _time_kernel(
+        compile_seconds, evaluate_seconds, kernel_costs = _time_kernel(
             factory(), schedules, model
         )
+        kernel_seconds = compile_seconds + evaluate_seconds
         match = stepped_costs == kernel_costs
         speedup = (
             stepped_seconds / kernel_seconds if kernel_seconds > 0 else float("inf")
@@ -131,6 +141,9 @@ def run_kernel_bench(
         all_faster = all_faster and speedup >= 1.0
         result["algorithms"][name] = {
             "stepped_seconds": stepped_seconds,
+            "generate_seconds": generate_seconds,
+            "compile_seconds": compile_seconds,
+            "evaluate_seconds": evaluate_seconds,
             "kernel_seconds": kernel_seconds,
             "stepped_requests_per_second": total_requests / stepped_seconds,
             "kernel_requests_per_second": total_requests / kernel_seconds,
@@ -177,6 +190,11 @@ def format_result(result: Dict) -> str:
             f"kernel {entry['kernel_requests_per_second']:,.0f} req/s "
             f"({entry['speedup']:.1f}x, costs "
             f"{'match' if entry['costs_match'] else 'MISMATCH'})"
+        )
+        lines.append(
+            f"      generate {entry['generate_seconds'] * 1e3:.1f} ms, "
+            f"compile {entry['compile_seconds'] * 1e3:.1f} ms, "
+            f"evaluate {entry['evaluate_seconds'] * 1e3:.1f} ms"
         )
     dp = result["dp"]
     lines.append(

@@ -23,6 +23,15 @@ kernel's masks and the offline DP's masks are directly comparable.
 Processor ids need not be contiguous; compilation maps them to dense
 bit indices.
 
+**Columns, not requests.**  Compilation reads each schedule's cached
+columnar form (:attr:`~repro.model.schedule.Schedule.columns`) rather
+than its ``Request`` objects: one ``np.unique`` over the concatenated
+issuer columns (plus the extras) yields the universe and every
+request's bit index at once, and a masked copy lays them out row by
+row.  A generator may fill the columns in as it draws the trace; other
+schedules compute them once, on first compile, so the SA and DA
+compiles of one batch walk the requests at most once between them.
+
 The compiled form is immutable and picklable, so engine workers can
 receive compiled batches instead of object traces.
 """
@@ -129,25 +138,30 @@ def compile_batch(
     """
     if not schedules:
         raise ConfigurationError("cannot compile an empty batch")
-    universe = processor_universe(
-        extra_processors, *(schedule.processors for schedule in schedules)
+    columns = [schedule.columns for schedule in schedules]
+    extra = np.array(processor_universe(extra_processors), dtype=np.int64)
+    # One sort yields the universe and every request's bit index.
+    universe_ids, bits = np.unique(
+        np.concatenate([extra, *(column.processors for column in columns)]),
+        return_inverse=True,
     )
-    if len(universe) > MAX_UNIVERSE:
+    if len(universe_ids) > MAX_UNIVERSE:
         raise ConfigurationError(
-            f"compiled universe has {len(universe)} processors; the kernel "
+            f"compiled universe has {len(universe_ids)} processors; the kernel "
             f"is limited to {MAX_UNIVERSE}"
         )
-    index_of = {processor: index for index, processor in enumerate(universe)}
-    batch = len(schedules)
-    horizon = max(len(schedule) for schedule in schedules)
-    procs = np.zeros((batch, horizon), dtype=np.int32)
-    is_write = np.zeros((batch, horizon), dtype=bool)
-    lengths = np.zeros(batch, dtype=np.int64)
-    for row, schedule in enumerate(schedules):
-        lengths[row] = len(schedule)
-        for column, request in enumerate(schedule.requests):
-            procs[row, column] = index_of[request.processor]
-            is_write[row, column] = request.is_write
+    lengths = np.array(
+        [len(column.processors) for column in columns], dtype=np.int64
+    )
+    horizon = int(lengths.max())
+    # Row-major boolean-mask assignment lays the concatenated columns
+    # out trace by trace, leaving the padding zero.
+    valid = np.arange(horizon)[None, :] < lengths[:, None]
+    procs = np.zeros((len(columns), horizon), dtype=np.int32)
+    procs[valid] = bits[len(extra):]
+    is_write = np.zeros((len(columns), horizon), dtype=bool)
+    is_write[valid] = np.concatenate([column.is_write for column in columns])
+    universe = tuple(universe_ids.tolist())
     procs.setflags(write=False)
     is_write.setflags(write=False)
     lengths.setflags(write=False)

@@ -73,14 +73,36 @@ class Request:
         return f"{self.kind.value}{self.processor}"
 
 
+#: One shared instance per (kind, processor), built on first use.
+_INTERNED: dict[tuple[RequestKind, int], Request] = {}
+
+
+def _interned(kind: RequestKind, processor: ProcessorId) -> Request:
+    """The shared request for ``(kind, processor)``.
+
+    ``Request`` is frozen and slotted, so generators may hand out one
+    object per (kind, processor) instead of one per position — equality
+    and hashing are by value either way.  Only plain ``int`` ids are
+    interned: ``True`` or a numpy integer hashes like the int it
+    equals, and must not become the instance every later caller gets.
+    """
+    if type(processor) is not int:
+        return Request(kind, processor)
+    key = (kind, processor)
+    request = _INTERNED.get(key)
+    if request is None:
+        request = _INTERNED[key] = Request(kind, processor)
+    return request
+
+
 def read(processor: ProcessorId) -> Request:
-    """Convenience constructor for a read request."""
-    return Request(RequestKind.READ, processor)
+    """The (shared) read request issued by ``processor``."""
+    return _interned(RequestKind.READ, processor)
 
 
 def write(processor: ProcessorId) -> Request:
-    """Convenience constructor for a write request."""
-    return Request(RequestKind.WRITE, processor)
+    """The (shared) write request issued by ``processor``."""
+    return _interned(RequestKind.WRITE, processor)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,16 +6,40 @@ processor 4, and so on.  :class:`Schedule` is an immutable sequence of
 :class:`~repro.model.request.Request` objects with parsing, statistics
 and slicing helpers used throughout the workload generators and
 benchmark harnesses.
+
+A schedule also has a *columnar form*, :attr:`Schedule.columns`: the
+issuers as an int64 array and the kinds as a bool array, which the
+kernel compiles from (:mod:`repro.kernel.compile`).  It is computed at
+most once per schedule — lazily on first use, or up front by a
+generator that already holds the arrays (:meth:`Schedule.with_columns`).
+It is a cache, not a field: ``==``, ``hash``, ``repr``, pickling and
+the engine's cache keys see only ``requests``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.model.request import Request, RequestKind
 from repro.types import ProcessorId, ProcessorSet, processor_set
+
+
+class ScheduleColumns(NamedTuple):
+    """A schedule's requests as two read-only arrays, one entry each."""
+
+    #: int64 id of the issuing processor.
+    processors: np.ndarray
+    #: True at writes, False at reads.
+    is_write: np.ndarray
+
+
+_PROCESSOR = attrgetter("processor")
+_IS_WRITE = attrgetter("is_write")
 
 
 @dataclass(frozen=True)
@@ -26,17 +50,72 @@ class Schedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(self.requests))
+        # The set of item types is built in C; walk the items one by
+        # one only to name the offender.
+        if {Request}.issuperset(map(type, self.requests)):
+            return
         for item in self.requests:
             if not isinstance(item, Request):
                 raise ConfigurationError(
                     f"schedule items must be Request objects, got {item!r}"
                 )
 
+    def __getstate__(self) -> dict:
+        # The columnar form is a cache: rebuilt on demand after unpickling.
+        return {"requests": self.requests}
+
+    @property
+    def columns(self) -> ScheduleColumns:
+        """The columnar form, computed on first use and then cached."""
+        columns = self.__dict__.get("_columns")
+        if columns is None:
+            count = len(self.requests)
+            columns = self._cache_columns(
+                np.fromiter(map(_PROCESSOR, self.requests), np.int64, count),
+                np.fromiter(map(_IS_WRITE, self.requests), bool, count),
+            )
+        return columns
+
+    def _cache_columns(
+        self, processors: np.ndarray, is_write: np.ndarray
+    ) -> ScheduleColumns:
+        processors.setflags(write=False)
+        is_write.setflags(write=False)
+        columns = ScheduleColumns(processors, is_write)
+        object.__setattr__(self, "_columns", columns)
+        return columns
+
     # -- construction --------------------------------------------------
 
     @classmethod
     def from_requests(cls, requests: Iterable[Request]) -> "Schedule":
         return cls(tuple(requests))
+
+    @classmethod
+    def with_columns(
+        cls,
+        requests: tuple[Request, ...],
+        processors: np.ndarray,
+        is_write: np.ndarray,
+    ) -> "Schedule":
+        """A schedule whose columnar form the caller already holds.
+
+        The arrays must describe ``requests`` position by position (the
+        kernel's compile-oracle tests check this for every generator
+        that uses it); they are taken as int64/bool and made read-only.
+        """
+        schedule = cls(requests)
+        processors = np.asarray(processors, dtype=np.int64)
+        is_write = np.asarray(is_write, dtype=bool)
+        if processors.shape != (len(schedule),) or is_write.shape != (
+            len(schedule),
+        ):
+            raise ConfigurationError(
+                f"columns of shape {processors.shape}/{is_write.shape} do not "
+                f"fit a {len(schedule)}-request schedule"
+            )
+        schedule._cache_columns(processors, is_write)
+        return schedule
 
     @classmethod
     def parse(cls, text: str) -> "Schedule":

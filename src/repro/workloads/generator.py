@@ -68,10 +68,16 @@ def weighted_choice(
     items: Sequence[ProcessorId],
     weights: Optional[Sequence[float]] = None,
 ) -> ProcessorId:
-    """Pick one item, optionally with weights."""
+    """Pick one item, optionally with weights.
+
+    A sequence is drawn from as it stands; copying it first would cost
+    a list per draw and change nothing about the draw.
+    """
+    if not isinstance(items, Sequence):
+        items = list(items)
     if weights is None:
-        return rng.choice(list(items))
-    return rng.choices(list(items), weights=list(weights), k=1)[0]
+        return rng.choice(items)
+    return rng.choices(items, weights=weights, k=1)[0]
 
 
 def random_request(

@@ -348,6 +348,12 @@ class TestBench:
         for entry in report["algorithms"].values():
             assert entry["costs_match"]
             assert entry["kernel_requests_per_second"] > 0
+            assert entry["generate_seconds"] > 0
+            # The end-to-end kernel time is exactly its two layers.
+            assert entry["kernel_seconds"] == (
+                entry["compile_seconds"] + entry["evaluate_seconds"]
+            )
+        assert "compile" in out and "evaluate" in out
         assert report["dp"]["seconds"] >= 0
 
     def test_check_flag_passes_on_smoke(self, capsys):

@@ -4,13 +4,86 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernel
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
 from repro.kernel.compile import MAX_UNIVERSE, compile_batch, compile_schedule
+from repro.model.request import read, write
 from repro.model.schedule import Schedule
+from repro.types import processor_universe
+from repro.workloads.uniform import UniformWorkload
+
+
+def reference_compile(schedules, extra_processors=()):
+    """The request-by-request compile loop, kept as the oracle for
+    :func:`compile_batch`: returns ``(universe, procs, is_write,
+    lengths)``."""
+    universe = processor_universe(
+        extra_processors, *(schedule.processors for schedule in schedules)
+    )
+    index_of = {processor: index for index, processor in enumerate(universe)}
+    horizon = max(len(schedule) for schedule in schedules)
+    procs = np.zeros((len(schedules), horizon), dtype=np.int32)
+    is_write = np.zeros((len(schedules), horizon), dtype=bool)
+    lengths = np.zeros(len(schedules), dtype=np.int64)
+    for row, schedule in enumerate(schedules):
+        lengths[row] = len(schedule)
+        for column, request in enumerate(schedule.requests):
+            procs[row, column] = index_of[request.processor]
+            is_write[row, column] = request.is_write
+    return universe, procs, is_write, lengths
+
+
+def assert_matches_reference(schedules, extra_processors=()):
+    batch = compile_batch(schedules, extra_processors)
+    universe, procs, is_write, lengths = reference_compile(
+        schedules, extra_processors
+    )
+    assert batch.universe == universe
+    assert all(type(processor) is int for processor in batch.universe)
+    assert batch.procs.dtype == procs.dtype
+    assert batch.procs.tolist() == procs.tolist()
+    assert batch.is_write.dtype == bool
+    assert batch.is_write.tolist() == is_write.tolist()
+    assert batch.lengths.dtype == lengths.dtype
+    assert batch.lengths.tolist() == lengths.tolist()
+
+
+#: Sparse, non-contiguous processor ids.
+SPARSE_IDS = st.lists(
+    st.integers(min_value=0, max_value=10**6), min_size=1, max_size=6, unique=True
+)
+
+
+@st.composite
+def mixed_batches(draw):
+    """A batch mixing hand-built traces (columns computed lazily) with
+    generated ones (columns filled in by the generator), some empty."""
+    ids = draw(SPARSE_IDS)
+    schedules = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if draw(st.booleans()):
+            kinds = draw(
+                st.lists(st.tuples(st.sampled_from(ids), st.booleans()), max_size=25)
+            )
+            schedules.append(
+                Schedule(
+                    tuple(write(p) if w else read(p) for p, w in kinds)
+                )
+            )
+        else:
+            generator = UniformWorkload(
+                draw(st.lists(st.sampled_from(ids), min_size=1)),
+                draw(st.integers(min_value=0, max_value=25)),
+                draw(st.sampled_from([0.0, 0.3, 1.0])),
+            )
+            schedules.append(generator.generate(draw(st.integers(0, 2**32))))
+    extras = draw(st.lists(st.integers(min_value=0, max_value=10**6), max_size=3))
+    return schedules, extras
 
 
 class TestCompile:
@@ -67,6 +140,35 @@ class TestCompile:
         )
         with pytest.raises(ConfigurationError):
             compile_schedule(wide)
+
+
+class TestCompileOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_batches())
+    def test_compile_matches_reference(self, case):
+        schedules, extras = case
+        assert_matches_reference(schedules, extras)
+
+    def test_zero_length_traces(self):
+        assert_matches_reference([Schedule(), Schedule.parse("w7 r3"), Schedule()])
+        assert_matches_reference([Schedule(), Schedule()], [4, 1])
+
+    def test_extras_outside_the_traces(self):
+        assert_matches_reference(
+            [Schedule.parse("r40 w9"), Schedule.parse("r9")], [1000, 2, 40]
+        )
+
+    def test_generator_and_lazy_columns_compile_alike(self):
+        generated = UniformWorkload((3, 8, 21, 500), 300, 0.3).generate(5)
+        rebuilt = Schedule(generated.requests)  # no columns until compiled
+        assert "_columns" not in vars(rebuilt)
+        assert generated.columns.processors.tolist() == (
+            rebuilt.columns.processors.tolist()
+        )
+        assert generated.columns.is_write.tolist() == (
+            rebuilt.columns.is_write.tolist()
+        )
+        assert_matches_reference([generated, rebuilt], [1])
 
 
 class TestPopcount:

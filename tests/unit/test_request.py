@@ -99,3 +99,31 @@ class TestExecutedRequest:
     def test_str_plain(self):
         executed = ExecutedRequest(write(2), {2, 3})
         assert str(executed) == "w2{2,3}"
+
+
+class TestInterning:
+    def test_constructors_share_one_instance(self):
+        assert read(3) is read(3)
+        assert write(3) is write(3)
+        assert read(3) is not write(3)
+
+    def test_direct_construction_is_equal_but_new(self):
+        direct = Request(RequestKind.READ, 3)
+        assert direct == read(3)
+        assert hash(direct) == hash(read(3))
+        assert direct is not read(3)
+
+    def test_negative_id_still_raises(self):
+        with pytest.raises(ConfigurationError):
+            read(-1)
+        with pytest.raises(ConfigurationError):
+            write(-4)
+
+    def test_only_plain_ints_are_interned(self):
+        import numpy as np
+
+        # A numpy id equals and hashes like the int, but must not
+        # become the instance later read(int) callers receive.
+        assert read(np.int64(23)) == read(23)
+        assert type(read(23).processor) is int
+        assert read(np.int64(23)) is not read(23)

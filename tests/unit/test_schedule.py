@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -103,3 +104,58 @@ class TestTransformations:
 
     def test_runs_of_empty_schedule(self):
         assert Schedule().runs() == []
+
+
+class TestColumns:
+    def test_lazy_columns_match_requests(self):
+        schedule = Schedule.parse("w2 r4 w3 r1 r2")
+        columns = schedule.columns
+        assert columns.processors.dtype == np.int64
+        assert columns.processors.tolist() == [2, 4, 3, 1, 2]
+        assert columns.is_write.tolist() == [True, False, True, False, False]
+        assert schedule.columns is columns  # computed once
+
+    def test_empty_schedule_has_empty_columns(self):
+        columns = Schedule().columns
+        assert columns.processors.shape == (0,)
+        assert columns.is_write.shape == (0,)
+
+    def test_columns_are_read_only(self):
+        for schedule in (
+            Schedule.parse("r1 w2"),
+            Schedule.with_columns((read(1), write(2)), [1, 2], [False, True]),
+        ):
+            with pytest.raises(ValueError):
+                schedule.columns.processors[0] = 7
+            with pytest.raises(ValueError):
+                schedule.columns.is_write[0] = True
+
+    def test_identity_ignores_the_cache(self):
+        from repro.engine.keys import stable_key
+
+        schedule = Schedule.parse("w2 r4 w3 r1 r2")
+        before = (stable_key(schedule), hash(schedule), repr(schedule))
+        schedule.columns
+        assert (stable_key(schedule), hash(schedule), repr(schedule)) == before
+
+    def test_prefilled_schedule_is_the_same_value(self):
+        requests = (write(2), read(4), write(3))
+        filled = Schedule.with_columns(requests, [2, 4, 3], [True, False, True])
+        plain = Schedule(requests)
+        assert filled == plain
+        assert hash(filled) == hash(plain)
+        assert repr(filled) == repr(plain)
+
+    def test_pickle_round_trip_keeps_equality(self):
+        import pickle
+
+        schedule = Schedule.parse("w2 r4 w3 r1 r2")
+        schedule.columns
+        clone = pickle.loads(pickle.dumps(schedule))
+        assert clone == schedule
+        assert "_columns" not in vars(clone)  # the cache is not shipped
+        assert clone.columns.processors.tolist() == [2, 4, 3, 1, 2]
+
+    def test_with_columns_rejects_mismatched_lengths(self):
+        with pytest.raises(ConfigurationError):
+            Schedule.with_columns((read(1),), [1, 2], [False, False])
