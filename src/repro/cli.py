@@ -32,9 +32,8 @@ Subcommands
 ``repro cluster``    live asyncio replica cluster: ``serve`` one node,
                      ``run`` a schedule against N nodes over real
                      sockets (``--check-parity`` verifies live counts
-                     against the stepped model and the simulator, and
-                     ``--resilient`` adds retry/dedup fault tolerance),
-                     or ``bench`` it with open-loop Poisson load.
+                     against the stepped model and the simulator), or
+                     ``bench`` it with open-loop Poisson load.
 ``repro chaos``      seeded fault injection against a live cluster:
                      crashes with repair, message drops, partitions —
                      replayable from a seed, exits non-zero on any

@@ -9,19 +9,20 @@ invariant — asserted end-to-end in ``tests/integration`` — is that a
 replayed trace produces *bit-identical* message and I/O totals across
 all three realizations.
 
-Fault tolerance is opt-in (:class:`~repro.cluster.resilience.RetryPolicy`
-on the spec / ``--resilient`` on the CLI): at-least-once retries with
-node-side dedup, read failover, typed degraded-write rejection, and a
-:class:`~repro.cluster.resilience.SchemeRepairer` that restores the
-paper's ``t``-availability after crashes.  Fault-free runs stay
-bit-identical with or without it.  See ``docs/chaos.md``.
+Every node is fault tolerant, as the paper's standing ``t``-availability
+constraint asks: at-least-once retries under a
+:class:`~repro.cluster.resilience.RetryPolicy` (``RetryPolicy(attempts=1)``
+for none) with node-side dedup, read failover, typed degraded-write
+rejection, and a :class:`~repro.cluster.resilience.SchemeRepairer` that
+restores ``t`` copies after crashes.  None of it fires on a fault-free
+run, so parity is unaffected.  See ``docs/chaos.md``.
 
-Durability is likewise opt-in (``state_dir`` on the spec /
-``--state-dir`` on the CLI): every correctness-relevant transition is
-journaled to a CRC-checksummed write-ahead log before the node acks,
-compacted into snapshots, and replayed on restart through a tiered
-recovery path that can rejoin a fresh node with *zero* data messages.
-See ``docs/durability.md``.
+With a ``state_dir`` on the spec (``--state-dir`` on the CLI) nodes are
+durable: every correctness-relevant transition is journaled to a
+CRC-checksummed write-ahead log before the node acks, compacted into
+snapshots, and replayed on restart through a tiered recovery path that
+can rejoin a fresh node with *zero* data messages.  Without one, the
+journal is a no-op.  See ``docs/durability.md``.
 
 See ``docs/cluster.md`` for the architecture and wire format.
 """

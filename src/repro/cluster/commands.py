@@ -25,6 +25,7 @@ import sys
 import time
 
 from repro.analysis.report import format_mapping, format_table
+from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
 from repro.cluster.launcher import ClusterSpec, start_cluster
 from repro.cluster.loadgen import (
     ClusterClient,
@@ -95,9 +96,6 @@ def _cluster_spec(args, schedule=None) -> ClusterSpec:
     processors = set(range(1, args.nodes + 1)) | set(args.scheme)
     if schedule is not None:
         processors |= set(request.processor for request in schedule)
-    resilience = None
-    if getattr(args, "resilient", False):
-        resilience = RetryPolicy(seed=getattr(args, "seed", 0))
     return ClusterSpec(
         processors=tuple(sorted(processors)),
         scheme=args.scheme,
@@ -105,9 +103,9 @@ def _cluster_spec(args, schedule=None) -> ClusterSpec:
         primary=args.primary,
         transport=args.transport,
         exec_timeout=args.exec_timeout,
-        resilience=resilience,
-        state_dir=getattr(args, "state_dir", None),
-        snapshot_every=getattr(args, "snapshot_every", 64),
+        resilience=RetryPolicy(seed=args.seed),
+        state_dir=args.state_dir,
+        snapshot_every=args.snapshot_every,
     )
 
 
@@ -183,14 +181,13 @@ def cmd_cluster_run(args) -> int:
             title=f"Live cluster replay of {len(schedule)} requests",
         )
     )
-    if spec.resilience is not None:
-        print()
-        print(
-            format_mapping(
-                resilience_totals(per_node.values()),
-                title="Resilience counters (kept out of charged totals)",
-            )
+    print()
+    print(
+        format_mapping(
+            resilience_totals(per_node.values()),
+            title="Resilience counters (kept out of charged totals)",
         )
+    )
     if args.latency_plot:
         print()
         print(
@@ -326,7 +323,7 @@ def add_cluster_parser(subparsers, scheme_type) -> None:
                  "(enables durability; see docs/durability.md)",
         )
         parser.add_argument(
-            "--snapshot-every", type=int, default=64,
+            "--snapshot-every", type=int, default=DEFAULT_SNAPSHOT_EVERY,
             help="compact the WAL into a snapshot every N records",
         )
         if with_nodes:
@@ -350,11 +347,6 @@ def add_cluster_parser(subparsers, scheme_type) -> None:
             parser.add_argument(
                 "--latency-plot", action="store_true",
                 help="ASCII histogram of client-observed latencies",
-            )
-            parser.add_argument(
-                "--resilient", action="store_true",
-                help="install retry/dedup fault tolerance (fault-free "
-                     "runs stay bit-identical; see docs/chaos.md)",
             )
 
     serve = leaves.add_parser("serve", help="run one node in the foreground")

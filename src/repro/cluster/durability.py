@@ -96,31 +96,35 @@ class DurableState:
 
 
 class NodeDurability:
-    """One node's write-ahead log + snapshot, with typed appenders."""
+    """One node's write-ahead log + snapshot, with typed appenders.
+
+    Built with no ``state_dir`` it is the journal of a *volatile* node:
+    permanently muted, so every appender is a no-op, and
+    :meth:`recover` finds nothing (an empty :class:`DurableState`)."""
 
     def __init__(
         self,
         node_id: int,
-        state_dir: str,
+        state_dir: Optional[str],
         metrics: NodeMetrics,
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        sync: bool = False,
     ) -> None:
         self.node_id = node_id
-        self.directory = node_state_dir(state_dir, node_id)
-        os.makedirs(self.directory, exist_ok=True)
-        self.wal = WriteAheadLog(
-            os.path.join(self.directory, WAL_FILENAME), sync=sync
-        )
-        self.snapshots = SnapshotStore(
-            os.path.join(self.directory, SNAPSHOT_FILENAME)
-        )
         self.metrics = metrics
         self.snapshot_every = int(snapshot_every)
         self._since_snapshot = 0
-        self._muted = 0
         #: Set by the node: returns the state dict a snapshot captures.
         self.snapshot_state: Optional[Callable[[], Dict[str, Any]]] = None
+        self.durable = state_dir is not None
+        self._muted = 0 if self.durable else 1
+        if not self.durable:
+            return
+        self.directory = node_state_dir(state_dir, node_id)
+        os.makedirs(self.directory, exist_ok=True)
+        self.wal = WriteAheadLog(os.path.join(self.directory, WAL_FILENAME))
+        self.snapshots = SnapshotStore(
+            os.path.join(self.directory, SNAPSHOT_FILENAME)
+        )
 
     # -- mute (restore paths must not re-log what they replay) -------------
 
@@ -196,6 +200,8 @@ class NodeDurability:
         local.
         """
         state = DurableState()
+        if not self.durable:
+            return state
         snapshot = self.snapshots.load()
         if snapshot is not None:
             self._fold_snapshot(snapshot, state)
@@ -266,4 +272,5 @@ class NodeDurability:
         # fold to nothing: forward compatibility by construction.
 
     def close(self) -> None:
-        self.wal.close()
+        if self.durable:
+            self.wal.close()

@@ -24,9 +24,10 @@ import os
 import socket
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
 from repro.cluster.metrics import NodeMetrics, aggregate
 from repro.cluster.node import NodeConfig, NodeServer
 from repro.cluster.resilience import RetryPolicy
@@ -68,18 +69,16 @@ class ClusterSpec:
     primary: Optional[int] = None
     transport: str = "auto"
     exec_timeout: float = 15.0
-    #: Opt-in fault tolerance: ``None`` (the default) launches nodes
-    #: that behave byte-identically to clusters without the resilience
-    #: layer — the fault-free parity contract.
-    resilience: Optional[RetryPolicy] = None
-    #: Opt-in durability: a directory each node journals its state
-    #: under (``<state_dir>/node-<id>/``).  ``None`` launches fully
-    #: volatile nodes, PR 4 behavior byte for byte; with a state dir,
-    #: fault-free traffic is still byte-identical — only recovery
+    #: Every node's retry policy (``RetryPolicy(attempts=1)``: no
+    #: retries).  Fault-free traffic does not depend on it.
+    resilience: RetryPolicy = RetryPolicy()
+    #: A directory each node journals its state under
+    #: (``<state_dir>/node-<id>/``); ``None`` launches volatile nodes.
+    #: Fault-free traffic is the same either way — only recovery
     #: changes (tiered log replay; see ``docs/durability.md``).
     state_dir: Optional[str] = None
     #: WAL records between snapshots on each durable node.
-    snapshot_every: int = 64
+    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
 
     def __post_init__(self) -> None:
         self.processors = tuple(sorted(set(int(p) for p in self.processors)))
@@ -218,16 +217,6 @@ class ClusterHandle:
         wire = plan.to_wire() if plan is not None else None
         for node_id in nodes if nodes is not None else self.spec.processors:
             await self.admin(node_id, {"type": "fault", "plan": wire})
-
-    async def set_resilience(
-        self,
-        policy: Optional[RetryPolicy],
-        nodes: Optional[Iterable[int]] = None,
-    ) -> None:
-        """Install (or clear, with ``None``) the retry/dedup machinery."""
-        wire = policy.to_wire() if policy is not None else None
-        for node_id in nodes if nodes is not None else self.spec.processors:
-            await self.admin(node_id, {"type": "resilience", "policy": wire})
 
     async def status(self, node_id: int) -> Dict:
         """One node's self-reported repair-relevant state."""
@@ -467,10 +456,11 @@ async def start_subprocess_cluster(spec: ClusterSpec) -> SubprocessCluster:
         cluster = SubprocessCluster(spec, actual, processes, socket_dir)
         await cluster.wire_peers()
         await cluster.ping_all()
-        if spec.resilience is not None:
-            # `serve` has no resilience flag; install over the admin
-            # plane so both launch modes honour the spec.
-            await cluster.set_resilience(spec.resilience)
+        # `serve` has no retry-policy flag; install over the admin
+        # plane so both launch modes honour the spec.
+        policy = {"type": "resilience", "policy": spec.resilience.to_wire()}
+        for node_id in spec.processors:
+            await cluster.admin(node_id, policy)
         return cluster
     except BaseException:
         for process in processes.values():

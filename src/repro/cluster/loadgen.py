@@ -96,8 +96,7 @@ class ClusterClient:
     — so the open-loop generator can keep many requests in flight per
     node, and one node's death fails only *its* callers.
 
-    With a :class:`~repro.cluster.resilience.RetryPolicy` installed, the
-    client is the outer half of at-least-once RPC: transport-level
+    The client is the outer half of at-least-once RPC: transport-level
     failures (a dead connection, a refused dial) are retried with seeded
     backoff under the *same* request id, so the node-side dedup cache
     absorbs duplicates.  Application-level replies — ``ok=False``
@@ -111,13 +110,13 @@ class ClusterClient:
         self,
         addresses: Mapping[int, Address],
         timeout: float = 30.0,
-        retry: Optional[RetryPolicy] = None,
+        retry: RetryPolicy = RetryPolicy(),
     ) -> None:
         self.addresses = dict(addresses)
         self.timeout = timeout
         self.retry = retry
         # node_id -1: a stream disjoint from every node's transport RNG.
-        self._retry_rng = retry.rng_for(-1) if retry is not None else None
+        self._retry_rng = retry.rng_for(-1)
         self._conns: Dict[
             int,
             Tuple[asyncio.StreamWriter, asyncio.Lock, asyncio.Task],
@@ -210,7 +209,7 @@ class ClusterClient:
         if version is not None:
             frame["version"] = version_to_wire(version)
         started = time.monotonic()
-        attempts = self.retry.attempts if self.retry is not None else 1
+        attempts = self.retry.attempts
         retries = 0
         last_error = "request was never attempted"
         for attempt in range(attempts):

@@ -16,48 +16,63 @@ simulated totals == stepped model accounting == kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.distsim.messages import Message, MessageClass
 from repro.distsim.statistics import SimulationStats
+from repro.exceptions import ClusterError
+
+
+#: Field-metadata key naming the bookkeeping group a counter belongs
+#: to; untagged counters are the paper's charged units and request
+#: tallies that :func:`aggregate` folds into ``SimulationStats``.
+GROUP = "group"
+
+
+def _counter(group: Optional[str] = None):
+    return field(default=0, metadata={GROUP: group} if group else {})
 
 
 @dataclass
 class NodeMetrics:
-    """Counters one node accumulates while serving."""
+    """Counters one node accumulates while serving.
+
+    The wire form (admin ``metrics`` frames) and the bookkeeping totals
+    are derived from the dataclass fields, so a new counter is shipped
+    and summed by declaring it here."""
 
     node_id: int
-    control_sent: int = 0
-    data_sent: int = 0
-    io_reads: int = 0
-    io_writes: int = 0
-    dropped_messages: int = 0
-    requests_completed: int = 0
-    request_errors: int = 0
+    control_sent: int = _counter()
+    data_sent: int = _counter()
+    io_reads: int = _counter()
+    io_writes: int = _counter()
+    dropped_messages: int = _counter()
+    requests_completed: int = _counter()
+    request_errors: int = _counter()
     #: Resilience-layer counters, kept OUT of the paper-class totals:
     #: a retransmission, a repair copy or a dedup hit is bookkeeping of
     #: the fault-tolerance machinery, not a charged unit of the cost
     #: model (repairs additionally charge ``data_sent`` — the one data
     #: message the cost model prices a copy at — but are reported here
     #: separately so faulted runs can subtract them).
-    retries_sent: int = 0
-    repairs_sent: int = 0
-    repairs_received: int = 0
-    dedup_hits: int = 0
-    degraded_rejections: int = 0
+    retries_sent: int = _counter("resilience")
+    repairs_sent: int = _counter("resilience")
+    repairs_received: int = _counter("resilience")
+    dedup_hits: int = _counter("resilience")
+    degraded_rejections: int = _counter("resilience")
     #: Durability bookkeeping, also kept OUT of the paper-class totals.
     #: WAL appends and snapshots ride on an already-charged ``c_io``
     #: write; only *replay* is charged (into ``io_reads``) at recovery
     #: time, so these counters exist to audit the machinery, not to
     #: price it twice.
-    wal_appends: int = 0
-    wal_replayed: int = 0
-    wal_truncations: int = 0
-    snapshots_written: int = 0
+    wal_appends: int = _counter("durability")
+    wal_replayed: int = _counter("durability")
+    wal_truncations: int = _counter("durability")
+    snapshots_written: int = _counter("durability")
     #: Recoveries that rejoined from the local log with zero data
     #: messages (the tiered-recovery fast path).
-    fresh_rejoins: int = 0
+    fresh_rejoins: int = _counter("durability")
     #: Wall-clock service latency of each request this node originated,
     #: in seconds, in completion order.
     latencies: List[float] = field(default_factory=list)
@@ -72,54 +87,27 @@ class NodeMetrics:
     # -- serialization (admin `metrics` frames) ---------------------------
 
     def to_wire(self) -> Dict[str, Any]:
-        return {
-            "node_id": self.node_id,
-            "control_sent": self.control_sent,
-            "data_sent": self.data_sent,
-            "io_reads": self.io_reads,
-            "io_writes": self.io_writes,
-            "dropped_messages": self.dropped_messages,
-            "requests_completed": self.requests_completed,
-            "request_errors": self.request_errors,
-            "retries_sent": self.retries_sent,
-            "repairs_sent": self.repairs_sent,
-            "repairs_received": self.repairs_received,
-            "dedup_hits": self.dedup_hits,
-            "degraded_rejections": self.degraded_rejections,
-            "wal_appends": self.wal_appends,
-            "wal_replayed": self.wal_replayed,
-            "wal_truncations": self.wal_truncations,
-            "snapshots_written": self.snapshots_written,
-            "fresh_rejoins": self.fresh_rejoins,
-            "latencies": self.latencies,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "NodeMetrics":
-        return cls(
-            node_id=int(wire["node_id"]),
-            control_sent=int(wire["control_sent"]),
-            data_sent=int(wire["data_sent"]),
-            io_reads=int(wire["io_reads"]),
-            io_writes=int(wire["io_writes"]),
-            dropped_messages=int(wire["dropped_messages"]),
-            requests_completed=int(wire["requests_completed"]),
-            request_errors=int(wire["request_errors"]),
-            # PR-3 senders omit the resilience counters; default to 0 so
-            # mixed-version admin planes keep interoperating.
-            retries_sent=int(wire.get("retries_sent", 0)),
-            repairs_sent=int(wire.get("repairs_sent", 0)),
-            repairs_received=int(wire.get("repairs_received", 0)),
-            dedup_hits=int(wire.get("dedup_hits", 0)),
-            degraded_rejections=int(wire.get("degraded_rejections", 0)),
-            # Pre-durability senders omit these; default to 0 likewise.
-            wal_appends=int(wire.get("wal_appends", 0)),
-            wal_replayed=int(wire.get("wal_replayed", 0)),
-            wal_truncations=int(wire.get("wal_truncations", 0)),
-            snapshots_written=int(wire.get("snapshots_written", 0)),
-            fresh_rejoins=int(wire.get("fresh_rejoins", 0)),
-            latencies=[float(value) for value in wire["latencies"]],
-        )
+        missing = [f.name for f in fields(cls) if f.name not in wire]
+        if missing:
+            raise ClusterError(f"metrics frame lacks {missing}")
+        values: Dict[str, Any] = {
+            f.name: int(wire[f.name]) for f in fields(cls) if f.name != "latencies"
+        }
+        values["latencies"] = [float(value) for value in wire["latencies"]]
+        return cls(**values)
+
+
+def _group_totals(metrics: Iterable[NodeMetrics], group: str) -> Dict[str, int]:
+    names = [f.name for f in fields(NodeMetrics) if f.metadata.get(GROUP) == group]
+    totals = dict.fromkeys(names, 0)
+    for node in metrics:
+        for name in names:
+            totals[name] += getattr(node, name)
+    return totals
 
 
 def aggregate(metrics: Iterable[NodeMetrics]) -> SimulationStats:
@@ -146,20 +134,7 @@ def resilience_totals(metrics: Iterable[NodeMetrics]) -> Dict[str, int]:
     Kept apart from :func:`aggregate` on purpose: the paper's
     :class:`~repro.distsim.statistics.SimulationStats` must stay exactly
     the charged units, so parity comparisons never see these."""
-    totals = {
-        "retries_sent": 0,
-        "repairs_sent": 0,
-        "repairs_received": 0,
-        "dedup_hits": 0,
-        "degraded_rejections": 0,
-    }
-    for node in metrics:
-        totals["retries_sent"] += node.retries_sent
-        totals["repairs_sent"] += node.repairs_sent
-        totals["repairs_received"] += node.repairs_received
-        totals["dedup_hits"] += node.dedup_hits
-        totals["degraded_rejections"] += node.degraded_rejections
-    return totals
+    return _group_totals(metrics, "resilience")
 
 
 def durability_totals(metrics: Iterable[NodeMetrics]) -> Dict[str, int]:
@@ -168,20 +143,7 @@ def durability_totals(metrics: Iterable[NodeMetrics]) -> Dict[str, int]:
     Like :func:`resilience_totals`, kept apart from :func:`aggregate`:
     the only durability cost the paper model prices is recovery replay,
     and that is already charged into ``io_reads`` where it happened."""
-    totals = {
-        "wal_appends": 0,
-        "wal_replayed": 0,
-        "wal_truncations": 0,
-        "snapshots_written": 0,
-        "fresh_rejoins": 0,
-    }
-    for node in metrics:
-        totals["wal_appends"] += node.wal_appends
-        totals["wal_replayed"] += node.wal_replayed
-        totals["wal_truncations"] += node.wal_truncations
-        totals["snapshots_written"] += node.snapshots_written
-        totals["fresh_rejoins"] += node.fresh_rejoins
-    return totals
+    return _group_totals(metrics, "durability")
 
 
 def latency_histogram(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
 
@@ -47,6 +46,7 @@ from repro.cluster.transport import Address, FaultPlan, PeerTransport, start_ser
 from repro.exceptions import (
     ClusterDegradedError,
     ClusterError,
+    ConfigurationError,
     ProtocolError,
     StorageError,
 )
@@ -58,24 +58,6 @@ from repro.storage.versions import ObjectVersion
 #: ``REPAIR_RID_BASE`` band, so a probe pending can collide with
 #: neither a client request nor a repair transfer.
 PROBE_RID_BASE = 2_000_000_000
-
-#: Admin frame types `_dispatch` routes to `_handle_admin`.
-ADMIN_FRAME_TYPES = frozenset(
-    {
-        "ping",
-        "metrics",
-        "set_peers",
-        "fault",
-        "resilience",
-        "status",
-        "adopt",
-        "set_scheme",
-        "reset_metrics",
-        "crash",
-        "recover",
-        "shutdown",
-    }
-)
 
 
 @dataclass
@@ -90,27 +72,24 @@ class NodeConfig:
     #: Hard ceiling on one client request; a live protocol stalled by
     #: extreme fault plans fails loudly instead of wedging the node.
     exec_timeout: float = 15.0
-    #: Opt-in fault tolerance.  ``None`` (the default) reproduces PR 3's
-    #: behavior byte for byte — no retries, no dedup, no degraded-mode
-    #: write rejection — which is what the parity invariant relies on.
-    resilience: Optional[RetryPolicy] = None
-    #: Opt-in durability: the directory this node journals its state
-    #: under (``<state_dir>/node-<id>/``).  ``None`` keeps the node
-    #: fully volatile — PR 4's behavior, byte for byte.  With a state
-    #: dir, fault-free traffic is *still* byte-identical (appends are
+    #: Retries with backoff on both planes, node-side dedup, read
+    #: failover and typed degraded-write rejection.  "No retries" is
+    #: ``RetryPolicy(attempts=1)``; fault-free traffic is the same
+    #: either way, which is what the parity invariant relies on.
+    resilience: RetryPolicy = RetryPolicy()
+    #: The directory this node journals its state under
+    #: (``<state_dir>/node-<id>/``); ``None`` keeps the node volatile.
+    #: Journaling never changes fault-free traffic (appends are
     #: uncharged riders on already-charged I/O); only recovery changes,
     #: gaining the tiered log-replay path.
     state_dir: Optional[str] = None
     #: WAL records between snapshots (bounds replay length).
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
-    #: fsync every WAL append.  Off by default: flush-only is durable
-    #: against the fail-stop process crashes the model simulates.
-    wal_sync: bool = False
 
 
 @dataclass
 class PendingRequest:
-    """An in-flight client request awaiting downstream work units.
+    """An in-flight request awaiting downstream work units.
 
     The live twin of the simulator's
     :class:`~repro.distsim.protocols.base.RequestContext`: ``units``
@@ -118,22 +97,23 @@ class PendingRequest:
     request reached quiescence (for reads, with the version)."""
 
     rid: int
-    kind: str  # "r" | "w"
+    #: "r" (client read), "w" (client write or repair copy) or "p"
+    #: (recovery freshness probe).
+    kind: str
     units: int
     future: asyncio.Future
-    version: Optional[ObjectVersion] = None
+    #: What the future resolves with: a read's version, or a probe's
+    #: ``(version_number, holds_copy)`` report.
+    version: Any = None
     #: Peers whose unit settled because they were crashed (fail-stop
-    #: receivers count the drop and notify the oracle).  The resilient
-    #: write path inspects this to decide whether any *live* replica
-    #: actually took the update.
+    #: receivers count the drop and notify the oracle).  The write path
+    #: inspects this to decide whether any *live* replica actually took
+    #: the update.
     crash_settled: Set[int] = field(default_factory=set)
 
     def resolve(self) -> None:
         if not self.future.done():
             self.future.set_result(self.version)
-
-    async def result(self) -> Optional[ObjectVersion]:
-        return await self.future
 
 
 @dataclass
@@ -144,8 +124,8 @@ class _Relay:
     upstream: int
     units: int
     #: The invalidation targets (for lazy join-list removal on
-    #: crash-settled units in resilient mode).
-    targets: Set[int] = field(default_factory=set)
+    #: crash-settled units).
+    targets: Set[int]
     #: True once any relayed invalidation was permanently lost; the
     #: upstream acknowledgement then carries ``failed`` so the writer
     #: rejects instead of acknowledging over a stale surviving copy.
@@ -202,38 +182,38 @@ class NodeServer:
             config.node_id, self.metrics, retry_policy=config.resilience
         )
         self.database = LocalDatabase(config.node_id)
-        #: Opt-in durable state (WAL + snapshots); None = fully volatile.
-        self.durability: Optional[NodeDurability] = None
+        #: The node's journal (WAL + snapshots); a permanently muted
+        #: no-op for a volatile node (no state dir).
+        self.durability = NodeDurability(
+            config.node_id,
+            config.state_dir,
+            self.metrics,
+            snapshot_every=config.snapshot_every,
+        )
+        self.durability.snapshot_state = self._durable_snapshot_state
         #: Highest version number this node acknowledged a write for.
         self._latest_commit = 0
-        if config.state_dir:
-            self.durability = NodeDurability(
-                config.node_id,
-                config.state_dir,
-                self.metrics,
-                snapshot_every=config.snapshot_every,
-                sync=config.wal_sync,
-            )
-            self.durability.snapshot_state = self._durable_snapshot_state
-        #: DA state: processors recorded as saving readers.  Journaled
-        #: when durability is on (volatile otherwise, as before).
+        #: DA state: processors recorded as saving readers, journaled.
         self.join_list: Set[int] = _JournaledSet(self._journal_join_state)
-        #: DA resilient state: a core member adopted into recording
-        #: non-core holders after a repair round (see SchemeRepairer).
+        #: DA state: a core member adopted into recording non-core
+        #: holders after a repair round (see SchemeRepairer).
         self.steward = False
         self.crashed = False
-        self.resilience: Optional[RetryPolicy] = config.resilience
         #: At-least-once dedup: completed exec replies by request id,
-        #: plus the in-flight ones a concurrent retry must await.
-        self._exec_cache = DedupCache(2048)
-        self._exec_inflight: Dict[int, asyncio.Future] = {}
+        #: plus the handler tasks still running one, which a concurrent
+        #: retry awaits for the same reply.  256 replies cover the
+        #: client's default retry budget (~0.14 s) up to ~1,800 req/s
+        #: per node; more keeps replies alive long enough to churn the
+        #: allocator when nodes share a process (2048: 25x page faults).
+        self._exec_cache = DedupCache(256)
+        self._exec_inflight: Dict[int, asyncio.Task] = {}
         #: Per-write invalidation targets, for lazy join-list removal
-        #: when a target's unit settles by crash (resilient mode).
+        #: when a target's unit settles by crash.
         self._inval_targets: Dict[int, Set[int]] = {}
+        #: Reads, writes, repair copies and recovery freshness probes
+        #: awaiting peers, by request id.
         self._pending: Dict[int, PendingRequest] = {}
         self._relays: Dict[int, _Relay] = {}
-        #: In-flight recovery freshness probes by request id.
-        self._probes: Dict[int, asyncio.Future] = {}
         self._probe_rid = PROBE_RID_BASE + config.node_id * 1_000_000
         self._server = None
         self.address: Optional[Address] = None
@@ -243,19 +223,14 @@ class NodeServer:
         # A restarting durable node resumes from its log instead of the
         # launch seed.  Replay happens before the adapter is built so new
         # appends land after the replayed suffix.
-        prior = self.durability.recover() if self.durability else None
-        has_state = prior is not None and not prior.empty
-        # The adapter reads node state (join_list, database), so it is
-        # built last; it also validates scheme/primary.  When restoring,
-        # its bookkeeping appends (e.g. the DA server seeding its
-        # join-list) are muted — the log already records reality.
-        mute = self.durability.muted() if has_state else nullcontext()
-        with mute:
+        prior = self.durability.recover()
+        if prior.empty:
+            # The adapter reads node state (join_list, database), so it
+            # is built last; it also validates scheme/primary.
             self.protocol = make_live_protocol(config.protocol, self)
-        if has_state:
-            self._restore_durable(prior)
-        else:
             self._seed_initial_copy()
+        else:
+            self._restore_durable(prior)
 
     def _seed_initial_copy(self) -> None:
         """Install version 0 uncharged iff this node is in the initial
@@ -264,8 +239,7 @@ class NodeServer:
         if self.node_id in scheme:
             version = ObjectVersion(0, min(scheme))
             self.database.seed(version)
-            if self.durability is not None:
-                self.durability.log_seed(version)
+            self.durability.log_seed(version)
 
     def _restore_durable(self, state) -> None:
         """Resume from the durable state of a previous process.
@@ -274,10 +248,12 @@ class NodeServer:
         the peer mesh is not wired yet, so no freshness probe can run —
         the next repair round (or a crash/recover cycle, which probes)
         revalidates or refreshes it.  Replay is charged into
-        ``io_reads``, the paper's ``c_io``, never into messages.
+        ``io_reads``, the paper's ``c_io``, never into messages.  The
+        adapter is built muted too: its bookkeeping appends (e.g. the DA
+        server seeding its join-list) are already in the log.
         """
-        assert self.durability is not None
         with self.durability.muted():
+            self.protocol = make_live_protocol(self.config.protocol, self)
             if state.version is not None:
                 self.database.seed(state.version)
                 self.database.invalidate()
@@ -294,8 +270,7 @@ class NodeServer:
     # -- durability plumbing -----------------------------------------------
 
     def _journal_join_state(self) -> None:
-        if self.durability is not None:
-            self.durability.log_join(self.join_list, self.steward)
+        self.durability.log_join(self.join_list, self.steward)
 
     def _durable_snapshot_state(self) -> Dict[str, Any]:
         return {
@@ -338,8 +313,7 @@ class NodeServer:
         for writer in list(self._connections):
             writer.close()
         await self.transport.close()
-        if self.durability is not None:
-            self.durability.close()
+        self.durability.close()
 
     # -- connection pump ---------------------------------------------------
 
@@ -386,21 +360,12 @@ class NodeServer:
             self._spawn(self._handle_done(frame))
         elif kind == "repair":
             self._spawn(self._handle_repair_copy(frame))
-        elif kind == "repair_send":
-            # Async admin: the reply waits for the peer-plane transfer.
-            self._spawn(self._handle_repair_send(frame, writer, lock))
-        elif kind == "recover":
-            # Async admin too: durable recovery replays the log and may
-            # run a freshness probe round against a peer.
-            self._spawn(self._handle_recover(frame, writer, lock))
-        elif kind in ADMIN_FRAME_TYPES:
-            await self._handle_admin(kind, frame, writer, lock)
+        elif kind in ("repair_send", "recover"):
+            # Admin frames whose reply waits on the peer plane (a repair
+            # transfer, a recovery freshness probe) run concurrently.
+            self._spawn(self._handle_admin(kind, frame, writer, lock))
         else:
-            async with lock:
-                await write_frame(
-                    writer,
-                    {"type": "error", "error": f"unknown frame type {kind!r}"},
-                )
+            await self._handle_admin(kind, frame, writer, lock)
 
     def _spawn(self, coro) -> None:
         """Run a handler concurrently so the read pump never blocks on
@@ -416,90 +381,103 @@ class NodeServer:
         frame: Mapping[str, Any],
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
-    ) -> None:
-        rid = int(frame.get("rid", 0))
-        if self.resilience is not None:
-            # At-least-once dedup: a client retry of a request that
-            # already ran (or is running) must observe the original
-            # outcome, never re-execute a write.
-            cached = self._exec_cache.lookup(rid)
-            if cached is not None:
+    ) -> Dict[str, Any]:
+        """Run one client request and reply; returns the reply payload.
+
+        At-least-once dedup: a client retry of a request that already
+        ran (or is running) observes the original outcome and never
+        re-executes a write.  A running request's in-flight entry is
+        this handler's own task, which a retry awaits for the payload."""
+        try:
+            rid, op, version = self._decode_exec(frame)
+        except ClusterError as error:
+            payload = self._failure(frame.get("rid"), error)
+        else:
+            payload = self._exec_cache.lookup(rid)
+            if payload is None and rid in self._exec_inflight:
+                payload = await self._exec_inflight[rid]
+            if payload is not None:
                 self.metrics.dedup_hits += 1
-                async with lock:
-                    await write_frame(writer, cached)
-                return
-            inflight = self._exec_inflight.get(rid)
-            if inflight is not None:
-                self.metrics.dedup_hits += 1
-                payload = await inflight
-                async with lock:
-                    await write_frame(writer, payload)
-                return
-            self._exec_inflight[rid] = (
-                asyncio.get_running_loop().create_future()
-            )
+            else:
+                self._exec_inflight[rid] = asyncio.current_task()
+                try:
+                    payload = await self._exec_payload(rid, op, version)
+                    self._exec_cache.store(rid, payload)
+                finally:
+                    del self._exec_inflight[rid]
+        try:
+            async with lock:
+                await write_frame(writer, payload)
+        except (ConnectionError, OSError):
+            pass  # the client hung up; its retry reads the cached reply
+        return payload
+
+    @staticmethod
+    def _decode_exec(
+        frame: Mapping[str, Any],
+    ) -> Tuple[int, str, Optional[ObjectVersion]]:
+        """Parse an exec frame; a malformed one is a ClusterError."""
+        try:
+            rid = int(frame.get("rid", 0))
+            version = version_from_wire(frame.get("version"))
+        except (TypeError, ValueError, KeyError, ConfigurationError) as error:
+            raise ClusterError(f"malformed exec frame: {error!r}") from error
+        op = frame.get("op")
+        if op not in ("read", "write"):
+            raise ClusterError(f"unknown exec op {op!r} (expected read/write)")
+        if op == "write" and version is None:
+            raise ClusterError("a write exec frame needs a 'version'")
+        return rid, op, version
+
+    async def _exec_payload(
+        self, rid: int, op: str, version: Optional[ObjectVersion]
+    ) -> Dict[str, Any]:
+        """Execute one decoded request; the ``result`` frame to reply."""
         started = time.monotonic()
         try:
             version = await asyncio.wait_for(
-                self._execute(frame, rid), self.config.exec_timeout
+                self._execute(rid, op, version), self.config.exec_timeout
             )
+        except asyncio.TimeoutError:
+            error: Exception = ClusterError(
+                f"request {rid} timed out after {self.config.exec_timeout}s"
+            )
+        except (ClusterError, ProtocolError, StorageError) as exc:
+            error = exc
+        else:
             self.metrics.requests_completed += 1
             self.metrics.latencies.append(time.monotonic() - started)
-            if frame.get("op") == "write" and version is not None:
+            if op == "write":
                 # Journal the commit *before* the ack leaves the node:
                 # an acknowledged write must be recoverable from the log.
                 self._latest_commit = max(self._latest_commit, version.number)
-                if self.durability is not None:
-                    self.durability.log_commit(rid, version.number)
-            payload = {
+                self.durability.log_commit(rid, version.number)
+            return {
                 "type": "result",
                 "rid": rid,
                 "ok": True,
                 "version": version_to_wire(version),
             }
-        except asyncio.TimeoutError:
-            self.metrics.request_errors += 1
-            self._pending.pop(rid, None)
-            self._inval_targets.pop(rid, None)
-            payload = {
-                "type": "result",
-                "rid": rid,
-                "ok": False,
-                "error": (
-                    f"request {rid} timed out after "
-                    f"{self.config.exec_timeout}s"
-                ),
-            }
-        except (ClusterError, ProtocolError, StorageError) as error:
-            self.metrics.request_errors += 1
-            self._pending.pop(rid, None)
-            self._inval_targets.pop(rid, None)
-            payload = {"type": "result", "rid": rid, "ok": False, "error": str(error)}
-            if isinstance(error, ClusterDegradedError):
-                payload["degraded"] = True
-        if self.resilience is not None:
-            self._exec_cache.store(rid, payload)
-            inflight = self._exec_inflight.pop(rid, None)
-            if inflight is not None and not inflight.done():
-                inflight.set_result(payload)
-        async with lock:
-            await write_frame(writer, payload)
+        self._pending.pop(rid, None)
+        self._inval_targets.pop(rid, None)
+        return self._failure(rid, error)
+
+    def _failure(self, rid: Any, error: Exception) -> Dict[str, Any]:
+        self.metrics.request_errors += 1
+        payload = {"type": "result", "rid": rid, "ok": False, "error": str(error)}
+        if isinstance(error, ClusterDegradedError):
+            payload["degraded"] = True
+        return payload
 
     async def _execute(
-        self, frame: Mapping[str, Any], rid: int
+        self, rid: int, op: str, version: Optional[ObjectVersion]
     ) -> Optional[ObjectVersion]:
         if self.crashed:
             raise ClusterError(f"node {self.node_id} is crashed")
-        op = frame.get("op")
         if op == "read":
             return await self.protocol.client_read(rid)
-        if op == "write":
-            version = version_from_wire(frame.get("version"))
-            if version is None:
-                raise ClusterError("a write exec frame needs a 'version'")
-            await self.protocol.client_write(rid, version)
-            return version
-        raise ClusterError(f"unknown exec op {op!r} (expected read/write)")
+        await self.protocol.client_write(rid, version)
+        return version
 
     # -- the peer plane ----------------------------------------------------
 
@@ -536,14 +514,6 @@ class NodeServer:
                 self.join_list.discard(source)
             await self.finish_relay_unit(rid, failed=failed)
             return
-        if rid in self._probes:
-            # A freshness probe's peer was crashed (or its report was
-            # lost): settle the probe empty so recovery tries the next
-            # candidate or falls back to the stale tier.
-            future = self._probes[rid]
-            if not future.done():
-                future.set_result(None)
-            return
         pending = self._pending.get(rid)
         if pending is None:
             return  # late oracle for a request that already failed
@@ -561,14 +531,16 @@ class NodeServer:
             pending.crash_settled.add(source)
             if source in self._inval_targets.get(rid, ()):
                 self.join_list.discard(source)
-            if pending.kind == "r":
+            if pending.kind != "w":
+                # A read's (or probe's) peer crashed or its answer was
+                # lost: fail it so the caller tries the next candidate.
                 self.fail_pending(
                     rid, f"the response to read {rid} was lost in transit"
                 )
                 return
         # A write's store/invalidate resolved (delivered or dropped —
         # either way the work unit is settled).
-        self.finish_unit(rid, dropped=dropped)
+        self.finish_unit(rid)
 
     # -- admin plane -------------------------------------------------------
 
@@ -580,7 +552,7 @@ class NodeServer:
         lock: asyncio.Lock,
     ) -> None:
         try:
-            reply = self._admin_reply(kind, frame)
+            reply = await self._admin_reply(kind, frame)
         except ClusterError as error:
             reply = {"type": "error", "error": str(error)}
         async with lock:
@@ -588,9 +560,13 @@ class NodeServer:
         if kind == "shutdown" and reply.get("type") == "ok":
             self._stopped.set()
 
-    def _admin_reply(
+    async def _admin_reply(
         self, kind: str, frame: Mapping[str, Any]
     ) -> Dict[str, Any]:
+        if kind == "repair_send":
+            return await self._repair_send(frame)
+        if kind == "recover":
+            return await self.recover_async()
         if kind == "ping":
             return {
                 "type": "pong",
@@ -615,9 +591,10 @@ class NodeServer:
             )
             return {"type": "ok", "op": "fault"}
         if kind == "resilience":
-            policy = frame.get("policy")
-            self.set_resilience(
-                RetryPolicy.from_wire(policy) if policy is not None else None
+            # The subprocess launcher ships its spec's policy this way:
+            # ``serve`` has no flag for it.
+            self.transport.set_retry_policy(
+                RetryPolicy.from_wire(frame.get("policy", {}))
             )
             return {"type": "ok", "op": "resilience"}
         if kind == "status":
@@ -632,7 +609,7 @@ class NodeServer:
                 "steward": self.steward,
                 "scheme": sorted(self.protocol.scheme),
                 "protocol": self.protocol.name,
-                "durable": self.durability is not None,
+                "durable": self.durability.durable,
                 "latest_commit": self._latest_commit,
             }
         if kind == "adopt":
@@ -650,8 +627,7 @@ class NodeServer:
         if kind == "set_scheme":
             members = frozenset(int(n) for n in frame.get("scheme", ()))
             self.protocol.update_scheme(members)
-            if self.durability is not None:
-                self.durability.log_scheme(members)
+            self.durability.log_scheme(members)
             return {"type": "ok", "op": "set_scheme"}
         if kind == "reset_metrics":
             self.reset_metrics()
@@ -661,21 +637,11 @@ class NodeServer:
             return {"type": "ok", "op": "crash"}
         if kind == "shutdown":
             return {"type": "ok", "op": "shutdown"}
-        raise ClusterError(f"unknown admin frame {kind!r}")
-
-    def set_resilience(self, policy: Optional[RetryPolicy]) -> None:
-        """Install (or clear) the opt-in fault-tolerance machinery."""
-        self.resilience = policy
-        self.transport.set_retry_policy(policy)
+        raise ClusterError(f"unknown frame type {kind!r}")
 
     # -- scheme repair -----------------------------------------------------
 
-    async def _handle_repair_send(
-        self,
-        frame: Mapping[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
+    async def _repair_send(self, frame: Mapping[str, Any]) -> Dict[str, Any]:
         """Admin: act as repair donor — copy our object to a peer.
 
         Replies only after the transfer settled, so the repairer can
@@ -686,17 +652,15 @@ class NodeServer:
         runs never repair, so parity is untouched."""
         target = int(frame.get("target", -1))
         rid = int(frame.get("rid", 0))
+        if self.crashed:
+            raise ClusterError(f"repair donor {self.node_id} is crashed")
+        if not self.database.holds_valid_copy:
+            raise ClusterError(
+                f"repair donor {self.node_id} holds no valid copy"
+            )
+        version = self.database.peek_version()
+        pending = self.open_pending(rid, "w", units=1)
         try:
-            if self.crashed:
-                raise ClusterError(
-                    f"repair donor {self.node_id} is crashed"
-                )
-            if not self.database.holds_valid_copy:
-                raise ClusterError(
-                    f"repair donor {self.node_id} holds no valid copy"
-                )
-            version = self.database.peek_version()
-            pending = self.open_pending(rid, "w", units=1)
             delivered = await self.transport.send_repair(
                 target, rid, version_to_wire(version)
             )
@@ -706,22 +670,17 @@ class NodeServer:
                     f"repair copy {self.node_id} -> {target} was lost "
                     "in transit",
                 )
-            await pending.result()
-            if target in pending.crash_settled:
-                raise ClusterError(
-                    f"repair target {target} is crashed"
-                )
-            reply: Dict[str, Any] = {
-                "type": "repair_report",
-                "donor": self.node_id,
-                "target": target,
-                "version": version_to_wire(version),
-            }
-        except ClusterError as error:
+            await pending.future
+        finally:
             self._pending.pop(rid, None)
-            reply = {"type": "error", "error": str(error)}
-        async with lock:
-            await write_frame(writer, reply)
+        if target in pending.crash_settled:
+            raise ClusterError(f"repair target {target} is crashed")
+        return {
+            "type": "repair_report",
+            "donor": self.node_id,
+            "target": target,
+            "version": version_to_wire(version),
+        }
 
     async def _handle_repair_copy(self, frame: Mapping[str, Any]) -> None:
         """Peer plane: install a repair copy shipped by a donor."""
@@ -754,16 +713,14 @@ class NodeServer:
         with durability enabled."""
         self.database.output_object(version)
         self.metrics.io_writes += 1
-        if self.durability is not None:
-            self.durability.log_object(version)
+        self.durability.log_object(version)
 
     def invalidate_object(self) -> None:
         """Invalidate the local copy, journaled.  Protocol adapters call
         this instead of touching the database directly so a re-crash
         replays the invalidation instead of resurrecting a stale copy."""
         self.database.invalidate()
-        if self.durability is not None:
-            self.durability.log_invalidate()
+        self.durability.log_invalidate()
 
     def open_pending(self, rid: int, kind: str, units: int) -> PendingRequest:
         if rid in self._pending:
@@ -780,7 +737,7 @@ class NodeServer:
             self._pending[rid] = pending
         return pending
 
-    def finish_unit(self, rid: int, dropped: bool = False) -> None:
+    def finish_unit(self, rid: int) -> None:
         pending = self._pending.get(rid)
         if pending is None:
             return
@@ -817,18 +774,9 @@ class NodeServer:
         self.finish_unit(rid)
         return True
 
-    def open_relay(
-        self,
-        rid: int,
-        upstream: int,
-        units: int,
-        targets: Optional[Iterable[int]] = None,
-    ) -> None:
-        self._relays[rid] = _Relay(
-            upstream=upstream,
-            units=units,
-            targets=set(targets) if targets is not None else set(),
-        )
+    def open_relay(self, rid: int, upstream: int, targets: Set[int]) -> None:
+        """One relay unit per invalidation target."""
+        self._relays[rid] = _Relay(upstream, len(targets), targets)
 
     async def finish_relay_unit(self, rid: int, failed: bool = False) -> None:
         relay = self._relays.get(rid)
@@ -853,12 +801,7 @@ class NodeServer:
         if self.crashed:
             raise ClusterError(f"node {self.node_id} is already down")
         self.crashed = True
-        mute = (
-            self.durability.muted()
-            if self.durability is not None
-            else nullcontext()
-        )
-        with mute:
+        with self.durability.muted():
             self.join_list.clear()
             self.steward = False
             self.database.crash()
@@ -866,26 +809,15 @@ class NodeServer:
         self._inval_targets.clear()
         for rid in list(self._pending):
             self.fail_pending(rid, f"node {self.node_id} crashed")
-        for future in self._probes.values():
-            if not future.done():
-                future.set_result(None)
-        self._probes.clear()
-
-    def recover(self) -> None:
-        """Volatile rejoin; the copy stays invalid until re-read from
-        the scheme (it may have missed writes), per the simulator's
-        semantics.  Durable nodes recover through :meth:`recover_async`
-        (the ``recover`` admin frame), which replays the log first."""
-        if not self.crashed:
-            raise ClusterError(f"node {self.node_id} is not down")
-        self.crashed = False
 
     async def recover_async(self) -> Dict[str, Any]:
         """Tiered recovery; returns the ``recover`` admin reply.
 
         Tiers (see ``docs/durability.md``):
 
-        * ``volatile`` — no state dir; PR 4 behavior, copy suspect.
+        * ``volatile`` — no state dir: the copy stays invalid until
+          re-read from the scheme (it may have missed writes), per the
+          simulator's semantics.
         * ``log-fresh`` — the replayed version is still the latest
           (vouched by a peer over one control round): rejoin with the
           full journaled state and **zero data messages**.
@@ -900,14 +832,16 @@ class NodeServer:
         as data messages.  Damage (torn/corrupt tail) was already
         truncated by the WAL, so ``damaged``/``truncated_bytes`` in the
         reply report what the crash cost."""
-        self.recover()  # the not-down check + volatile rejoin
+        if not self.crashed:
+            raise ClusterError(f"node {self.node_id} is not down")
+        self.crashed = False
         reply: Dict[str, Any] = {
             "type": "ok",
             "op": "recover",
             "node": self.node_id,
             "tier": "volatile",
         }
-        if self.durability is None:
+        if not self.durability.durable:
             return reply
         state = self.durability.recover()
         self.metrics.io_reads += state.replay_cost
@@ -952,7 +886,6 @@ class NodeServer:
         already wiped the volatile state) and journal that outcome, so
         a re-crash before the repair round replays reality instead of
         the stale past."""
-        assert self.durability is not None
         self._latest_commit = state.latest_commit
         self.durability.log_invalidate()
         self.durability.log_join((), False)
@@ -968,58 +901,37 @@ class NodeServer:
         revalidated at the price of a version check).  Returns
         ``(peer, version_number)`` from the first peer that holds a
         valid copy, or ``(None, None)`` when nobody can vouch."""
-        loop = asyncio.get_running_loop()
         for peer in self.protocol.probe_candidates():
             self._probe_rid += 1
             rid = self._probe_rid
-            future: asyncio.Future = loop.create_future()
-            self._probes[rid] = future
+            pending = self.open_pending(rid, "p", units=1)
             try:
                 delivered = await self.transport.send_protocol(
                     VersionInquiry(self.node_id, peer, request_id=rid)
                 )
                 if not delivered:
                     continue
-                report = await asyncio.wait_for(
-                    future, timeout=self.config.exec_timeout
+                number, holds = await asyncio.wait_for(
+                    pending.future, timeout=self.config.exec_timeout
                 )
-            except asyncio.TimeoutError:
-                report = None
-            finally:
-                self._probes.pop(rid, None)
-            if report is None:
+            except (asyncio.TimeoutError, ClusterError):
                 continue  # the peer is crashed or the report was lost
-            number, holds = report
-            if not holds:
-                continue  # a copyless peer cannot vouch either way
-            return peer, number
+            finally:
+                self._pending.pop(rid, None)
+            if holds:
+                return peer, number
+            # A copyless peer cannot vouch either way: ask the next.
         return None, None
 
-    def resolve_probe(self, message: VersionReport) -> bool:
+    def resolve_probe(self, message: VersionReport) -> None:
         """Claim an incoming ``VersionReport`` as one of our probes."""
-        future = self._probes.get(message.request_id)
-        if future is None:
-            return False
-        if not future.done():
-            future.set_result((message.version_number, message.holds_copy))
-        return True
-
-    async def _handle_recover(
-        self,
-        frame: Mapping[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-    ) -> None:
-        try:
-            reply = await self.recover_async()
-        except ClusterError as error:
-            reply = {"type": "error", "error": str(error)}
-        async with lock:
-            await write_frame(writer, reply)
+        pending = self._pending.get(message.request_id)
+        if pending is not None and pending.kind == "p":
+            pending.version = (message.version_number, message.holds_copy)
+            self.finish_unit(message.request_id)
 
     def reset_metrics(self) -> None:
         """Fresh counters (e.g. after warm-up); shared with transport."""
         self.metrics = NodeMetrics(self.node_id)
         self.transport.metrics = self.metrics
-        if self.durability is not None:
-            self.durability.metrics = self.metrics
+        self.durability.metrics = self.metrics

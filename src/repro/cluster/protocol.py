@@ -67,18 +67,6 @@ class LiveProtocol:
     def me(self) -> int:
         return self.node.node_id
 
-    @property
-    def resilient(self) -> bool:
-        """True when the node runs with a retry policy installed.
-
-        Resilient mode changes failure *semantics* only: reads fail
-        over across holders, writes reject (typed) instead of silently
-        settling over a permanently lost message, and DA join-lists use
-        lazy removal.  On a fault-free run every branch below reduces to
-        the non-resilient behavior, message for message — asserted by
-        the parity tests."""
-        return self.node.resilience is not None
-
     def update_scheme(self, members) -> None:
         """Adopt a repaired allocation scheme (admin ``set_scheme``)."""
         raise ClusterError(
@@ -86,8 +74,9 @@ class LiveProtocol:
         )
 
     def probe_candidates(self) -> List[int]:
-        """Peers a recovering node asks to vouch for its logged version
-        (one control round trip each), in the read-failover order."""
+        """Peers that may hold a valid copy, in failover order: a remote
+        read walks them, and so does a recovering node asking one to
+        vouch for its logged version (one control round trip each)."""
         return sorted(self.scheme - {self.me})
 
     async def _handle_common(self, message: Message) -> bool:
@@ -134,38 +123,34 @@ class LiveProtocol:
     # -- shared building blocks ------------------------------------------
 
     async def _fan_out(self, rid: int, messages: List[Message]) -> List[bool]:
-        """Send concurrently; a sender-side drop of a store or an
-        invalidation resolves its work unit immediately (the simulated
-        network's ``on_dropped`` rule — the lost copy is moot).  In
-        resilient mode a permanent drop instead *fails* the request
-        typed: retries already spent their budget, so a live receiver
-        missed an update it needed."""
+        """Send concurrently.  A message still lost after the retry
+        budget fails the request typed: a live receiver missed an update
+        it needed, so acknowledging could let a stale copy be read."""
         transport = self.node.transport
         results = await asyncio.gather(
             *(transport.send_protocol(message) for message in messages)
         )
         for message, delivered in zip(messages, results):
             if not delivered:
-                if self.resilient:
-                    self.node.fail_pending(
-                        rid,
-                        f"request {rid}: message to {message.receiver} "
-                        "was permanently lost after retries",
-                        degraded=True,
-                    )
-                else:
-                    self.node.finish_unit(rid, dropped=True)
-        return list(results)
+                self.node.fail_pending(
+                    rid,
+                    f"request {rid}: message to {message.receiver} "
+                    "was permanently lost after retries",
+                    degraded=True,
+                )
+        return results
 
-    async def _remote_read(self, rid: int, servers: List[int]) -> ObjectVersion:
-        """Request the object from the first answering server.
+    async def _remote_read(self, rid: int) -> ObjectVersion:
+        """Request the object from the first answering peer.
 
-        Non-resilient callers pass exactly one candidate, reproducing
-        PR 3's behavior; resilient callers pass a failover list walked
-        in order, moving on when a candidate is crashed, unreachable or
-        copyless.  Failover is only triggered by *settled* failures (a
-        drop or a crash notification), never by slowness, so at most
-        one candidate ever answers — no duplicate-response races."""
+        Walks :meth:`probe_candidates` in order, moving on when a
+        candidate is crashed, unreachable or copyless.  Failover is only
+        triggered by *settled* failures (a drop or a crash
+        notification), never by slowness, so at most one candidate ever
+        answers — no duplicate-response races.  Fault-free, the first
+        candidate is the paper's serving member, so traffic is the
+        model's message for message."""
+        servers = self.probe_candidates()
         last_error: Optional[ClusterError] = None
         for server in servers:
             pending = self.node.open_pending(rid, "r", units=1)
@@ -179,13 +164,11 @@ class LiveProtocol:
                     "in transit",
                 )
             try:
-                return await pending.result()
+                return await pending.future
             except ClusterDegradedError:
                 raise
             except ClusterError as error:
                 last_error = error
-        if last_error is not None and len(servers) == 1:
-            raise last_error
         raise ClusterError(
             f"read {rid} at {self.me}: no reachable copy among "
             f"{servers} ({last_error})"
@@ -225,10 +208,6 @@ class LiveStaticAllocation(LiveProtocol):
 
     name = "SA-live"
 
-    def __init__(self, node: "NodeServer") -> None:
-        super().__init__(node)
-        self.server = min(self.scheme)
-
     def update_scheme(self, members) -> None:
         """SA repair grows ``Q`` to cover repaired copy holders.
 
@@ -239,20 +218,13 @@ class LiveStaticAllocation(LiveProtocol):
         if len(scheme) < 2:
             raise ClusterError("the scheme must keep t >= 2 members")
         self.scheme = scheme
-        self.server = min(scheme)
 
     async def client_read(self, rid: int) -> ObjectVersion:
-        if self.me in self.scheme:
-            if not self.resilient or self.node.database.holds_valid_copy:
-                return self.node.input_object()
-            # Resilient: a freshly recovered member serves from a live
-            # peer until a repair round restores its local copy.
-            candidates = sorted(self.scheme - {self.me})
-        elif self.resilient:
-            candidates = sorted(self.scheme)
-        else:
-            candidates = [self.server]
-        return await self._remote_read(rid, candidates)
+        if self.me in self.scheme and self.node.database.holds_valid_copy:
+            return self.node.input_object()
+        # Outsiders read remotely; so does a freshly recovered member
+        # until a repair round restores its local copy.
+        return await self._remote_read(rid)
 
     async def client_write(self, rid: int, version: ObjectVersion) -> None:
         targets = sa_store_targets(self.scheme, self.me)
@@ -270,17 +242,16 @@ class LiveStaticAllocation(LiveProtocol):
                     for member in targets
                 ],
             )
-            await pending.result()
+            await pending.future
         except ClusterError:
-            if self.resilient and self.me in self.scheme:
+            if self.me in self.scheme:
                 # Roll back the unacknowledged local copy so no replica
                 # serves a version newer than the last acknowledged one
                 # as if it were committed.
                 self.node.invalidate_object()
             raise
         if (
-            self.resilient
-            and self.me not in self.scheme
+            self.me not in self.scheme
             and targets
             and set(targets) <= pending.crash_settled
         ):
@@ -333,8 +304,9 @@ class LiveDynamicAllocation(LiveProtocol):
             node.join_list.add(self.primary)
 
     def probe_candidates(self) -> List[int]:
-        # Core members first (mirrors the resilient read failover), then
-        # the primary — it holds a copy whenever no core member does.
+        # Core members ascending (the first is the serving member), then
+        # the primary — it holds a copy whenever no core member does
+        # (e.g. all of F crashed and was repaired).
         candidates = sorted(self.core - {self.me})
         if self.primary != self.me:
             candidates.append(self.primary)
@@ -343,16 +315,7 @@ class LiveDynamicAllocation(LiveProtocol):
     async def client_read(self, rid: int) -> ObjectVersion:
         if self.node.database.holds_valid_copy:
             return self.node.input_object()
-        if not self.resilient:
-            return await self._remote_read(rid, [self.server])
-        # Failover order: core members ascending (the first is exactly
-        # the non-resilient server, keeping fault-free traffic
-        # identical), then the primary — it holds a copy whenever no
-        # core member does (e.g. all of F crashed and was repaired).
-        candidates = sorted(self.core - {self.me})
-        if self.primary != self.me:
-            candidates.append(self.primary)
-        return await self._remote_read(rid, candidates)
+        return await self._remote_read(rid)
 
     async def client_write(self, rid: int, version: ObjectVersion) -> None:
         execution_set = da_execution_set(self.core, self.primary, self.me)
@@ -366,17 +329,13 @@ class LiveDynamicAllocation(LiveProtocol):
             rid, "w", units=len(stores) + len(own_targets)
         )
         self.node.output_object(version)
-        if self.me in self.core:
-            if self.resilient:
-                # Lazy discipline: a target leaves the join-list only
-                # once its invalidation settles — delivered (below) or
-                # the target crashed (`done dropped` via this record in
-                # :meth:`NodeServer._handle_done`).  Clearing up front,
-                # as the fault-free discipline may, would forget a
-                # holder whose invalidation is then permanently lost.
-                self.node._inval_targets[rid] = set(own_targets)
-            else:
-                self._restart_join_list(execution_set)
+        if own_targets:
+            # Lazy discipline: a target leaves the join-list only once
+            # its invalidation settles — delivered (below) or the target
+            # crashed (`done dropped` via this record in
+            # :meth:`NodeServer._handle_done`).  Clearing up front would
+            # forget a holder whose invalidation is then lost for good.
+            self.node._inval_targets[rid] = set(own_targets)
         messages: List[Message] = [
             DataTransfer(
                 self.me, member, version=version, request_id=rid,
@@ -392,27 +351,21 @@ class LiveDynamicAllocation(LiveProtocol):
         ]
         try:
             results = await self._fan_out(rid, messages)
-            if self.resilient and self.me in self.core:
+            if self.me in self.core:
                 for message, delivered in zip(messages, results):
                     if delivered and isinstance(message, Invalidate):
                         # On the wire to a live target: the copy there is
                         # invalid either way (the frame invalidates it, a
                         # crash would too).
                         self.node.join_list.discard(message.receiver)
-                if self.me == self.server or self.node.steward:
-                    # The stores just (re)validated the non-core members
-                    # of the execution set — the primary, for a core
-                    # writer — so record them for future invalidation,
-                    # exactly as `_restart_join_list` does fault-free.
-                    self.node.join_list.update(execution_set - self.core)
-            await pending.result()
+                self._record_holders(execution_set)
+            await pending.future
         except ClusterError:
-            if self.resilient:
-                # The update was not acknowledged; drop the local copy
-                # so this node cannot serve it as if committed.
-                self.node.invalidate_object()
+            # The update was not acknowledged; drop the local copy so
+            # this node cannot serve it as if committed.
+            self.node.invalidate_object()
             raise
-        if self.resilient and self.me not in self.core:
+        if self.me not in self.core:
             core_stores = {target for target in stores if target in self.core}
             if core_stores and core_stores <= pending.crash_settled:
                 self.node.invalidate_object()
@@ -421,11 +374,12 @@ class LiveDynamicAllocation(LiveProtocol):
                     "store; reads routed through F would miss the update"
                 )
 
-    def _restart_join_list(self, execution_set) -> None:
-        """Clear the walked join-list; the serving member then records
-        the new execution set's non-core holders."""
-        self.node.join_list.clear()
-        if self.me == self.server:
+    def _record_holders(self, execution_set) -> None:
+        """The serving member (or a steward) records the execution set's
+        non-core members — a write's stores just (re)validated them —
+        for future invalidation.  Merged, never a restart: forgetting a
+        holder of the version being written would be unsafe."""
+        if self.me == self.server or self.node.steward:
             self.node.join_list.update(execution_set - self.core)
 
     async def handle_message(self, message: Message) -> None:
@@ -450,8 +404,13 @@ class LiveDynamicAllocation(LiveProtocol):
 
     async def _handle_data_transfer(self, message: DataTransfer) -> None:
         rid = message.request_id
-        if self.node.resolve_read(rid, message.version, save=True):
-            return  # my own saving-read response (saved in resolve_read)
+        # A copy served by a member of F is recorded in its join-list,
+        # so the reader keeps it.  One the primary served after failover
+        # is recorded nowhere a write walks: use it, but do not keep it.
+        if self.node.resolve_read(
+            rid, message.version, save=message.sender in self.core
+        ):
+            return  # my own read response (saved in resolve_read)
         # A store from a writer: output, then (members of F) walk the
         # join-list and invalidate stale holders before acknowledging.
         self.node.output_object(message.version)
@@ -461,23 +420,11 @@ class LiveDynamicAllocation(LiveProtocol):
             targets = da_invalidation_targets(
                 self.node.join_list, execution_set, writer
             )
-            if self.resilient:
-                # Lazy discipline (see `client_write`): targets leave
-                # the list per settled invalidation, never wholesale.
-                # The new non-core holders are merged in immediately —
-                # they hold the version being written, so forgetting
-                # them would be unsafe, not conservative.
-                if self.me == self.server or self.node.steward:
-                    self.node.join_list.update(execution_set - self.core)
-            else:
-                self._restart_join_list(execution_set)
+            # Lazy discipline (see `client_write`): targets leave the
+            # list per settled invalidation, never wholesale.
+            self._record_holders(execution_set)
             if targets:
-                self.node.open_relay(
-                    rid,
-                    upstream=writer,
-                    units=len(targets),
-                    targets=set(targets),
-                )
+                self.node.open_relay(rid, writer, set(targets))
                 await self._relay_invalidations(
                     rid, message.version.number, targets
                 )
@@ -501,15 +448,12 @@ class LiveDynamicAllocation(LiveProtocol):
         )
         for target, delivered in zip(targets, results):
             if delivered:
-                if self.resilient:
-                    self.node.join_list.discard(target)
-            elif self.resilient:
+                self.node.join_list.discard(target)
+            else:
                 # Retries exhausted on a live target: a stale valid copy
                 # may survive there.  Propagate the failure upstream so
                 # the writer rejects instead of acknowledging.
                 await self.node.finish_relay_unit(rid, failed=True)
-            else:
-                await self.node.finish_relay_unit(rid)
 
 
 def make_live_protocol(name: str, node: "NodeServer") -> LiveProtocol:

@@ -1,9 +1,8 @@
 """Fault tolerance for the live cluster: retries, dedup, scheme repair.
 
-Three building blocks, all **opt-in** — a cluster without a
-:class:`RetryPolicy` installed behaves byte-identically to PR 3's, which
-is what keeps the fault-free four-way parity (live == stepped ==
-simulated == kernel) intact:
+Three building blocks every node runs with.  None of them fires on a
+fault-free run, which is what keeps the four-way parity (live ==
+stepped == simulated == kernel) intact:
 
 * :class:`RetryPolicy` — seeded exponential backoff with jitter.  The
   same policy object drives both planes of at-least-once RPC: the
@@ -38,7 +37,8 @@ plays the adversary.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ClusterError
@@ -95,24 +95,17 @@ class RetryPolicy:
     # -- serialization (admin `resilience` frames) -------------------------
 
     def to_wire(self) -> Dict[str, Any]:
-        return {
-            "attempts": self.attempts,
-            "base_delay": self.base_delay,
-            "multiplier": self.multiplier,
-            "max_delay": self.max_delay,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_wire(cls, wire: Mapping[str, Any]) -> "RetryPolicy":
+        """Every field is a number, coerced to its default's type; an
+        absent one keeps its default."""
         return cls(
-            attempts=int(wire.get("attempts", 4)),
-            base_delay=float(wire.get("base_delay", 0.02)),
-            multiplier=float(wire.get("multiplier", 2.0)),
-            max_delay=float(wire.get("max_delay", 0.5)),
-            jitter=float(wire.get("jitter", 0.5)),
-            seed=int(wire.get("seed", 0)),
+            **{
+                f.name: type(f.default)(wire.get(f.name, f.default))
+                for f in fields(cls)
+            }
         )
 
 
@@ -134,7 +127,9 @@ class DedupCache:
         if capacity < 1:
             raise ClusterError("the dedup cache needs a positive capacity")
         self.capacity = capacity
-        self._entries: Dict[int, Any] = {}
+        # O(1) eviction: a plain dict's first key sits behind every
+        # slot deleted before it, so each store of a full cache scans.
+        self._entries: "OrderedDict[int, Any]" = OrderedDict()
 
     def __contains__(self, rid: int) -> bool:
         return rid in self._entries
@@ -150,7 +145,7 @@ class DedupCache:
             self._entries[rid] = value
             return
         while len(self._entries) >= self.capacity:
-            self._entries.pop(next(iter(self._entries)))
+            self._entries.popitem(last=False)
         self._entries[rid] = value
 
 

@@ -216,13 +216,11 @@ class PeerTransport:
         node_id: int,
         metrics: NodeMetrics,
         fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
     ) -> None:
         self.node_id = node_id
         self.metrics = metrics
         self.fault_plan = fault_plan
-        self.retry_policy: Optional[RetryPolicy] = None
-        self._retry_rng: Optional[random.Random] = None
         self.set_retry_policy(retry_policy)
         self.peers: Dict[int, Address] = {}
         self._links: Dict[
@@ -233,10 +231,10 @@ class PeerTransport:
     def set_peers(self, peers: Mapping[int, Address]) -> None:
         self.peers = dict(peers)
 
-    def set_retry_policy(self, policy: Optional[RetryPolicy]) -> None:
-        """Install (or clear) at-least-once retransmission on this node."""
+    def set_retry_policy(self, policy: RetryPolicy) -> None:
+        """Install the at-least-once retransmission budget of this node."""
         self.retry_policy = policy
-        self._retry_rng = policy.rng_for(self.node_id) if policy else None
+        self._retry_rng = policy.rng_for(self.node_id)
 
     # -- the two send planes ---------------------------------------------
 
@@ -245,12 +243,11 @@ class PeerTransport:
         fault swallowed it (the charge stands, mirroring the simulated
         network's sender-side accounting for doomed messages).
 
-        With a :class:`~repro.cluster.resilience.RetryPolicy` installed
-        the transmission is at-least-once: a faulted attempt backs off
-        and re-sends up to the policy's budget.  Only the first attempt
-        is charged by paper class — retransmissions count in
-        ``retries_sent`` so faulted runs report recovery work without
-        perturbing the cost-model accounting."""
+        The transmission is at-least-once: a faulted attempt backs off
+        and re-sends up to the :class:`~repro.cluster.resilience.RetryPolicy`
+        budget.  Only the first attempt is charged by paper class —
+        retransmissions count in ``retries_sent`` so faulted runs report
+        recovery work without perturbing the cost-model accounting."""
         if message.sender != self.node_id:
             raise ClusterError(
                 f"node {self.node_id} cannot send on behalf of "
@@ -283,11 +280,10 @@ class PeerTransport:
         return await self._ship(peer, payload)
 
     async def _ship(self, receiver: int, payload: Mapping[str, Any]) -> bool:
-        """One charged transmission, with the fault plan and (when a
-        retry policy is installed) backoff retransmissions applied."""
+        """One charged transmission, with the fault plan and the retry
+        policy's backoff retransmissions applied."""
         policy = self.retry_policy
-        attempts = policy.attempts if policy is not None else 1
-        for attempt in range(attempts):
+        for attempt in range(policy.attempts):
             plan = self.fault_plan
             if plan is not None and plan.should_drop(self.node_id, receiver):
                 self.metrics.dropped_messages += 1
@@ -297,14 +293,11 @@ class PeerTransport:
                     await self._write(receiver, payload, delay)
                     return True
                 except ClusterError:
-                    if policy is None:
-                        raise
                     # A dead link is a lost transmission: count it and
                     # fall through to the retry path.
                     self.metrics.dropped_messages += 1
-            if attempt + 1 < attempts:
+            if attempt + 1 < policy.attempts:
                 self.metrics.retries_sent += 1
-                assert policy is not None and self._retry_rng is not None
                 await asyncio.sleep(policy.backoff(attempt, self._retry_rng))
         return False
 

@@ -68,10 +68,10 @@ class ClusterError(ReproError):
 class ClusterDegradedError(ClusterError):
     """A live-cluster operation was rejected in degraded mode.
 
-    Raised (only when a node runs with a resilience policy) when a
-    write cannot reach enough live processors to uphold the paper's
-    availability and consistency guarantees — e.g. a partition makes a
-    stale copy un-invalidatable, or every store target is down.  The
+    Raised when a write cannot reach enough live processors to uphold
+    the paper's availability and consistency guarantees — e.g. a
+    partition makes a stale copy un-invalidatable, a store is lost after
+    every retry, or every store target is down.  The
     rejection is the graceful-degradation contract: the write fails
     *typed* instead of acknowledging an update that could later be read
     stale or lost."""

@@ -1,8 +1,9 @@
 """Integration: live-cluster behavior beyond happy-path replay.
 
 Fail-stop crashes, sender-side transport faults (dropped reads,
-dropped stores, partitions), open-loop Poisson load, the subprocess
-launch mode, and the admin plane.
+dropped stores, partitions) under a single-attempt retry policy,
+open-loop Poisson load, the subprocess launch mode, malformed client
+frames, and the admin plane.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from repro.cluster import (
     ClusterClient,
     ClusterSpec,
     FaultPlan,
+    RetryPolicy,
     poisson_load,
     replay_schedule,
     start_cluster,
     start_local_cluster,
 )
+from repro.cluster.rpc import read_frame, write_frame
+from repro.cluster.transport import open_channel
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.storage.versions import ObjectVersion
 from repro.workloads.uniform import UniformWorkload
@@ -27,17 +31,21 @@ PROCESSORS = (1, 2, 3)
 SCHEME = frozenset({1, 2})
 PRIMARY = 2
 
+#: "No retries": every lost message is lost for good.
+SINGLE_ATTEMPT = RetryPolicy(attempts=1)
+
 
 def run(coro):
     return asyncio.run(coro)
 
 
-async def booted(protocol: str = "DA"):
+async def booted(protocol: str = "DA", resilience: RetryPolicy = RetryPolicy()):
     spec = ClusterSpec(
         processors=PROCESSORS,
         scheme=SCHEME,
         protocol=protocol,
         primary=PRIMARY if protocol == "DA" else None,
+        resilience=resilience,
     )
     cluster = await start_local_cluster(spec)
     client = ClusterClient(cluster.addresses, timeout=10.0)
@@ -91,22 +99,36 @@ class TestCrashRecover:
 class TestTransportFaults:
     def test_dropped_read_request_fails_cleanly(self):
         async def scenario():
-            cluster, client = await booted()
+            cluster, client = await booted(resilience=SINGLE_ATTEMPT)
             try:
-                plan = FaultPlan(drop_next={(3, 1): 1})
-                await cluster.set_fault_plan(plan, nodes=[3])
+                # Outsider 3 reads from the serving member 1, then fails
+                # over to the primary 2.
+                candidates = cluster.nodes[3].protocol.probe_candidates()
+                assert candidates == [1, 2]
 
-                first = await client.execute(3, "read", rid=1)
-                assert not first.ok  # the ReadRequest never left node 3
+                # Lost on every candidate: the read fails, no hang.
+                await cluster.set_fault_plan(
+                    FaultPlan(drop_next={(3, 1): 1, (3, 2): 1}), nodes=[3]
+                )
+                lost = await client.execute(3, "read", rid=1)
+                assert not lost.ok and not lost.degraded
+                assert "no reachable copy among [1, 2]" in lost.error
 
-                second = await client.execute(3, "read", rid=2)
-                assert second.ok  # drop budget spent
+                # Lost only on the first candidate: the next one serves.
+                await cluster.set_fault_plan(
+                    FaultPlan(drop_next={(3, 1): 1}), nodes=[3]
+                )
+                served = await client.execute(3, "read", rid=2)
+                assert served.ok and served.version.number == 0
 
                 metrics = await cluster.metrics()
-                assert metrics[3].dropped_messages == 1
+                assert metrics[3].dropped_messages == 3
+                assert metrics[3].retries_sent == 0
                 # Doomed messages are still charged at the sender,
                 # exactly like the simulated network.
-                assert metrics[3].control_sent == 2
+                assert metrics[3].control_sent == 4
+                assert metrics[1].data_sent == 0
+                assert metrics[2].data_sent == 1  # the primary answered
             finally:
                 await client.close()
                 await cluster.stop()
@@ -115,7 +137,7 @@ class TestTransportFaults:
 
     def test_dropped_store_does_not_block_the_writer(self):
         async def scenario():
-            cluster, client = await booted("SA")
+            cluster, client = await booted("SA", resilience=SINGLE_ATTEMPT)
             try:
                 await cluster.set_fault_plan(
                     FaultPlan(drop_next={(1, 2): 1}), nodes=[1]
@@ -123,16 +145,22 @@ class TestTransportFaults:
                 write = await client.execute(
                     1, "write", rid=1, version=ObjectVersion(1, 1)
                 )
-                assert write.ok
+                # The replica missed the store: a typed rejection, not an
+                # acknowledged write a later read could miss.
+                assert not write.ok and write.degraded
 
                 metrics = await cluster.metrics()
                 assert metrics[1].dropped_messages == 1
                 assert metrics[1].data_sent == 1  # charged despite the drop
+                assert metrics[1].degraded_rejections == 1
 
-                # The replica missed the store: its copy is stale.
-                stale = await client.execute(2, "read", rid=2)
-                assert stale.ok
-                assert stale.version.number == 0
+                # The writer's copy was rolled back...
+                assert not (await cluster.status(1))["holds_valid_copy"]
+                # ...so every read returns the latest acknowledged
+                # version, 0 — the replica's and the writer's alike.
+                for node, rid in ((2, 2), (1, 3)):
+                    read = await client.execute(node, "read", rid=rid)
+                    assert read.ok and read.version.number == 0
             finally:
                 await client.close()
                 await cluster.stop()
@@ -144,11 +172,12 @@ class TestTransportFaults:
             cluster, client = await booted()
             try:
                 plan = FaultPlan(
-                    partitions=(frozenset({1}), frozenset({2, 3}))
+                    partitions=(frozenset({1, 2}), frozenset({3}))
                 )
                 await cluster.set_fault_plan(plan)
 
-                # Node 3 must reach the server (node 1) across the cut.
+                # Every copy holder is across the cut from node 3:
+                # neither retries nor failover reach one.
                 cut = await client.execute(3, "read", rid=1)
                 assert not cut.ok
                 # The server itself still reads locally.
@@ -219,6 +248,44 @@ class TestSubprocessCluster:
             .total_breakdown()
         )
         assert live == stepped
+
+
+class TestMalformedExec:
+    def test_bad_version_gets_a_reply_and_releases_the_rid(self):
+        """A write whose version does not decode is answered ``ok:
+        false`` — each time it is sent — and leaves no in-flight entry
+        behind to wedge a retry of the same request id."""
+
+        async def scenario():
+            cluster, client = await booted()
+            reader, writer = await open_channel(cluster.addresses[1])
+            try:
+                frame = {
+                    "type": "exec",
+                    "rid": 5,
+                    "op": "write",
+                    "version": {"number": "x", "writer": 3},
+                }
+                replies = []
+                for _ in range(2):
+                    await write_frame(writer, frame)
+                    replies.append(
+                        await asyncio.wait_for(read_frame(reader), 5.0)
+                    )
+                for reply in replies:
+                    assert reply["type"] == "result"
+                    assert reply["rid"] == 5
+                    assert reply["ok"] is False
+                    assert "malformed exec frame" in reply["error"]
+                assert cluster.nodes[1]._exec_inflight == {}
+                # The node still serves well-formed requests.
+                assert (await client.execute(1, "read", rid=6)).ok
+            finally:
+                writer.close()
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
 
 
 class TestAdminPlane:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster.metrics import (
     NodeMetrics,
     aggregate,
+    durability_totals,
     latency_histogram,
     percentile,
+    resilience_totals,
 )
 from repro.cluster.transport import FaultPlan
 from repro.distsim.messages import DataTransfer, Invalidate, ReadRequest
@@ -141,6 +146,50 @@ class TestNodeMetrics:
             latencies=[0.5, 0.25],
         )
         assert NodeMetrics.from_wire(metrics.to_wire()) == metrics
+
+    def test_wire_round_trip_covers_every_field(self):
+        # Distinct values per field, generated from the declaration, so a
+        # newly added counter is exercised without touching this test.
+        values = {
+            f.name: index + 1
+            for index, f in enumerate(fields(NodeMetrics))
+            if f.name != "latencies"
+        }
+        metrics = NodeMetrics(**values, latencies=[0.5, 0.25])
+        wire = json.loads(json.dumps(metrics.to_wire()))
+        assert set(wire) == {f.name for f in fields(NodeMetrics)}
+        assert NodeMetrics.from_wire(wire) == metrics
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(NodeMetrics)]
+    )
+    def test_from_wire_rejects_a_missing_field(self, name):
+        wire = NodeMetrics(node_id=1).to_wire()
+        del wire[name]
+        with pytest.raises(ClusterError, match=name):
+            NodeMetrics.from_wire(wire)
+
+    def test_totals_groups_hold_exactly_their_tagged_counters(self):
+        def tagged(group):
+            return {
+                f.name for f in fields(NodeMetrics)
+                if f.metadata.get("group") == group
+            }
+
+        one = NodeMetrics(1, **{name: 1 for name in tagged("resilience")})
+        two = NodeMetrics(2, **{name: 2 for name in tagged("durability")})
+        resilience = resilience_totals([one, two])
+        durability = durability_totals([one, two])
+        assert set(resilience) == tagged("resilience") == {
+            "retries_sent", "repairs_sent", "repairs_received",
+            "dedup_hits", "degraded_rejections",
+        }
+        assert set(durability) == tagged("durability") == {
+            "wal_appends", "wal_replayed", "wal_truncations",
+            "snapshots_written", "fresh_rejoins",
+        }
+        assert set(resilience.values()) == {1}
+        assert set(durability.values()) == {2}
 
     def test_aggregate_sums_counters_in_node_order(self):
         one = NodeMetrics(1, control_sent=1, data_sent=2, io_reads=3,

@@ -1,11 +1,14 @@
-"""Unit: retry policy backoff, dedup cache, and injector shutdown."""
+"""Unit: retry policy backoff, read failover order, dedup cache, and
+injector shutdown."""
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
 
+from repro.cluster.node import NodeConfig, NodeServer
 from repro.cluster.resilience import DedupCache, RetryPolicy
 from repro.distsim.failures import FailureInjector
 from repro.distsim.network import Network
@@ -63,6 +66,43 @@ class TestRetryPolicy:
             seed=11,
         )
         assert RetryPolicy.from_wire(policy.to_wire()) == policy
+        # Absent fields keep their defaults ("no retries" ships as one).
+        assert RetryPolicy.from_wire({"attempts": 1}) == RetryPolicy(attempts=1)
+
+
+class TestReadFailoverOrder:
+    """A remote read walks exactly ``probe_candidates()``, in order."""
+
+    @staticmethod
+    def _walk(protocol, node_id):
+        node = NodeServer(
+            NodeConfig(node_id=node_id, scheme={1, 2, 3}, protocol=protocol)
+        )
+        node.database.invalidate()  # no local copy: the read goes remote
+        asked = []
+
+        async def lost(message):
+            asked.append(message.receiver)
+            return False
+
+        node.transport.send_protocol = lost
+        with pytest.raises(ClusterError, match="no reachable copy"):
+            asyncio.run(node.protocol.client_read(rid=1))
+        return asked, node.protocol.probe_candidates()
+
+    @pytest.mark.parametrize(
+        "protocol, node_id, expected",
+        [
+            ("SA", 4, [1, 2, 3]),  # outsider
+            ("SA", 2, [1, 3]),  # member whose copy is invalid
+            ("DA", 4, [1, 2, 3]),  # outsider: F ascending, then primary 3
+            ("DA", 1, [2, 3]),  # core member without a copy
+            ("DA", 3, [1, 2]),  # the primary without a copy
+        ],
+    )
+    def test_client_read_walks_probe_candidates(self, protocol, node_id, expected):
+        asked, candidates = self._walk(protocol, node_id)
+        assert asked == candidates == expected
 
 
 class TestDedupCache:
