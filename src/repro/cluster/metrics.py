@@ -31,7 +31,7 @@ GROUP = "group"
 
 
 def _counter(group: Optional[str] = None):
-    return field(default=0, metadata={GROUP: group} if group else {})
+    return field(default=0, metadata={GROUP: group})
 
 
 @dataclass
