@@ -28,19 +28,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.resilience import RetryPolicy
-from repro.cluster.rpc import (
-    read_frame,
-    version_from_wire,
-    version_to_wire,
-    write_frame,
-)
-from repro.cluster.transport import Address, open_channel
+from repro.cluster.rpc import FrameConnection, version_from_wire, version_to_wire
+from repro.cluster.transport import Address, connect
 from repro.exceptions import ClusterError
 from repro.model.schedule import Schedule
 from repro.storage.versions import ObjectVersion
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     """What happened to one client request."""
 
@@ -91,10 +86,11 @@ class LoadResult:
 class ClusterClient:
     """Multiplexed client connections to every node of a cluster.
 
-    One connection per node, pumped by a background task that resolves
-    ``result`` frames to their waiting callers by ``(node, request id)``
-    — so the open-loop generator can keep many requests in flight per
-    node, and one node's death fails only *its* callers.
+    One connection per node; ``result`` frames resolve their waiting
+    callers by ``(node, request id)`` as they arrive — so the open-loop
+    generator can keep many requests in flight per node, and one node's
+    death fails only *its* callers.  Each call awaits its reply future
+    under one deadline timer.
 
     The client is the outer half of at-least-once RPC: transport-level
     failures (a dead connection, a refused dial) are retried with seeded
@@ -117,58 +113,49 @@ class ClusterClient:
         self.retry = retry
         # node_id -1: a stream disjoint from every node's transport RNG.
         self._retry_rng = retry.rng_for(-1)
-        self._conns: Dict[
-            int,
-            Tuple[asyncio.StreamWriter, asyncio.Lock, asyncio.Task],
-        ] = {}
+        self._conns: Dict[int, FrameConnection] = {}
+        self._dial_lock = asyncio.Lock()
         self._waiting: Dict[Tuple[int, int], asyncio.Future] = {}
 
-    async def _conn(
-        self, node_id: int
-    ) -> Tuple[asyncio.StreamWriter, asyncio.Lock]:
-        if node_id not in self._conns:
-            if node_id not in self.addresses:
-                raise ClusterError(f"no address for node {node_id}")
-            reader, writer = await open_channel(self.addresses[node_id])
-            pump = asyncio.ensure_future(self._pump(node_id, reader))
-            self._conns[node_id] = (writer, asyncio.Lock(), pump)
-        writer, lock, _ = self._conns[node_id]
-        return writer, lock
+    async def _conn(self, node_id: int) -> FrameConnection:
+        async with self._dial_lock:
+            if node_id not in self._conns:
+                if node_id not in self.addresses:
+                    raise ClusterError(f"no address for node {node_id}")
+                self._conns[node_id] = await connect(
+                    self.addresses[node_id],
+                    FrameConnection(
+                        lambda conn, frame: self._on_result(node_id, frame),
+                        lambda conn, error: self._on_lost(node_id, conn, error),
+                    ),
+                )
+            return self._conns[node_id]
 
     def _evict(self, node_id: int) -> None:
         """Forget a dead connection so the next call redials."""
-        entry = self._conns.pop(node_id, None)
-        if entry is not None:
-            writer, _, pump = entry
-            if pump is not asyncio.current_task():
-                pump.cancel()
-            writer.close()
+        conn = self._conns.pop(node_id, None)
+        if conn is not None:
+            conn.close()
 
-    async def _pump(self, node_id: int, reader: asyncio.StreamReader) -> None:
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                if frame.get("type") != "result":
-                    continue
-                key = (node_id, int(frame.get("rid", 0)))
-                future = self._waiting.pop(key, None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-        except asyncio.CancelledError:
-            raise
-        except (ClusterError, ConnectionError, OSError) as error:
+    def _on_result(self, node_id: int, frame: Dict[str, object]) -> None:
+        if frame.get("type") != "result":
+            return
+        future = self._waiting.pop((node_id, int(frame.get("rid", 0))), None)
+        if future is not None and not future.done():
+            future.set_result(frame)
+
+    def _on_lost(
+        self, node_id: int, conn: FrameConnection, error: Optional[Exception]
+    ) -> None:
+        # Evict *this* connection (unless a newer one already replaced
+        # it) so the next execute() redials instead of reusing a dead
+        # one, then fail only the callers waiting on this node.
+        if self._conns.get(node_id) is conn:
+            del self._conns[node_id]
+        if error is not None:
             reason = f"connection to node {node_id} died: {error}"
         else:
             reason = f"node {node_id} closed the connection"
-        # Evict *this* connection (unless a newer one already replaced
-        # it) so the next execute() redials instead of reusing a dead
-        # writer, then fail only the callers waiting on this node.
-        entry = self._conns.get(node_id)
-        if entry is not None and entry[2] is asyncio.current_task():
-            self._conns.pop(node_id, None)
-            entry[0].close()
         self._fail_waiting(node_id, reason)
 
     def _fail_waiting(self, node_id: int, reason: str) -> None:
@@ -181,20 +168,23 @@ class ClusterClient:
     async def _execute_once(
         self, node_id: int, rid: int, frame: Dict[str, object]
     ) -> Dict[str, object]:
-        writer, lock = await self._conn(node_id)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiting[(node_id, rid)] = future
+        conn = self._conns.get(node_id) or await self._conn(node_id)
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        key = (node_id, rid)
+        self._waiting[key] = future
         try:
-            async with lock:
-                await write_frame(writer, frame)
-        except (ConnectionError, OSError):
-            self._waiting.pop((node_id, rid), None)
+            conn.send(frame)
+        except ConnectionError:
+            self._waiting.pop(key, None)
             self._evict(node_id)
             raise
+        deadline = loop.call_later(self.timeout, _expire, future)
         try:
-            return await asyncio.wait_for(future, self.timeout)
+            return await future
         finally:
-            self._waiting.pop((node_id, rid), None)
+            deadline.cancel()
+            self._waiting.pop(key, None)
 
     async def execute(
         self,
@@ -250,18 +240,15 @@ class ClusterClient:
     async def close(self) -> None:
         conns = list(self._conns.values())
         self._conns.clear()
-        for writer, _, pump in conns:
-            pump.cancel()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
-        for _, _, pump in conns:
-            try:
-                await pump
-            except (asyncio.CancelledError, ClusterError):
-                pass
+        for conn in conns:
+            conn.close()
+        await asyncio.sleep(0)  # let the closed connections' callbacks run
+
+
+def _expire(future: asyncio.Future) -> None:
+    """A call's deadline: fail its reply future unless it resolved."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 async def replay_schedule(

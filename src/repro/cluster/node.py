@@ -36,11 +36,12 @@ from repro.cluster.metrics import NodeMetrics
 from repro.cluster.protocol import make_live_protocol
 from repro.cluster.resilience import DedupCache, RetryPolicy
 from repro.cluster.rpc import (
-    read_frame,
+    FrameConnection,
+    HandlerDeadline,
+    start_inline,
     version_from_wire,
     version_to_wire,
     wire_to_message,
-    write_frame,
 )
 from repro.cluster.transport import Address, FaultPlan, PeerTransport, start_server
 from repro.exceptions import (
@@ -200,13 +201,13 @@ class NodeServer:
         self.steward = False
         self.crashed = False
         #: At-least-once dedup: completed exec replies by request id,
-        #: plus the handler tasks still running one, which a concurrent
+        #: plus a future per request still running, which a concurrent
         #: retry awaits for the same reply.  256 replies cover the
         #: client's default retry budget (~0.14 s) up to ~1,800 req/s
         #: per node; more keeps replies alive long enough to churn the
         #: allocator when nodes share a process (2048: 25x page faults).
         self._exec_cache = DedupCache(256)
-        self._exec_inflight: Dict[int, asyncio.Task] = {}
+        self._exec_inflight: Dict[int, asyncio.Future] = {}
         #: Per-write invalidation targets, for lazy join-list removal
         #: when a target's unit settles by crash.
         self._inval_targets: Dict[int, Set[int]] = {}
@@ -217,8 +218,9 @@ class NodeServer:
         self._probe_rid = PROBE_RID_BASE + config.node_id * 1_000_000
         self._server = None
         self.address: Optional[Address] = None
+        #: Handlers that suspended, and the connections being served.
         self._tasks: Set[asyncio.Task] = set()
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[FrameConnection] = set()
         self._stopped = asyncio.Event()
         # A restarting durable node resumes from its log instead of the
         # launch seed.  Replay happens before the adapter is built so new
@@ -289,7 +291,7 @@ class NodeServer:
         if self.config.address is None:
             raise ClusterError(f"node {self.node_id} has no listen address")
         self._server, self.address = await start_server(
-            self.config.address, self._on_connection
+            self.config.address, self._accept
         )
         return self.address
 
@@ -300,94 +302,64 @@ class NodeServer:
 
     async def stop(self) -> None:
         self._stopped.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in list(self._tasks):
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        # Close client connections so their handlers exit on EOF instead
-        # of being cancelled (cancellation is noisy on asyncio streams).
-        for writer in list(self._connections):
-            writer.close()
+        for connection in list(self._connections):
+            connection.close()
+        if server is not None:
+            await server.wait_closed()
         await self.transport.close()
         self.durability.close()
 
-    # -- connection pump ---------------------------------------------------
+    # -- serving frames ------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        lock = asyncio.Lock()
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except ClusterError:
-                    break  # garbage on the wire: drop the connection
-                if frame is None:
-                    break
-                await self._dispatch(frame, writer, lock)
-        except asyncio.CancelledError:  # pragma: no cover - loop teardown
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                ConnectionError,
-                OSError,
-                asyncio.CancelledError,
-            ):  # pragma: no cover - teardown
-                pass
+    def _accept(self) -> FrameConnection:
+        connection = FrameConnection(self._dispatch, self._forget)
+        self._connections.add(connection)
+        return connection
 
-    async def _dispatch(
-        self,
-        frame: Mapping[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
+    def _forget(self, connection: FrameConnection, error) -> None:
+        self._connections.discard(connection)
+
+    def _dispatch(
+        self, connection: FrameConnection, frame: Mapping[str, Any]
     ) -> None:
+        """Serve one frame as it arrives.  ``done`` is settled on the
+        spot; every other handler starts inline and becomes a Task only
+        if it suspends (awaiting a peer, a retry backoff, a delay)."""
         kind = frame["type"]
+        if kind == "done":
+            self._handle_done(frame)
+            return
         if kind == "exec":
-            self._spawn(self._handle_exec(frame, writer, lock))
+            handler = self._handle_exec(frame, connection)
         elif kind == "msg":
-            self._spawn(self._handle_msg(frame))
-        elif kind == "done":
-            self._spawn(self._handle_done(frame))
+            handler = self._handle_msg(frame)
         elif kind == "repair":
-            self._spawn(self._handle_repair_copy(frame))
-        elif kind in ("repair_send", "recover"):
-            # Admin frames whose reply waits on the peer plane (a repair
-            # transfer, a recovery freshness probe) run concurrently.
-            self._spawn(self._handle_admin(kind, frame, writer, lock))
+            handler = self._handle_repair_copy(frame)
         else:
-            await self._handle_admin(kind, frame, writer, lock)
-
-    def _spawn(self, coro) -> None:
-        """Run a handler concurrently so the read pump never blocks on
-        protocol work (which may await peers on *other* connections)."""
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+            handler = self._handle_admin(kind, frame, connection)
+        task = start_inline(handler)
+        if task is not None:
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
 
     # -- the client plane --------------------------------------------------
 
     async def _handle_exec(
-        self,
-        frame: Mapping[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
+        self, frame: Mapping[str, Any], connection: FrameConnection
     ) -> Dict[str, Any]:
         """Run one client request and reply; returns the reply payload.
 
         At-least-once dedup: a client retry of a request that already
         ran (or is running) observes the original outcome and never
-        re-executes a write.  A running request's in-flight entry is
-        this handler's own task, which a retry awaits for the payload."""
+        re-executes a write.  A running request's in-flight entry is a
+        future of its reply, which a retry awaits."""
         try:
             rid, op, version = self._decode_exec(frame)
         except ClusterError as error:
@@ -399,16 +371,21 @@ class NodeServer:
             if payload is not None:
                 self.metrics.dedup_hits += 1
             else:
-                self._exec_inflight[rid] = asyncio.current_task()
+                reply = asyncio.get_running_loop().create_future()
+                self._exec_inflight[rid] = reply
                 try:
                     payload = await self._exec_payload(rid, op, version)
-                    self._exec_cache.store(rid, payload)
+                except BaseException:
+                    reply.cancel()
+                    raise
                 finally:
                     del self._exec_inflight[rid]
+                self._exec_cache.store(rid, payload)
+                if not reply.done():  # a waiting retry may have gone
+                    reply.set_result(payload)
         try:
-            async with lock:
-                await write_frame(writer, payload)
-        except (ConnectionError, OSError):
+            connection.send(payload)
+        except ConnectionError:
             pass  # the client hung up; its retry reads the cached reply
         return payload
 
@@ -432,13 +409,18 @@ class NodeServer:
     async def _exec_payload(
         self, rid: int, op: str, version: Optional[ObjectVersion]
     ) -> Dict[str, Any]:
-        """Execute one decoded request; the ``result`` frame to reply."""
+        """Execute one decoded request; the ``result`` frame to reply.
+
+        ``_execute`` runs in this handler under one deadline, which
+        cancels the handler when it fires; the cancellation is then
+        withdrawn and the request fails as timed out."""
         started = time.monotonic()
+        deadline = HandlerDeadline(self.config.exec_timeout)
         try:
-            version = await asyncio.wait_for(
-                self._execute(rid, op, version), self.config.exec_timeout
-            )
-        except asyncio.TimeoutError:
+            version = await self._execute(rid, op, version)
+        except asyncio.CancelledError:
+            if not deadline.absorb():
+                raise
             error: Exception = ClusterError(
                 f"request {rid} timed out after {self.config.exec_timeout}s"
             )
@@ -458,6 +440,8 @@ class NodeServer:
                 "ok": True,
                 "version": version_to_wire(version),
             }
+        finally:
+            deadline.cancel()
         self._pending.pop(rid, None)
         self._inval_targets.pop(rid, None)
         return self._failure(rid, error)
@@ -493,7 +477,7 @@ class NodeServer:
             # drop and resolve the sender's work unit via the oracle,
             # matching the simulated network's on_dropped rule.
             self.metrics.dropped_messages += 1
-            await self.transport.send_done(
+            self.transport.send_done(
                 message.sender,
                 getattr(message, "request_id", 0),
                 dropped=True,
@@ -501,7 +485,7 @@ class NodeServer:
             return
         await self.protocol.handle_message(message)
 
-    async def _handle_done(self, frame: Mapping[str, Any]) -> None:
+    def _handle_done(self, frame: Mapping[str, Any]) -> None:
         rid = int(frame.get("rid", 0))
         dropped = bool(frame.get("dropped", False))
         failed = bool(frame.get("failed", False))
@@ -512,7 +496,7 @@ class NodeServer:
                 # safe to forget (lazy removal keeps only targets whose
                 # invalidation could NOT be confirmed).
                 self.join_list.discard(source)
-            await self.finish_relay_unit(rid, failed=failed)
+            self.finish_relay_unit(rid, failed=failed)
             return
         pending = self._pending.get(rid)
         if pending is None:
@@ -545,18 +529,13 @@ class NodeServer:
     # -- admin plane -------------------------------------------------------
 
     async def _handle_admin(
-        self,
-        kind: str,
-        frame: Mapping[str, Any],
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
+        self, kind: str, frame: Mapping[str, Any], connection: FrameConnection
     ) -> None:
         try:
             reply = await self._admin_reply(kind, frame)
         except ClusterError as error:
             reply = {"type": "error", "error": str(error)}
-        async with lock:
-            await write_frame(writer, reply)
+        connection.send(reply)
         if kind == "shutdown" and reply.get("type") == "ok":
             self._stopped.set()
 
@@ -688,14 +667,14 @@ class NodeServer:
         donor = int(frame.get("from", -1))
         if self.crashed:
             self.metrics.dropped_messages += 1
-            await self.transport.send_done(donor, rid, dropped=True)
+            self.transport.send_done(donor, rid, dropped=True)
             return
         version = version_from_wire(frame.get("version"))
         if version is None:
             raise ClusterError("a repair frame needs a 'version'")
         self.output_object(version)
         self.metrics.repairs_received += 1
-        await self.transport.send_done(donor, rid)
+        self.transport.send_done(donor, rid)
 
     # -- state used by the protocol adapters -------------------------------
 
@@ -778,7 +757,7 @@ class NodeServer:
         """One relay unit per invalidation target."""
         self._relays[rid] = _Relay(upstream, len(targets), targets)
 
-    async def finish_relay_unit(self, rid: int, failed: bool = False) -> None:
+    def finish_relay_unit(self, rid: int, failed: bool = False) -> None:
         relay = self._relays.get(rid)
         if relay is None:
             return
@@ -786,9 +765,7 @@ class NodeServer:
         relay.units -= 1
         if relay.units <= 0:
             self._relays.pop(rid, None)
-            await self.transport.send_done(
-                relay.upstream, rid, failed=relay.failed
-            )
+            self.transport.send_done(relay.upstream, rid, failed=relay.failed)
 
     # -- failures ----------------------------------------------------------
 
@@ -894,29 +871,36 @@ class NodeServer:
         """Ask peers to vouch for the logged version's freshness.
 
         Walks the protocol's candidate order (the read-failover order),
-        one control round trip per attempt: a ``VersionInquiry`` out, a
-        ``VersionReport`` back — message types the quorum literature's
-        recovery handshake already defines (cf.
+        one control round trip per attempt, each given up after the exec
+        timeout: a ``VersionInquiry`` out, a ``VersionReport`` back —
+        message types the quorum literature's recovery handshake already
+        defines (cf.
         :mod:`repro.distsim.protocols.missing_writes`: an empty log is
         revalidated at the price of a version check).  Returns
         ``(peer, version_number)`` from the first peer that holds a
         valid copy, or ``(None, None)`` when nobody can vouch."""
+        loop = asyncio.get_running_loop()
         for peer in self.protocol.probe_candidates():
             self._probe_rid += 1
             rid = self._probe_rid
             pending = self.open_pending(rid, "p", units=1)
+            deadline = loop.call_later(
+                self.config.exec_timeout,
+                self.fail_pending,
+                rid,
+                f"probe {rid} to {peer} timed out",
+            )
             try:
                 delivered = await self.transport.send_protocol(
                     VersionInquiry(self.node_id, peer, request_id=rid)
                 )
                 if not delivered:
                     continue
-                number, holds = await asyncio.wait_for(
-                    pending.future, timeout=self.config.exec_timeout
-                )
-            except (asyncio.TimeoutError, ClusterError):
+                number, holds = await pending.future
+            except ClusterError:
                 continue  # the peer is crashed or the report was lost
             finally:
+                deadline.cancel()
                 self._pending.pop(rid, None)
             if holds:
                 return peer, number

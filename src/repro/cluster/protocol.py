@@ -102,7 +102,7 @@ class LiveProtocol:
             if not delivered:
                 # Unblock the prober so it can fail over to the next
                 # candidate (the oracle plane is never faulted).
-                await self.node.transport.send_done(
+                self.node.transport.send_done(
                     message.sender, message.request_id, dropped=True
                 )
             return True
@@ -182,7 +182,7 @@ class LiveProtocol:
             # No valid local copy (e.g. freshly recovered, not yet
             # repaired): tell the reader its response is not coming so
             # it can fail over / fail fast instead of timing out.
-            await self.node.transport.send_done(
+            self.node.transport.send_done(
                 message.sender, message.request_id, dropped=True
             )
             return
@@ -198,7 +198,7 @@ class LiveProtocol:
         if not delivered:
             # The response is gone; unblock the reader so it can fail
             # fast instead of hanging (the oracle plane is never faulted).
-            await self.node.transport.send_done(
+            self.node.transport.send_done(
                 message.sender, message.request_id, dropped=True
             )
 
@@ -270,7 +270,7 @@ class LiveStaticAllocation(LiveProtocol):
             if self.node.resolve_read(message.request_id, message.version):
                 return  # my own read response; SA readers never save
             self.node.output_object(message.version)
-            await self.node.transport.send_done(
+            self.node.transport.send_done(
                 message.sender, message.request_id
             )
         else:
@@ -394,7 +394,7 @@ class LiveDynamicAllocation(LiveProtocol):
             await self._handle_data_transfer(message)
         elif isinstance(message, Invalidate):
             self.node.invalidate_object()
-            await self.node.transport.send_done(
+            self.node.transport.send_done(
                 message.sender, message.request_id
             )
         else:
@@ -429,7 +429,7 @@ class LiveDynamicAllocation(LiveProtocol):
                     rid, message.version.number, targets
                 )
                 return  # the relay acknowledges upstream when drained
-        await self.node.transport.send_done(writer, rid)
+        self.node.transport.send_done(writer, rid)
 
     async def _relay_invalidations(
         self, rid: int, version_number: int, targets: List[int]
@@ -453,7 +453,7 @@ class LiveDynamicAllocation(LiveProtocol):
                 # Retries exhausted on a live target: a stale valid copy
                 # may survive there.  Propagate the failure upstream so
                 # the writer rejects instead of acknowledging.
-                await self.node.finish_relay_unit(rid, failed=True)
+                self.node.finish_relay_unit(rid, failed=True)
 
 
 def make_live_protocol(name: str, node: "NodeServer") -> LiveProtocol:

@@ -29,14 +29,22 @@ Frame families (the ``type`` field):
 The codec below maps every :class:`~repro.distsim.messages.Message`
 subclass to and from its wire form, so the live transport ships the
 *same* protocol vocabulary the discrete-event simulator uses.
+
+Node, peer-link and client connections are :class:`FrameConnection`
+protocols that serve each frame the moment its bytes arrive;
+:func:`start_inline` runs a frame's handler there and makes it a Task
+only if it suspends, and :class:`HandlerDeadline` bounds a handler
+without a wrapper task.  :func:`read_frame` / :func:`write_frame` are
+the stream equivalents for request/reply callers (the admin plane).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import struct
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Coroutine, Dict, List, Mapping, Optional
 
 from repro.distsim.messages import (
     Ack,
@@ -60,16 +68,38 @@ MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 # -- framing ---------------------------------------------------------------
 
+#: One encoder for every frame: ``json.dumps`` would build a new one per
+#: call.  Sorted keys make the bytes stable for a given payload.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
     """Serialize one frame: 4-byte length prefix + UTF-8 JSON."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    data = body.encode("utf-8")
+    data = _ENCODER.encode(payload).encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
     return _HEADER.pack(len(data)) + data
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise ClusterError(
+            f"incoming frame of {length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+
+
+def _decode_body(body: bytes) -> Dict[str, Any]:
+    """Parse one frame body; a malformed or non-object body raises."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ClusterError(f"malformed frame body: {error}") from error
+    if not isinstance(payload, dict) or "type" not in payload:
+        raise ClusterError("every frame must be a JSON object with a 'type'")
+    return payload
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
@@ -86,11 +116,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
     except (ConnectionError, OSError):
         return None
     (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ClusterError(
-            f"incoming frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
+    _check_length(length)
     try:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
@@ -98,13 +124,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
             f"connection closed mid-frame ({len(error.partial)} of "
             f"{length} bytes)"
         ) from error
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ClusterError(f"malformed frame body: {error}") from error
-    if not isinstance(payload, dict) or "type" not in payload:
-        raise ClusterError("every frame must be a JSON object with a 'type'")
-    return payload
+    return _decode_body(body)
 
 
 async def write_frame(
@@ -113,6 +133,191 @@ async def write_frame(
     """Write one frame and flush it."""
     writer.write(encode_frame(payload))
     await writer.drain()
+
+
+class FrameConnection(asyncio.Protocol):
+    """One connection of the cluster, serving frames as they arrive.
+
+    ``data_received`` splits the byte stream into frames and hands each
+    to ``on_frame(connection, frame)`` at once, in arrival order — no
+    read pump, no task per frame.  A frame the sink raises on is
+    reported to the loop's exception handler and the next frame is
+    still served.  An oversize length or a malformed body closes the
+    connection without serving it or anything after it.  ``send``
+    writes straight to the transport: no lock and no ``drain()``.
+    ``on_close(connection, error)`` runs once when the connection is
+    gone; ``error`` is the framing error that closed it, if any."""
+
+    def __init__(
+        self,
+        on_frame: Callable[["FrameConnection", Dict[str, Any]], None],
+        on_close: Optional[
+            Callable[["FrameConnection", Optional[Exception]], None]
+        ] = None,
+    ) -> None:
+        self.transport: Optional[asyncio.Transport] = None
+        self._on_frame = on_frame
+        self._on_close = on_close
+        self._buffer = bytearray()
+        self._error: Optional[Exception] = None
+
+    @property
+    def closed(self) -> bool:
+        return self.transport is None or self.transport.is_closing()
+
+    def send(self, payload: Mapping[str, Any]) -> None:
+        """Write one frame; ``ConnectionError`` if the connection was
+        closed, or the write found it broken (the frame is lost)."""
+        if self.closed:
+            raise ConnectionResetError("the connection is closed")
+        self.transport.write(encode_frame(payload))
+        if self.transport.is_closing():
+            raise ConnectionResetError("the connection broke on write")
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()
+
+    # -- asyncio.Protocol ----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        size = len(buffer)
+        start = 0
+        while size - start >= _HEADER.size and not self.closed:
+            (length,) = _HEADER.unpack_from(buffer, start)
+            end = start + _HEADER.size + length
+            try:
+                _check_length(length)
+                if end > size:
+                    break
+                frame = _decode_body(buffer[start + _HEADER.size : end])
+            except ClusterError as error:
+                self._error = error
+                buffer.clear()
+                self.transport.close()
+                return
+            start = end
+            try:
+                self._on_frame(self, frame)
+            except Exception as error:
+                asyncio.get_running_loop().call_exception_handler(
+                    {
+                        "message": f"serving a {frame['type']!r} frame failed",
+                        "exception": error,
+                        "protocol": self,
+                    }
+                )
+        del buffer[:start]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self._on_close is not None:
+            self._on_close(self, self._error or exc)
+
+
+# -- serving handlers inline -------------------------------------------------
+
+#: The handler ``start_inline`` is running: a one-slot list that holds
+#: its Task once the handler suspended (see :class:`HandlerDeadline`).
+_HANDLER: contextvars.ContextVar[List[asyncio.Task]] = contextvars.ContextVar(
+    "repro_cluster_handler"
+)
+
+
+def start_inline(coro: Coroutine[Any, Any, Any]) -> Optional[asyncio.Task]:
+    """Run a frame handler's first step now; a Task only if it suspends.
+
+    Most handlers finish without awaiting anything, so a Task per frame
+    is pure overhead.  Python 3.11 has no eager tasks, so this is one:
+    the first step runs in a fresh copy of the current context, and if
+    the coroutine suspends, the Task that finishes it runs in that
+    *same* Context — a ``ContextVar`` token set before the first await
+    still resets after it.  Returns the Task, or ``None`` when the
+    handler already finished.  An exception from the first step
+    propagates to the caller."""
+    home: List[asyncio.Task] = []
+    context = contextvars.copy_context()
+    context.run(_HANDLER.set, home)
+    driver = _drive(coro)
+    try:
+        context.run(driver.send, None)
+    except StopIteration:
+        return None
+    task = asyncio.get_running_loop().create_task(driver, context=context)
+    home.append(task)
+    return task
+
+
+async def _drive(coro: Coroutine[Any, Any, Any]) -> Any:
+    return await _Driven(coro)
+
+
+class _Driven:
+    """Drives a coroutine: its first step for :func:`start_inline`,
+    which it then parks, and the rest for the Task that takes it over.
+    Everything the Task throws in (a cancellation, even before its
+    first step) is thrown into the coroutine."""
+
+    __slots__ = ("_coro",)
+
+    def __init__(self, coro: Coroutine[Any, Any, Any]) -> None:
+        self._coro = coro
+
+    def __await__(self):
+        coro = self._coro
+        step, value = coro.send, None
+        parked = False
+        while True:
+            try:
+                awaited = step(value)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                if not parked:
+                    parked = True
+                    yield  # the inline step ends; the Task resumes here
+                value = yield awaited
+            except BaseException as error:  # thrown in by the Task
+                step, value = coro.throw, error
+            else:
+                step = coro.send
+
+
+class HandlerDeadline:
+    """One timer that cancels the handler it was armed in.
+
+    Arm it only in a handler :func:`start_inline` runs.  It cancels
+    that handler's Task, which exists by the time the timer fires: a
+    handler still running then has suspended.  After a
+    ``CancelledError``, :meth:`absorb` tells whether this deadline
+    caused it, and if so withdraws the cancellation so the handler can
+    answer instead."""
+
+    __slots__ = ("_home", "_timer", "_fired")
+
+    def __init__(self, delay: float) -> None:
+        self._home = _HANDLER.get()
+        self._fired: Optional[asyncio.Task] = None
+        self._timer = asyncio.get_running_loop().call_later(delay, self._fire)
+
+    def _fire(self) -> None:
+        (task,) = self._home
+        if not task.done():
+            self._fired = task
+            task.cancel()
+
+    def absorb(self) -> bool:
+        if self._fired is None:
+            return False
+        self._fired.uncancel()
+        return True
+
+    def cancel(self) -> None:
+        self._timer.cancel()
 
 
 # -- object versions -------------------------------------------------------

@@ -30,9 +30,9 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
-from repro.cluster.rpc import message_to_wire, write_frame
+from repro.cluster.rpc import FrameConnection, message_to_wire
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.resilience import RetryPolicy
 from repro.distsim.messages import Message
@@ -80,22 +80,42 @@ class Address:
 async def open_channel(
     address: Address,
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Connect to a node's listening address."""
+    """Connect to a node's listening address as a stream pair (the
+    request/reply admin plane)."""
     if address.kind == "unix":
         return await asyncio.open_unix_connection(address.path)
     return await asyncio.open_connection(address.host, address.port)
 
 
-async def start_server(address: Address, handler) -> Tuple[Any, Address]:
-    """Bind a listener; returns the server and the *actual* address.
+async def connect(
+    address: Address, connection: FrameConnection
+) -> FrameConnection:
+    """Connect ``connection`` to a node's listening address."""
+    loop = asyncio.get_running_loop()
+    if address.kind == "unix":
+        await loop.create_unix_connection(lambda: connection, address.path)
+    else:
+        await loop.create_connection(
+            lambda: connection, address.host, address.port
+        )
+    return connection
+
+
+async def start_server(
+    address: Address, accept: Callable[[], FrameConnection]
+) -> Tuple[asyncio.AbstractServer, Address]:
+    """Bind a listener serving each accepted connection with the
+    :class:`FrameConnection` ``accept()`` builds; returns the server and
+    the *actual* address.
 
     TCP addresses with port 0 are resolved to the ephemeral port the
     kernel picked, so launchers can bind first and wire peers after.
     """
+    loop = asyncio.get_running_loop()
     if address.kind == "unix":
-        server = await asyncio.start_unix_server(handler, path=address.path)
+        server = await loop.create_unix_server(accept, path=address.path)
         return server, address
-    server = await asyncio.start_server(handler, address.host, address.port)
+    server = await loop.create_server(accept, address.host, address.port)
     port = server.sockets[0].getsockname()[1]
     return server, Address("tcp", host=address.host, port=port)
 
@@ -223,10 +243,10 @@ class PeerTransport:
         self.fault_plan = fault_plan
         self.set_retry_policy(retry_policy)
         self.peers: Dict[int, Address] = {}
-        self._links: Dict[
-            int, Tuple[asyncio.StreamReader, asyncio.StreamWriter, asyncio.Lock]
-        ] = {}
+        self._links: Dict[int, FrameConnection] = {}
         self._connect_lock = asyncio.Lock()
+        #: ``done`` frames waiting for their link to be dialled.
+        self._dialling: Set[asyncio.Task] = set()
 
     def set_peers(self, peers: Mapping[int, Address]) -> None:
         self.peers = dict(peers)
@@ -301,7 +321,7 @@ class PeerTransport:
                 await asyncio.sleep(policy.backoff(attempt, self._retry_rng))
         return False
 
-    async def send_done(
+    def send_done(
         self, peer: int, rid: int, dropped: bool = False, failed: bool = False
     ) -> None:
         """Ship an uncharged completion notification (never faulted).
@@ -309,7 +329,10 @@ class PeerTransport:
         ``dropped`` reports a unit settled by the receiver's fail-stop
         crash; ``failed`` reports a unit that could NOT settle safely —
         a relayed invalidation permanently lost in transit — so the
-        origin can reject the write instead of acknowledging it."""
+        origin can reject the write instead of acknowledging it.
+
+        A plain write on an open link; only a link not dialled yet (or
+        found dead) defers the frame to a task that dials first."""
         payload = {
             "type": "done",
             "rid": rid,
@@ -318,25 +341,42 @@ class PeerTransport:
         }
         if failed:
             payload["failed"] = True
-        await self._write(peer, payload, delay=0.0)
+        link = self._links.get(peer)
+        if link is not None and not link.closed:
+            link.send(payload)
+            return
+        task = asyncio.ensure_future(self._write(peer, payload, delay=0.0))
+        self._dialling.add(task)
+        task.add_done_callback(self._dialled)
+
+    def _dialled(self, task: asyncio.Task) -> None:
+        self._dialling.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            # Nobody awaits a deferred ``done``: report its loss.
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": "a done frame was lost", "exception": task.exception()}
+            )
 
     # -- plumbing ---------------------------------------------------------
 
-    async def _link(
-        self, peer: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, asyncio.Lock]:
-        if peer in self._links:
-            return self._links[peer]
+    async def _link(self, peer: int) -> FrameConnection:
+        link = self._links.get(peer)
+        if link is not None and not link.closed:
+            return link
         async with self._connect_lock:
-            if peer in self._links:
-                return self._links[peer]
+            link = self._links.get(peer)
+            if link is not None and not link.closed:
+                return link
             if peer not in self.peers:
                 raise ClusterError(
                     f"node {self.node_id} has no address for peer {peer}"
                 )
-            reader, writer = await open_channel(self.peers[peer])
-            self._links[peer] = (reader, writer, asyncio.Lock())
-            return self._links[peer]
+            # Peers answer over their own links: nothing arrives here.
+            link = await connect(
+                self.peers[peer], FrameConnection(lambda link, frame: None)
+            )
+            self._links[peer] = link
+            return link
 
     async def _write(
         self, peer: int, payload: Mapping[str, Any], delay: float
@@ -344,24 +384,23 @@ class PeerTransport:
         if delay > 0.0:
             await asyncio.sleep(delay)
         for attempt in (0, 1):
-            _, writer, lock = await self._link(peer)
+            link = await self._link(peer)
             try:
-                async with lock:
-                    await write_frame(writer, payload)
+                link.send(payload)
                 return
-            except (ConnectionError, OSError) as error:
-                self._links.pop(peer, None)
+            except ConnectionError as error:
+                if self._links.get(peer) is link:
+                    del self._links[peer]
                 if attempt:
                     raise ClusterError(
                         f"link {self.node_id} -> {peer} failed: {error}"
                     ) from error
 
     async def close(self) -> None:
-        links: List = list(self._links.values())
+        for task in list(self._dialling):
+            task.cancel()
+        links = list(self._links.values())
         self._links.clear()
-        for _, writer, _ in links:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
+        for link in links:
+            link.close()
+        await asyncio.sleep(0)  # let the closed links' callbacks run

@@ -21,9 +21,10 @@ from repro.cluster import (
     start_cluster,
     start_local_cluster,
 )
-from repro.cluster.rpc import read_frame, write_frame
+from repro.cluster.rpc import message_to_wire, read_frame, write_frame
 from repro.cluster.transport import open_channel
 from repro.core.dynamic_allocation import DynamicAllocation
+from repro.distsim.messages import ReadRequest
 from repro.storage.versions import ObjectVersion
 from repro.workloads.uniform import UniformWorkload
 
@@ -280,6 +281,94 @@ class TestMalformedExec:
                 assert cluster.nodes[1]._exec_inflight == {}
                 # The node still serves well-formed requests.
                 assert (await client.execute(1, "read", rid=6)).ok
+            finally:
+                writer.close()
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestDeadlines:
+    """Node 3 holds no copy, so its read asks node 1 over the delayed
+    link 3 -> 1: the request outlives whichever deadline is shorter."""
+
+    SLOW_LINK = FaultPlan(link_delays={(3, 1): 0.6})
+
+    def test_node_deadline_fails_the_request_and_the_node_serves_on(self):
+        async def scenario():
+            spec = ClusterSpec(
+                processors=PROCESSORS,
+                scheme=SCHEME,
+                protocol="DA",
+                primary=PRIMARY,
+                exec_timeout=0.2,
+            )
+            cluster = await start_local_cluster(spec)
+            client = ClusterClient(cluster.addresses, timeout=10.0)
+            try:
+                await cluster.set_fault_plan(self.SLOW_LINK, nodes=[3])
+                slow = await client.execute(3, "read", rid=1)
+                assert not slow.ok
+                assert "request 1 timed out after 0.2s" in slow.error
+                # The deadline cut the delayed send short.
+                assert slow.latency < 0.5
+                node = cluster.nodes[3]
+                assert node._exec_inflight == {} and node._pending == {}
+                assert node.metrics.request_errors == 1
+
+                await cluster.set_fault_plan(None, nodes=[3])
+                healed = await client.execute(3, "read", rid=2)
+                assert healed.ok and healed.version.number == 0
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_client_deadline_fails_the_call(self):
+        async def scenario():
+            cluster, _ = await booted()
+            client = ClusterClient(cluster.addresses, timeout=0.2)
+            try:
+                await cluster.set_fault_plan(self.SLOW_LINK, nodes=[3])
+                slow = await client.execute(3, "read", rid=1)
+                assert not slow.ok and slow.retries == 0
+                assert slow.error == "client timed out after 0.2s"
+                assert slow.latency < 0.5
+                # The node still finishes the read; its late reply is
+                # ignored, and the same connection serves the next call.
+                await asyncio.sleep(0.6)
+                await cluster.set_fault_plan(None, nodes=[3])
+                healed = await client.execute(3, "read", rid=2)
+                assert healed.ok and healed.version.number == 0
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestInlineServing:
+    def test_a_frame_after_a_failed_handler_is_served(self):
+        """A ``msg`` addressed to another node raises in its handler's
+        inline step; the next frame on the connection is still served."""
+
+        async def scenario():
+            failures = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: failures.append(context.get("exception"))
+            )
+            cluster, client = await booted()
+            reader, writer = await open_channel(cluster.addresses[1])
+            try:
+                misrouted = message_to_wire(ReadRequest(3, 2, request_id=9))
+                await write_frame(writer, misrouted)
+                await write_frame(writer, {"type": "ping"})
+                reply = await asyncio.wait_for(read_frame(reader), 5.0)
+                assert reply["type"] == "pong" and reply["node"] == 1
+                assert len(failures) == 1
+                assert "addressed to someone else" in str(failures[0])
             finally:
                 writer.close()
                 await client.close()

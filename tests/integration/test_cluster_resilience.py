@@ -323,9 +323,8 @@ class TestConnectionRecovery:
             try:
                 # Poison the node-1 connection with a frame whose length
                 # prefix exceeds the codec limit; the node hangs up.
-                writer, _ = await client._conn(1)
-                writer.write(b"\xff\xff\xff\xff")
-                await writer.drain()
+                connection = await client._conn(1)
+                connection.transport.write(b"\xff\xff\xff\xff")
                 await asyncio.sleep(0.05)
 
                 # Node 2's connection is untouched...

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import json
 import struct
 
 import pytest
 
+from repro.cluster.metrics import NodeMetrics
 from repro.cluster.rpc import (
     MAX_FRAME_BYTES,
+    FrameConnection,
+    HandlerDeadline,
     encode_frame,
     message_to_wire,
     read_frame,
+    start_inline,
     version_from_wire,
     version_to_wire,
     wire_to_message,
@@ -114,6 +120,259 @@ class TestFraming:
         assert read_one_frame(bytes(transcript)) == {"type": "ping"}
 
 
+class FakeTransport:
+    """The slice of ``asyncio.Transport`` a FrameConnection uses."""
+
+    def __init__(self) -> None:
+        self.written = bytearray()
+        self.closing = False
+
+    def write(self, data) -> None:
+        self.written.extend(data)
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+
+def served_connection(sink=None):
+    """A connected FrameConnection and the list of frames it served."""
+    served = []
+
+    def on_frame(connection, frame):
+        served.append(frame)
+        if sink is not None:
+            sink(frame)
+
+    connection = FrameConnection(on_frame)
+    connection.connection_made(FakeTransport())
+    return connection, served
+
+
+FRAMES = [{"type": "ping", "n": n, "pad": "x" * n} for n in range(4)]
+STREAM = b"".join(encode_frame(frame) for frame in FRAMES)
+
+
+class TestFrameConnection:
+    def test_one_byte_at_a_time(self):
+        connection, served = served_connection()
+        for index in range(len(STREAM)):
+            connection.data_received(STREAM[index : index + 1])
+        assert served == FRAMES
+        assert not connection.closed
+
+    def test_several_frames_in_one_chunk(self):
+        connection, served = served_connection()
+        connection.data_received(STREAM)
+        assert served == FRAMES
+
+    def test_header_split_across_chunks(self):
+        connection, served = served_connection()
+        data = encode_frame(FRAMES[2])
+        connection.data_received(data[:2])
+        assert served == []
+        connection.data_received(data[2:])
+        assert served == [FRAMES[2]]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            struct.pack(">I", MAX_FRAME_BYTES + 1),
+            struct.pack(">I", 9) + b"{not json",
+            struct.pack(">I", 7) + b"[1,2,3]",
+        ],
+        ids=["oversize", "malformed", "non-object"],
+    )
+    def test_bad_frame_closes_without_serving(self, data):
+        closed = []
+        connection = FrameConnection(
+            lambda conn, frame: pytest.fail(f"served {frame}"),
+            lambda conn, error: closed.append(error),
+        )
+        connection.connection_made(FakeTransport())
+        connection.data_received(data + encode_frame({"type": "ping"}))
+        assert connection.closed
+        connection.connection_lost(None)
+        assert len(closed) == 1 and isinstance(closed[0], ClusterError)
+
+    def test_frame_after_a_raising_handler_is_served(self):
+        def sink(frame):
+            if frame["n"] == 0:
+                raise ClusterError("addressed to someone else")
+
+        async def go():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["exception"])
+            )
+            connection, served = served_connection(sink)
+            connection.data_received(STREAM[: len(encode_frame(FRAMES[0])) + 1])
+            connection.data_received(STREAM[len(encode_frame(FRAMES[0])) + 1 :])
+            return reported, served, connection
+
+        reported, served, connection = asyncio.run(go())
+        assert served == FRAMES
+        assert [str(error) for error in reported] == ["addressed to someone else"]
+        assert not connection.closed
+
+    def test_send_writes_one_frame(self):
+        connection, _ = served_connection()
+        connection.send({"type": "ping"})
+        assert bytes(connection.transport.written) == encode_frame({"type": "ping"})
+
+    def test_send_on_a_closed_connection_raises(self):
+        connection, _ = served_connection()
+        connection.close()
+        with pytest.raises(ConnectionError):
+            connection.send({"type": "ping"})
+        with pytest.raises(ConnectionError):
+            FrameConnection(lambda conn, frame: None).send({"type": "ping"})
+
+    def test_a_write_that_breaks_the_connection_raises(self):
+        class BrokenPipe(FakeTransport):
+            def write(self, data) -> None:
+                self.closing = True  # what a failed socket send does
+
+        connection = FrameConnection(lambda conn, frame: None)
+        connection.connection_made(BrokenPipe())
+        with pytest.raises(ConnectionError, match="broke on write"):
+            connection.send({"type": "ping"})
+
+
+class TestStartInline:
+    def test_a_handler_that_never_suspends_runs_now(self):
+        steps = []
+
+        async def handler():
+            steps.append("ran")
+            return 1
+
+        async def go():
+            task = start_inline(handler())
+            return task, list(steps)
+
+        assert asyncio.run(go()) == (None, ["ran"])
+
+    def test_a_suspending_handler_becomes_a_task(self):
+        async def handler(gate):
+            first = asyncio.current_task()
+            value = await gate
+            return first, asyncio.current_task(), value
+
+        async def go():
+            gate = asyncio.get_running_loop().create_future()
+            task = start_inline(handler(gate))
+            assert task is not None and not task.done()
+            gate.set_result(7)
+            first, later, value = await task
+            return task, first, later, value
+
+        task, first, later, value = asyncio.run(go())
+        # The inline step ran in its caller; the rest ran in the Task.
+        assert first is not task and later is task and value == 7
+
+    def test_one_context_across_the_inline_step_and_the_task(self):
+        var = contextvars.ContextVar("span", default="outside")
+
+        async def handler(gate):
+            token = var.set("inside")
+            await gate
+            seen = var.get()
+            var.reset(token)  # raises if the Task ran in another Context
+            return seen, var.get()
+
+        async def go():
+            gate = asyncio.get_running_loop().create_future()
+            task = start_inline(handler(gate))
+            outside = var.get()
+            gate.set_result(None)
+            return outside, await task
+
+        assert asyncio.run(go()) == ("outside", ("inside", "outside"))
+
+    def test_an_exception_in_the_inline_step_propagates(self):
+        async def handler():
+            raise ClusterError("bad frame")
+
+        async def go():
+            with pytest.raises(ClusterError, match="bad frame"):
+                start_inline(handler())
+
+        asyncio.run(go())
+
+    def test_cancelling_the_task_reaches_the_handler(self):
+        cleaned = []
+
+        async def handler():
+            try:
+                await asyncio.sleep(10)
+            finally:
+                cleaned.append(True)
+
+        async def go():
+            task = start_inline(handler())
+            await asyncio.sleep(0)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(go())
+        assert cleaned == [True]
+
+    def test_a_cancel_before_the_tasks_first_step_reaches_the_handler(self):
+        seen = []
+
+        async def handler(gate):
+            try:
+                await gate
+            except asyncio.CancelledError:
+                seen.append("cancelled")
+                raise
+
+        async def go():
+            gate = asyncio.get_running_loop().create_future()
+            task = start_inline(handler(gate))
+            task.cancel()  # the Task has not stepped yet
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(go())
+        assert seen == ["cancelled"]
+
+    def test_a_deadline_cancels_the_handler_it_was_armed_in(self):
+        async def handler():
+            deadline = HandlerDeadline(0.01)
+            try:
+                await asyncio.sleep(10)
+            except asyncio.CancelledError:
+                return deadline.absorb()
+            finally:
+                deadline.cancel()
+            return "slept"
+
+        async def go():
+            task = start_inline(handler())
+            absorbed = await task
+            return absorbed, task.cancelling()
+
+        assert asyncio.run(go()) == (True, 0)
+
+    def test_a_disarmed_deadline_does_not_fire(self):
+        async def handler():
+            deadline = HandlerDeadline(0.01)
+            await asyncio.sleep(0)
+            deadline.cancel()
+            await asyncio.sleep(0.03)
+            return deadline.absorb()
+
+        async def go():
+            return await start_inline(handler())
+
+        assert asyncio.run(go()) is False
+
+
 class TestVersionCodec:
     def test_round_trip(self):
         version = ObjectVersion(7, 3, payload="blob")
@@ -171,6 +430,35 @@ class TestMessageCodec:
 
         with pytest.raises(ClusterError, match="no wire encoding"):
             message_to_wire(Exotic(1, 2))
+
+
+class TestEncoder:
+    """The shared encoder writes exactly what ``json.dumps`` would."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "exec", "rid": 3, "op": "write",
+             "version": version_to_wire(ObjectVersion(2, 1, payload="é"))},
+            {"type": "exec", "rid": 4, "op": "read"},
+            {"type": "result", "rid": 3, "ok": True,
+             "version": version_to_wire(ObjectVersion(2, 1))},
+            {"type": "result", "rid": 5, "ok": False, "error": "boom",
+             "degraded": True},
+            *(message_to_wire(message) for message in MESSAGES),
+            {"type": "done", "rid": 3, "from": 2, "dropped": False},
+            {"type": "done", "rid": 3, "from": 2, "dropped": True,
+             "failed": True},
+            {"type": "repair", "rid": 1_000_000_001, "from": 1,
+             "version": version_to_wire(ObjectVersion(7, 2))},
+            {"type": "metrics_report", "metrics": NodeMetrics(4).to_wire()},
+        ],
+        ids=lambda payload: payload.get("kind", payload["type"]),
+    )
+    def test_bytes_match_json_dumps(self, payload):
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        data = body.encode("utf-8")
+        assert encode_frame(payload) == struct.pack(">I", len(data)) + data
 
 
 class TestAddress:
