@@ -1,0 +1,106 @@
+"""Property tests: the decoded uniform stream is the stepwise stream.
+
+:func:`~repro.workloads.uniform.generate_decoded` replays CPython's
+``choice``/``random()`` word rules over arrays of MT19937 words in
+chunks.  It must give exactly what the per-request loop
+:func:`~repro.workloads.uniform.generate_stepwise` gives — the same
+requests, the same columns — and leave a caller-owned ``Random`` in
+the same state.  Tiny chunks make every trace cross chunk boundaries.
+"""
+
+from __future__ import annotations
+
+import random
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.workloads import uniform
+from repro.workloads.uniform import (
+    UniformWorkload,
+    generate_decoded,
+    generate_stepwise,
+)
+
+#: 1 to 70 processors, with the rejection edge cases 1, 2, 2**m and
+#: 2**m + 1 drawn often.
+PROCESSOR_COUNTS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]),
+    st.integers(min_value=1, max_value=70),
+)
+WRITE_FRACTIONS = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+LENGTHS = st.one_of(st.sampled_from([0, 1]), st.integers(min_value=0, max_value=300))
+
+
+def assert_same(workload, rng, chunk_words):
+    """Decode from a copy of ``rng``'s state and compare with stepping."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    expected = generate_stepwise(workload, rng)
+    with mock.patch.object(uniform, "CHUNK_WORDS", chunk_words):
+        decoded = generate_decoded(workload, twin)
+    assert decoded.requests == expected.requests
+    assert np.array_equal(decoded.columns.processors, expected.columns.processors)
+    assert np.array_equal(decoded.columns.is_write, expected.columns.is_write)
+    assert decoded.columns.processors.dtype == np.int64
+    assert decoded.columns.is_write.dtype == bool
+    assert twin.getstate() == rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=PROCESSOR_COUNTS,
+    write_fraction=WRITE_FRACTIONS,
+    length=LENGTHS,
+    chunk_words=st.integers(min_value=1, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**64),
+    skip=st.integers(min_value=0, max_value=700),
+    gauss=st.booleans(),
+)
+def test_decoded_stream_is_the_stepwise_stream(
+    count, write_fraction, length, chunk_words, seed, skip, gauss
+):
+    workload = UniformWorkload(range(10, 10 + count), length, write_fraction)
+    rng = random.Random(seed)
+    # Start anywhere in the 624-word block, with or without a cached gauss.
+    rng.getrandbits(32 * skip)
+    if gauss:
+        rng.gauss()
+    assert_same(workload, rng, chunk_words)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    count=PROCESSOR_COUNTS,
+    write_fraction=WRITE_FRACTIONS,
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_int_seed_matches_stepping_across_default_chunks(count, write_fraction, seed):
+    """Long enough for several full-size chunks of the default size."""
+    workload = UniformWorkload(range(count), 40_000, write_fraction)
+    assert workload.generate(seed) == generate_stepwise(workload, seed)
+
+
+def first_words(seed, count):
+    """The first ``count`` 32-bit words of ``Random(seed)``."""
+    bits = random.Random(seed).getrandbits(32 * count)
+    return [bits >> 32 * i & 0xFFFFFFFF for i in range(count)]
+
+
+def test_choice_word_last_in_its_chunk():
+    """The first request chooses at the last word of the first chunk."""
+    count, chunk_words = 5, 4
+    cutoff = count << (32 - count.bit_length())
+    for seed in range(10_000):
+        accepted = [word < cutoff for word in first_words(seed, chunk_words)]
+        if accepted == [False, False, False, True]:
+            break
+    else:
+        raise AssertionError("no seed chooses at word 3")
+    for length in (1, 2, 5):
+        workload = UniformWorkload(range(count), length, 0.5)
+        assert_same(workload, random.Random(seed), chunk_words)

@@ -22,6 +22,8 @@ SEEDS = (0, 1, 20240607)
 GENERATORS = {
     "uniform": lambda: UniformWorkload(range(1, 9), 400, 0.3),
     "uniform-sparse": lambda: UniformWorkload((2, 5, 11, 40, 97), 400, 0.2),
+    # The live workloads' shape, long enough to span several decode chunks.
+    "uniform-live": lambda: UniformWorkload(range(1, 9), 200_000, 0.2),
     "zipf": lambda: ZipfWorkload(range(1, 9), 400, 0.2, exponent=1.2),
     "reader-writer": lambda: ReaderWriterWorkload(range(3, 9), (1, 2), 400, 0.25),
     "markov": lambda: MarkovWorkload(range(1, 7), 400, 0.2, 0.9, 0.7),
@@ -42,6 +44,9 @@ GOLDEN = {
     ("uniform", 0): "d8850cb1f1d317e09755fd65b2f95528362b24170034d398453d0cc7f2999784",
     ("uniform", 1): "c88099584ea123c446200e4bd0fa02b2508f2c601249fa245d666643c58f91ff",
     ("uniform", 20240607): "75337703cd45231d9e928dc82712bb6dc2f711e7586ec8b00975e8bea172705e",
+    ("uniform-live", 0): "915259bf97c8c2dc69c6b500858f60906c421f8cf25441ecac0723e9d8a4f8f4",
+    ("uniform-live", 1): "4009dff230acd9dfada18ed0dd72314fca754ccee8c09478f0c59b6ea6e7712e",
+    ("uniform-live", 20240607): "d94bea00f9f035b8c0ae2247e64e04d86b1ec7ae41a3eb43d05feb5f1778dd54",
     ("uniform-sparse", 0): "e7d588a546688e25b7be9dfcc061a9d95056d9879ffd2f8254ef6888cc571198",
     ("uniform-sparse", 1): "05c09b9bf12e2661de092e9e46d33a1eea3af79dee7b577be28d4300350a47bd",
     ("uniform-sparse", 20240607): "051a4abff28b03d2e857041d319bfe09f747ebab893f29612b03d9061fa66c0b",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -53,6 +55,28 @@ class TestUniform:
         schedules = workload.batch(3, seed=100)
         assert len(schedules) == 3
         assert schedules[0] != schedules[1]
+
+    def test_system_random_seed_yields_a_valid_schedule(self):
+        workload = UniformWorkload(range(1, 6), 200, 0.3)
+        schedule = workload.generate(random.SystemRandom())
+        assert len(schedule) == 200
+        assert schedule.processors <= frozenset(range(1, 6))
+        assert schedule.columns.processors.tolist() == [
+            request.processor for request in schedule
+        ]
+        assert schedule.columns.is_write.tolist() == [
+            request.is_write for request in schedule
+        ]
+
+    def test_random_subclass_draws_from_its_own_stream(self):
+        class Zeros(random.Random):
+            # With random() overridden, choice() draws through it too.
+            def random(self):
+                return 0.0
+
+        workload = UniformWorkload((4, 6, 9), 50, 0.5)
+        assert list(workload.generate(Zeros(3))) == [write(4)] * 50
+        assert workload.generate(Zeros(3)) != workload.generate(random.Random(3))
 
 
 class TestZipf:
