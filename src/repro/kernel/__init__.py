@@ -16,27 +16,35 @@ from repro.kernel.compile import (
 from repro.kernel.dispatch import (
     batch_costs,
     request_costs,
+    request_counts,
     schedule_breakdown,
     schedule_cost,
     supports,
 )
 from repro.kernel.evaluate import (
+    RequestCounts,
     da_final_schemes,
     da_request_costs,
+    da_request_counts,
     sa_request_costs,
+    sa_request_counts,
     schedule_totals,
 )
 
 __all__ = [
     "CompiledBatch",
+    "RequestCounts",
     "batch_costs",
     "compile_batch",
     "compile_schedule",
     "da_final_schemes",
     "da_request_costs",
+    "da_request_counts",
     "popcount",
     "request_costs",
+    "request_counts",
     "sa_request_costs",
+    "sa_request_counts",
     "schedule_breakdown",
     "schedule_cost",
     "schedule_totals",

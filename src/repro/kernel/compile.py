@@ -21,7 +21,9 @@ Bit ``i`` stands for ``universe[i]`` — the convention of
 :func:`repro.types.mask_of` / :func:`repro.types.set_of_mask`, so the
 kernel's masks and the offline DP's masks are directly comparable.
 Processor ids need not be contiguous; compilation maps them to dense
-bit indices.
+bit indices.  The universe has no size cap: both evaluators work on
+``(B, T)`` arrays, and the universe size ``n`` enters only as the
+width of the DA evaluator's ``row*n + proc`` sort keys.
 
 **Columns, not requests.**  Compilation reads each schedule's cached
 columnar form (:attr:`~repro.model.schedule.Schedule.columns`) rather
@@ -33,7 +35,9 @@ schedules compute them once, on first compile, so the SA and DA
 compiles of one batch walk the requests at most once between them.
 
 The compiled form is immutable and picklable, so engine workers can
-receive compiled batches instead of object traces.
+receive compiled batches instead of object traces.  What the evaluators
+make of it — per-request ``(io, control, data)`` counts, then prices —
+is described in :mod:`repro.kernel.evaluate`.
 """
 
 from __future__ import annotations
@@ -50,11 +54,6 @@ from repro.types import (
     ProcessorUniverse,
     processor_universe,
 )
-
-#: Sanity cap on the universe: the DA evaluator materializes a
-#: ``(B, T, n)`` membership tensor, so enormous universes signal a
-#: mis-use (the stepped path has no such limit).
-MAX_UNIVERSE = 1024
 
 
 def popcount(array: np.ndarray) -> np.ndarray:
@@ -145,11 +144,6 @@ def compile_batch(
         np.concatenate([extra, *(column.processors for column in columns)]),
         return_inverse=True,
     )
-    if len(universe_ids) > MAX_UNIVERSE:
-        raise ConfigurationError(
-            f"compiled universe has {len(universe_ids)} processors; the kernel "
-            f"is limited to {MAX_UNIVERSE}"
-        )
     lengths = np.array(
         [len(column.processors) for column in columns], dtype=np.int64
     )

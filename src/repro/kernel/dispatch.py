@@ -15,7 +15,7 @@ without perturbing cached or published results.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -23,18 +23,11 @@ from repro.core.base import OnlineDOM
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
+from repro.kernel import evaluate
 from repro.kernel.compile import CompiledBatch, compile_batch
 from repro.model.accounting import CostBreakdown
 from repro.model.cost_model import CostModel
 from repro.model.schedule import Schedule
-
-#: Unit-price models that project one counter each out of the kernel's
-#: priced totals.  Charging only control messages prices a data message
-#: below a control message, which Figure 1 calls infeasible — hence the
-#: explicit opt-out.
-_UNIT_IO = CostModel(1.0, 0.0, 0.0)
-_UNIT_CONTROL = CostModel(0.0, 1.0, 0.0, allow_infeasible=True)
-_UNIT_DATA = CostModel(0.0, 0.0, 1.0)
 
 
 def supports(algorithm: OnlineDOM) -> bool:
@@ -42,27 +35,51 @@ def supports(algorithm: OnlineDOM) -> bool:
     return type(algorithm) in (StaticAllocation, DynamicAllocation)
 
 
+def _evaluate(
+    algorithm: OnlineDOM,
+    batch: CompiledBatch,
+    sa: Callable,
+    da: Callable,
+    *args,
+):
+    """Call the SA or DA evaluator with the algorithm's configuration."""
+    scheme, threshold = algorithm.initial_scheme, algorithm.threshold
+    if type(algorithm) is StaticAllocation:
+        return sa(batch, scheme, *args, threshold=threshold)
+    if type(algorithm) is DynamicAllocation:
+        primary = algorithm.primary
+        return da(batch, scheme, *args, primary=primary, threshold=threshold)
+    raise ConfigurationError(
+        f"the kernel does not support {type(algorithm).__name__}; "
+        "use the stepped OnlineDOM path"
+    )
+
+
+def request_counts(
+    algorithm: OnlineDOM, batch: CompiledBatch
+) -> evaluate.RequestCounts:
+    """Per-request ``(io, control, data)`` counts of a supported
+    algorithm over a compiled batch."""
+    return _evaluate(
+        algorithm,
+        batch,
+        evaluate.sa_request_counts,
+        evaluate.da_request_counts,
+    )
+
+
 def request_costs(
     algorithm: OnlineDOM, batch: CompiledBatch, model: CostModel
 ) -> np.ndarray:
     """Per-request costs of a supported algorithm over a compiled batch."""
-    from repro.kernel.evaluate import da_request_costs, sa_request_costs
-
-    if type(algorithm) is StaticAllocation:
-        return sa_request_costs(
-            batch, algorithm.initial_scheme, model, algorithm.threshold
-        )
-    if type(algorithm) is DynamicAllocation:
-        return da_request_costs(
-            batch,
-            algorithm.initial_scheme,
-            model,
-            primary=algorithm.primary,
-            threshold=algorithm.threshold,
-        )
-    raise ConfigurationError(
-        f"the kernel does not support {type(algorithm).__name__}; "
-        "use the stepped OnlineDOM path"
+    # Through the *_request_costs entry points, not request_counts(...)
+    # .priced(model): the benchmark's tracer times them by name.
+    return _evaluate(
+        algorithm,
+        batch,
+        evaluate.sa_request_costs,
+        evaluate.da_request_costs,
+        model,
     )
 
 
@@ -79,12 +96,10 @@ def batch_costs(
     the whole batch in one pass, and reduces per-trace totals exactly
     like the stepped path.
     """
-    from repro.kernel.evaluate import schedule_totals
-
     if batch is None:
         batch = compile_batch(schedules, algorithm.initial_scheme)
     costs = request_costs(algorithm, batch, model)
-    return schedule_totals(costs, batch.lengths)
+    return evaluate.schedule_totals(costs, batch.lengths)
 
 
 def schedule_cost(
@@ -97,23 +112,13 @@ def schedule_cost(
 def schedule_breakdown(
     algorithm: OnlineDOM, schedule: Schedule
 ) -> CostBreakdown:
-    """The kernel's *unpriced* counters for one schedule.
+    """The kernel's *unpriced* counters for one schedule: its
+    per-request ``(io, control, data)`` counts, summed.
 
-    Evaluates the batch three times under unit-price models (1 for one
-    counter, 0 for the others), so each priced total IS that counter.
     The result is directly comparable with the stepped model's
     ``total_breakdown()``, the simulator's ``stats.breakdown()`` and a
     live cluster's aggregated metrics — the fourth corner of the parity
-    square.  Kernel totals are exact integers computed in float; the
-    round() guards against representation noise only.
+    square.
     """
     batch = compile_batch([schedule], algorithm.initial_scheme)
-    counts = [
-        batch_costs(algorithm, [schedule], model, batch=batch)[0]
-        for model in (_UNIT_IO, _UNIT_CONTROL, _UNIT_DATA)
-    ]
-    return CostBreakdown(
-        io_ops=round(counts[0]),
-        control_messages=round(counts[1]),
-        data_messages=round(counts[2]),
-    )
+    return request_counts(algorithm, batch).breakdown(0)

@@ -1,34 +1,41 @@
 """Vectorized SA and DA cost evaluation over compiled batches.
 
-Both evaluators return a ``(B, T)`` float64 array of **per-request
-costs** (zero at padding) that is *bit-identical*, element for
-element, to pricing the stepped algorithm's allocation schedule with
+Each algorithm has a *counts* evaluator and a *costs* evaluator.  The
+counts evaluator returns :class:`RequestCounts`: three ``(B, T)`` int32
+arrays holding every request's I/O operations, control messages and
+data messages (zero at padding) — the kernel's form of
+:func:`repro.model.costs.request_breakdown`.  The costs evaluator
+prices them with :meth:`RequestCounts.priced`, one expression
+``io*c_io + control*c_c + data*c_d`` evaluated left to right exactly
+like ``CostBreakdown.priced``, so the ``(B, T)`` float64 costs are
+*bit-identical*, element for element, to pricing the stepped
+algorithm's allocation schedule with
 :meth:`repro.model.cost_model.CostModel.request_costs` — the property
 suite in ``tests/properties/test_prop_kernel.py`` asserts exact
-(``==``) equality, not approximate.  That works because every
-per-request price reduces to one of a handful of closed forms, each
-evaluated with the *same* sequence of IEEE-754 operations as
-``CostBreakdown.priced`` (``io*c_io + control*c_c + data*c_d``, left
-to right).
+(``==``) equality, not approximate.
 
 **SA** is a pure closed form: the scheme ``Q`` never moves, so each
-request's cost depends only on (kind, issuer-in-``Q``) — four scalars
-selected per position.
+request's counts depend only on (kind, issuer-in-``Q``).
 
-**DA** needs the scheme at every request.  Its evolution is a
-*segmented cumulative bitmask*: a write by ``j`` resets the scheme to
-``F ∪ {p}`` (if ``j ∈ F ∪ {p}``) or ``F ∪ {j}``, and every read OR-s
-the reader's bit in (a saving-read joins the scheme; a read by a
-member is already in).  Hence the scheme before request ``i`` is::
+**DA** is evaluated *count first*, from O(B·T) arrays with no factor
+of the universe size ``n``.  A write by ``j`` resets the scheme to its
+execution set ``F ∪ {x}`` (``x = p`` if ``j ∈ F ∪ {p}``, else
+``x = j``) and every saving-read adds its reader, so the scheme before
+request ``i`` is::
 
-    base(segment of i)  |  OR of reader bits in the segment before i
+    F  ∪  {x of the last write before i}  ∪  {readers since that write}
 
-where segments are delimited by writes.  We evaluate this without
-stepping: for every universe bit, the position of its last read and
-the position of the last write are ``maximum.accumulate`` scans, and
-the bit is a member iff it is in the segment base or its last read
-came after the last write.  Everything is vectorized over the whole
-batch; the only python loop is over the (small) universe.
+(``x = p`` before the first write).  Its *size* is ``t`` plus the
+saving-reads so far in the segment, and whether the issuer ``q`` is a
+member needs only: ``q ∈ F``, ``q`` is the segment's ``x``, or
+``q``'s previous request in the trace came after the last write (a
+write by ``q`` would itself be the last write, so that request was a
+read).  The previous request by the same processor comes from one
+stable argsort on ``row*n + proc`` keys; the last write is one running
+maximum; the segment's saving-reads are one running sum.  A write's
+invalidations are ``|Y∖X| = |Y| - (t-1) - [x ∈ Y]``, and ``[x ∈ Y]``
+for a writer in ``F ∪ {p}`` (``x = p``) takes one more running maximum
+over ``p``'s requests.
 
 The stepped path (:class:`~repro.core.base.OnlineDOM`) remains the
 reference implementation — it validates legality/availability per
@@ -38,20 +45,52 @@ DA (see :mod:`repro.kernel.dispatch`).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.kernel.compile import CompiledBatch
+from repro.model.accounting import CostBreakdown
 from repro.model.cost_model import CostModel
 from repro.types import ProcessorId, ProcessorSet, processor_set
+
+#: The dtype of every count array.
+COUNT = np.int32
+
+
+class RequestCounts(NamedTuple):
+    """Per-request ``(io, control, data)`` counts over a compiled batch.
+
+    Each field is a ``(B, T)`` :data:`COUNT` array, zero at padding.
+    """
+
+    io: np.ndarray
+    control: np.ndarray
+    data: np.ndarray
+
+    def priced(self, model: CostModel) -> np.ndarray:
+        """``(B, T)`` float64 costs, priced like ``CostBreakdown.priced``
+        (``io*c_io + control*c_c + data*c_d``, left to right)."""
+        return (
+            self.io * model.c_io
+            + self.control * model.c_c
+            + self.data * model.c_d
+        )
+
+    def breakdown(self, row: int) -> CostBreakdown:
+        """The summed counts of one trace."""
+        return CostBreakdown(
+            io_ops=int(self.io[row].sum()),
+            control_messages=int(self.control[row].sum()),
+            data_messages=int(self.data[row].sum()),
+        )
 
 
 def _check_scheme(
     batch: CompiledBatch, scheme: ProcessorSet, threshold: Optional[int]
-) -> int:
-    """Mirror :class:`OnlineDOM`'s constructor validation; return ``t``."""
+) -> None:
+    """Mirror :class:`OnlineDOM`'s constructor validation."""
     if threshold is None:
         threshold = len(scheme)
     if threshold < 2:
@@ -64,7 +103,59 @@ def _check_scheme(
         )
     for processor in scheme:
         batch.bit_index(processor)  # raises on a foreign id
-    return threshold
+
+
+def _check_da(
+    batch: CompiledBatch,
+    initial_scheme: Iterable[ProcessorId],
+    primary: Optional[ProcessorId],
+    threshold: Optional[int],
+) -> tuple[ProcessorSet, ProcessorId]:
+    """Mirror :class:`DynamicAllocation`'s constructor validation;
+    return the scheme and the primary.  ``F`` is never empty here:
+    :func:`_check_scheme` already demands two members."""
+    scheme = processor_set(initial_scheme)
+    _check_scheme(batch, scheme, threshold)
+    if primary is None:
+        primary = max(scheme)
+    if primary not in scheme:
+        raise ConfigurationError(
+            f"primary processor {primary} is not in the initial "
+            f"scheme {sorted(scheme)}"
+        )
+    return scheme, primary
+
+
+def sa_request_counts(
+    batch: CompiledBatch,
+    initial_scheme: Iterable[ProcessorId],
+    threshold: Optional[int] = None,
+) -> RequestCounts:
+    """Per-request SA counts (read-one-write-all over the fixed ``Q``).
+
+    With ``q = |Q|``:
+
+    ======================  ======  =========  ========
+    request                 io      control    data
+    ======================  ======  =========  ========
+    read by a member        1       0          0
+    read by a non-member    1       1          1
+    write by a member       ``q``   0          ``q-1``
+    write by a non-member   ``q``   0          ``q``
+    ======================  ======  =========  ========
+    """
+    scheme = processor_set(initial_scheme)
+    _check_scheme(batch, scheme, threshold)
+    q = COUNT(len(scheme))
+    is_write, valid = batch.is_write, batch.valid()
+    member = batch.bit_flags(scheme).take(batch.procs)
+    # Boolean arithmetic, not np.where: several times faster here.
+    foreign_read = (valid & ~(is_write | member)).astype(COUNT)
+    return RequestCounts(
+        io=is_write * (q - 1) + valid,
+        control=foreign_read,
+        data=is_write * q - (is_write & member) + foreign_read,
+    )
 
 
 def sa_request_costs(
@@ -73,108 +164,134 @@ def sa_request_costs(
     model: CostModel,
     threshold: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-request SA costs (read-one-write-all over the fixed ``Q``).
+    """Per-request SA costs: :func:`sa_request_counts`, priced."""
+    return sa_request_counts(batch, initial_scheme, threshold).priced(model)
 
-    Pure closed form: with ``q = |Q|`` the price of a request is
 
-    ======================  =============================================
-    read by a member        ``c_io``
-    read by a non-member    ``c_io + c_c + c_d``  (singleton server set)
-    write by a member       ``q*c_io + (q-1)*c_d``
-    write by a non-member   ``q*c_io + q*c_d``
-    ======================  =============================================
+def _previous_same_processor(
+    procs: np.ndarray, n: int, flat: np.ndarray
+) -> np.ndarray:
+    """For every cell of ``procs``, the flat position of the previous
+    cell of its row holding the same processor (``-1``: none).
+
+    One stable argsort groups the cells by ``row*n + proc``, each group
+    in row order; keys that fit 16 bits let numpy radix-sort them.
     """
-    scheme = processor_set(initial_scheme)
-    _check_scheme(batch, scheme, threshold)
-    q = len(scheme)
-    c_io, c_c, c_d = model.c_io, model.c_c, model.c_d
-
-    # The four scalars, each priced exactly like CostBreakdown.priced.
-    read_member = 1 * c_io + 0 * c_c + 0 * c_d
-    read_foreign = 1 * c_io + 1 * c_c + 1 * c_d
-    write_member = q * c_io + 0 * c_c + (q - 1) * c_d
-    write_foreign = q * c_io + 0 * c_c + q * c_d
-
-    in_q = batch.bit_flags(scheme)
-    member = in_q[batch.procs]
-    costs = np.where(
-        batch.is_write,
-        np.where(member, write_member, write_foreign),
-        np.where(member, read_member, read_foreign),
+    rows = procs.shape[0]
+    key_type = np.min_scalar_type(rows * n - 1)
+    keys = np.arange(0, rows * n, n, dtype=key_type)[:, None] + procs.astype(
+        key_type
     )
-    return np.where(batch.valid(), costs, 0.0)
+    keys = keys.ravel()
+    order = np.argsort(keys, kind="stable").astype(flat.dtype)
+    sorted_keys = keys.take(order)
+    previous = np.empty(flat.size, dtype=flat.dtype)
+    previous[order[0]] = -1
+    previous[order[1:]] = np.where(
+        sorted_keys[1:] == sorted_keys[:-1], order[:-1], -1
+    )
+    return previous.reshape(flat.shape)
 
 
-def _da_membership(
+def _last_before(hits: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Flat position of the last hit strictly before each request.
+
+    ``hits`` and ``flat`` span the virtual-write layout of
+    :func:`da_request_counts`; column 0 must hit in every row, so the
+    running maximum never crosses into the next row.
+    """
+    last = (hits * flat).ravel()
+    np.maximum.accumulate(last, out=last)
+    return last.reshape(flat.shape)[:, :-1]
+
+
+def da_request_counts(
     batch: CompiledBatch,
-    scheme: ProcessorSet,
-    primary: ProcessorId,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """DA scheme membership before every request.
+    initial_scheme: Iterable[ProcessorId],
+    primary: Optional[ProcessorId] = None,
+    threshold: Optional[int] = None,
+) -> RequestCounts:
+    """Per-request DA counts (save-on-read / invalidate-on-write).
 
-    Returns ``(member, x_now, in_fp)`` where ``member`` is the
-    ``(B, T, n)`` bool tensor of scheme membership *before* request
-    ``(b, i)``, ``x_now`` is the ``(B, T)`` bit index of the non-core
-    member of the execution set a write at that position would use
-    (``p`` for core/primary writers, the writer otherwise), and
-    ``in_fp`` is the ``(n,)`` membership table of ``F ∪ {p}``.
+    With ``t = |F ∪ {p}|`` and ``Y`` the scheme before the request:
+
+    ======================  =======  ===============  =========
+    request                 io       control          data
+    ======================  =======  ===============  =========
+    read by a member        1        0                0
+    read by a non-member    2        1                1
+    write by ``j``          ``t``    ``|Y∖X|``        ``t-1``
+    ======================  =======  ===============  =========
+
+    with ``X = F ∪ {x}`` the write's execution set.  Since ``F ⊆ Y``
+    always holds, ``|Y∖X| = 1 + s - [x ∈ Y]`` where ``s`` counts the
+    saving-reads since the last write (``|Y| = t + s``).
+
+    Every trace is laid out behind a *virtual write by p* in column 0:
+    it leaves exactly DA's initial scheme ``F ∪ {p}``, so every request
+    has a last write before it and no case is special.
     """
-    core = scheme - {primary}
-    n = len(batch.universe)
-    procs, is_write = batch.procs, batch.is_write
+    scheme, primary = _check_da(batch, initial_scheme, primary, threshold)
+    size = COUNT(len(scheme))
+    procs, is_write, valid = batch.procs, batch.is_write, batch.valid()
     batch_size, horizon = procs.shape
-    if horizon == 0:
-        # A batch of empty traces: no requests, no membership to track.
-        return (
-            np.empty((batch_size, 0, n), dtype=bool),
-            np.empty((batch_size, 0), dtype=np.int64),
-            batch.bit_flags(scheme),
-        )
-    position = np.arange(horizon, dtype=np.int64)[None, :]
-
-    # Last write strictly before each position (-1: none yet).
-    write_positions = np.where(is_write, position, -1)
-    last_write = np.empty_like(write_positions)
-    last_write[:, 0] = -1
-    if horizon > 1:
-        last_write[:, 1:] = np.maximum.accumulate(
-            write_positions, axis=1
-        )[:, :-1]
-    has_write_before = last_write >= 0
-
-    # The non-core execution-set member chosen by the *previous* write
-    # (defines the segment base) and by a write *at* each position.
+    n = len(batch.universe)
+    in_fp = batch.bit_flags(scheme)  # F ∪ {p}: DA's initial scheme
     p_idx = batch.bit_index(primary)
-    in_fp = batch.bit_flags(scheme)  # F ∪ {p} == the initial scheme
-    writer_before = np.take_along_axis(
-        procs.astype(np.int64), np.maximum(last_write, 0), axis=1
+
+    # The virtual-write layout: (B, T+1), request (b, i) at column i+1.
+    cells = batch_size * (horizon + 1)
+    position = np.int32 if cells < 2**31 else np.int64
+    flat = np.arange(cells, dtype=position).reshape(batch_size, horizon + 1)
+    laid_procs = np.empty(flat.shape, dtype=procs.dtype)
+    laid_procs[:, 0] = p_idx
+    laid_procs[:, 1:] = procs
+    laid_writes = np.empty(flat.shape, dtype=bool)
+    laid_writes[:, 0] = True
+    laid_writes[:, 1:] = is_write
+    last_write = _last_before(laid_writes, flat)
+
+    # x: the non-core execution-set member of a write (p for writers
+    # in F ∪ {p}), at each request and at the last write before it.
+    x_of = np.where(in_fp, p_idx, np.arange(n)).astype(procs.dtype)
+    x_before = x_of.take(laid_procs).take(last_write)
+
+    member_self = batch.bit_flags(scheme - {primary}).take(procs)
+    member_self |= x_before == procs
+    previous = _previous_same_processor(laid_procs, n, flat)[:, 1:]
+    member_self |= previous > last_write
+    del previous
+    saving = valid & ~(is_write | member_self)
+
+    # [x ∈ Y] at writes: p's membership for writers in F ∪ {p}, the
+    # writer's own otherwise.
+    p_in = (x_before == p_idx) | (
+        _last_before(laid_procs == p_idx, flat) > last_write
     )
-    x_before = np.where(in_fp[writer_before], p_idx, writer_before)
-    x_now = np.where(in_fp[procs], p_idx, procs.astype(np.int64))
+    primary_writer = in_fp.take(procs)
+    x_in = (primary_writer & p_in) | (~primary_writer & member_self)
+    del x_before, p_in, primary_writer, member_self
 
-    core_flags = batch.bit_flags(core)
-    init_flags = in_fp  # DA's initial scheme is F ∪ {p}
+    # Saving-reads since the last write: a running sum over the layout,
+    # differenced at the request and at the write.
+    laid_saving = np.zeros(flat.shape, dtype=bool)
+    laid_saving[:, 1:] = saving
+    running = np.cumsum(laid_saving.ravel(), dtype=position)
+    del laid_saving
+    invalidations = running.reshape(flat.shape)[:, :-1] - running.take(
+        last_write
+    )
+    invalidations += 1
+    invalidations -= x_in
+    del running, x_in
 
-    member = np.empty((batch_size, horizon, n), dtype=bool)
-    is_read = ~is_write
-    for bit in range(n):
-        read_positions = np.where(is_read & (procs == bit), position, -1)
-        last_read = np.empty_like(read_positions)
-        last_read[:, 0] = -1
-        if horizon > 1:
-            last_read[:, 1:] = np.maximum.accumulate(
-                read_positions, axis=1
-            )[:, :-1]
-        joined_by_read = last_read > last_write
-        if core_flags[bit]:
-            # Core members are in every base and never leave.
-            member[:, :, bit] = True
-            continue
-        base = np.where(
-            has_write_before, x_before == bit, bool(init_flags[bit])
-        )
-        member[:, :, bit] = base | joined_by_read
-    return member, x_now, in_fp
+    saving = saving.astype(COUNT)
+    data = is_write * (size - 1) + saving
+    return RequestCounts(
+        io=data + valid,
+        control=is_write * invalidations.astype(COUNT, copy=False) + saving,
+        data=data,
+    )
 
 
 def da_request_costs(
@@ -184,61 +301,10 @@ def da_request_costs(
     primary: Optional[ProcessorId] = None,
     threshold: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-request DA costs (save-on-read / invalidate-on-write).
-
-    With ``t = |F ∪ {p}|`` and ``Y`` the scheme before the request:
-
-    ======================  =============================================
-    read by a member        ``c_io``
-    read by a non-member    ``2*c_io + c_c + c_d``  (saving-read)
-    write by ``j``          ``t*c_io + |Y∖X|*c_c + (t-1)*c_d`` with
-                            ``X = F ∪ {p}`` or ``F ∪ {j}``
-    ======================  =============================================
-
-    ``|Y∖X|`` collapses to ``|Y| - (t-1) - [x ∈ Y]`` because ``F ⊆ Y``
-    always holds under DA (``x`` is the single non-core member of
-    ``X``), so the write term needs only the scheme *size* and one
-    membership bit — both read off the membership tensor.
-    """
-    scheme = processor_set(initial_scheme)
-    t = _check_scheme(batch, scheme, threshold)
-    del t  # DA's execution sets have size len(scheme) regardless of t
-    if primary is None:
-        primary = max(scheme)
-    if primary not in scheme:
-        raise ConfigurationError(
-            f"primary processor {primary} is not in the initial "
-            f"scheme {sorted(scheme)}"
-        )
-    if len(scheme) < 2:
-        raise ConfigurationError(
-            "F would be empty; the initial scheme must have at least "
-            "two processors (t >= 2)"
-        )
-    size = len(scheme)  # |F ∪ {p}| — every DA execution set has this size
-    c_io, c_c, c_d = model.c_io, model.c_c, model.c_d
-
-    read_member = 1 * c_io + 0 * c_c + 0 * c_d
-    saving_read = 2 * c_io + 1 * c_c + 1 * c_d
-
-    member, x_now, _ = _da_membership(batch, scheme, primary)
-    member_self = np.take_along_axis(
-        member, batch.procs.astype(np.int64)[:, :, None], axis=2
-    )[:, :, 0]
-    scheme_size = member.sum(axis=2, dtype=np.int64)
-    x_in_scheme = np.take_along_axis(member, x_now[:, :, None], axis=2)[
-        :, :, 0
-    ]
-    stale = scheme_size - (size - 1) - x_in_scheme
-
-    # Exactly CostBreakdown.priced's operation order:
-    #   io*c_io + control*c_c + data*c_d, left to right.
-    write_costs = (size * c_io + stale.astype(np.float64) * c_c) + (
-        (size - 1) * c_d
+    """Per-request DA costs: :func:`da_request_counts`, priced."""
+    return da_request_counts(batch, initial_scheme, primary, threshold).priced(
+        model
     )
-    read_costs = np.where(member_self, read_member, saving_read)
-    costs = np.where(batch.is_write, write_costs, read_costs)
-    return np.where(batch.valid(), costs, 0.0)
 
 
 def da_final_schemes(
@@ -248,41 +314,27 @@ def da_final_schemes(
 ) -> List[ProcessorSet]:
     """The allocation scheme after each trace's last request.
 
-    Mirrors :attr:`OnlineDOM.current_scheme` after
+    That is ``F ∪ {x}`` for the trace's last write (``F ∪ {p}`` if it
+    has none) plus the readers after it.  Mirrors
+    :attr:`OnlineDOM.current_scheme` after
     :meth:`~repro.core.base.OnlineDOM.run`; used by the parity suite.
     """
-    scheme = processor_set(initial_scheme)
-    if primary is None:
-        primary = max(scheme)
-    member, _, _ = _da_membership(batch, scheme, primary)
+    scheme, primary = _check_da(batch, initial_scheme, primary, None)
+    core = scheme - {primary}
+    universe = batch.universe
     procs, is_write = batch.procs, batch.is_write
+    position = np.arange(batch.horizon)
+    last_write = np.where(is_write, position, -1).max(axis=1, initial=-1)
+    readers = batch.valid() & (position > last_write[:, None])
     schemes: List[ProcessorSet] = []
-    for row in range(batch.batch_size):
-        length = int(batch.lengths[row])
-        if length == 0:
-            schemes.append(scheme)
-            continue
-        last = length - 1
-        before = member[row, last].copy()
-        if is_write[row, last]:
-            # The write resets the scheme to its execution set.
-            writer = int(procs[row, last])
-            core_flags = batch.bit_flags(scheme - {primary})
-            after = core_flags.copy()
-            if bool(batch.bit_flags(scheme)[writer]):
-                after[batch.bit_index(primary)] = True
-            else:
-                after[writer] = True
-            before = after
+    for row, write_at in enumerate(last_write.tolist()):
+        if write_at < 0:
+            base = scheme
         else:
-            before[int(procs[row, last])] = True  # reads always join
-        schemes.append(
-            frozenset(
-                batch.universe[bit]
-                for bit in range(len(batch.universe))
-                if before[bit]
-            )
-        )
+            writer = universe[procs[row, write_at]]
+            base = core | {primary if writer in scheme else writer}
+        joined = np.unique(procs[row][readers[row]]).tolist()
+        schemes.append(base | {universe[bit] for bit in joined})
     return schemes
 
 

@@ -11,8 +11,7 @@ A cost model prices the :class:`~repro.model.accounting.CostBreakdown`
 of each request.  Validation enforces the feasibility constraint of
 Figure 1: a data message cannot be cheaper than a control message
 (``c_c <= c_d``), because the data message carries the object content in
-addition to every field of the control message.  Exploratory code may
-opt out with ``allow_infeasible=True``.
+addition to every field of the control message.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class CostModel:
     c_io: float
     c_c: float
     c_d: float
-    allow_infeasible: bool = False
 
     def __post_init__(self) -> None:
         for name in ("c_io", "c_c", "c_d"):
@@ -44,11 +42,10 @@ class CostModel:
                 raise ConfigurationError(
                     f"{name} must be a finite non-negative number, got {value}"
                 )
-        if self.c_c > self.c_d and not self.allow_infeasible:
+        if self.c_c > self.c_d:
             raise ConfigurationError(
                 f"c_c={self.c_c} > c_d={self.c_d}: a data message cannot be "
-                "cheaper than a control message (Figure 1, 'Cannot be true'); "
-                "pass allow_infeasible=True to explore this region anyway"
+                "cheaper than a control message (Figure 1, 'Cannot be true')"
             )
 
     # -- pricing ---------------------------------------------------------
@@ -97,23 +94,18 @@ class CostModel:
         """
         if self.c_io == 0:
             raise ConfigurationError("a mobile model cannot be normalized")
-        return CostModel(
-            1.0,
-            self.c_c / self.c_io,
-            self.c_d / self.c_io,
-            allow_infeasible=self.allow_infeasible,
-        )
+        return CostModel(1.0, self.c_c / self.c_io, self.c_d / self.c_io)
 
     def __str__(self) -> str:
         flavor = "MC" if self.is_mobile else "SC"
         return f"{flavor}(c_io={self.c_io}, c_c={self.c_c}, c_d={self.c_d})"
 
 
-def stationary(c_c: float, c_d: float, **kwargs) -> CostModel:
+def stationary(c_c: float, c_d: float) -> CostModel:
     """The stationary-computing model with ``c_io`` normalized to 1."""
-    return CostModel(1.0, c_c, c_d, **kwargs)
+    return CostModel(1.0, c_c, c_d)
 
 
-def mobile(c_c: float, c_d: float, **kwargs) -> CostModel:
+def mobile(c_c: float, c_d: float) -> CostModel:
     """The mobile-computing model (``c_io = 0``)."""
-    return CostModel(0.0, c_c, c_d, **kwargs)
+    return CostModel(0.0, c_c, c_d)

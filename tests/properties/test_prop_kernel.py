@@ -9,8 +9,9 @@ a single request, fails loudly.
 
 Covered: both cost models (SC and MC), thresholds t in {2, 3, 4},
 non-contiguous initial schemes, explicit primaries, batches of mixed
-lengths (batch evaluation == one-trace evaluation), and DA's final
-allocation scheme.
+lengths (batch evaluation == one-trace evaluation), DA's final
+allocation scheme, and the unpriced per-request ``(io, control, data)``
+counts behind every price.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from repro import kernel
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
+from repro.model.accounting import CostBreakdown
+from repro.model.costs import request_breakdown
 from repro.model.schedule import Schedule
 
 from tests.properties.strategies import (
@@ -141,3 +144,43 @@ def test_empty_schedule_is_free(model, pair):
         lambda: DynamicAllocation(scheme, primary=primary),
     ):
         assert kernel.schedule_cost(make(), empty, model) == 0.0
+
+
+#: Batches of mixed lengths (some traces empty), or of empty traces
+#: only — a horizon-0 batch.
+MIXED_BATCHES = st.one_of(
+    st.lists(
+        st.one_of(st.just(Schedule()), schedules(max_length=30)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.just(Schedule()), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=150)
+@given(batch_schedules=MIXED_BATCHES, pair=scheme_and_primary())
+def test_request_counts_are_stepped_breakdowns(batch_schedules, pair):
+    # Every request's (io, control, data) vector is the stepped path's
+    # request_breakdown; padding counts nothing.
+    scheme, primary = pair
+    batch = kernel.compile_batch(batch_schedules, scheme)
+    for make in (
+        lambda: StaticAllocation(scheme),
+        lambda: DynamicAllocation(scheme, primary=primary),
+    ):
+        counts = kernel.request_counts(make(), batch)
+        for row, schedule in enumerate(batch_schedules):
+            stepped = [
+                request_breakdown(step, before)
+                for before, step in make().run(schedule).schemes()
+            ]
+            vectors = zip(
+                counts.io[row].tolist(),
+                counts.control[row].tolist(),
+                counts.data[row].tolist(),
+            )
+            padded = stepped + [CostBreakdown()] * (
+                batch.horizon - len(schedule)
+            )
+            assert [CostBreakdown(*vector) for vector in vectors] == padded

@@ -28,10 +28,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             stationary(2.0, 1.0)
 
-    def test_infeasible_region_opt_in(self):
-        model = stationary(2.0, 1.0, allow_infeasible=True)
-        assert model.c_c == 2.0
-
     def test_rejects_negative_costs(self):
         with pytest.raises(ConfigurationError):
             CostModel(1.0, -0.1, 1.0)

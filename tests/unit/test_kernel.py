@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from repro import kernel
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
-from repro.kernel.compile import MAX_UNIVERSE, compile_batch, compile_schedule
+from repro.kernel.compile import compile_batch, compile_schedule
 from repro.model.request import read, write
 from repro.model.schedule import Schedule
 from repro.types import processor_universe
@@ -131,15 +133,35 @@ class TestCompile:
         with pytest.raises(ConfigurationError):
             batch.bit_index(7)
 
-    def test_universe_guard(self):
-        wide = Schedule(
-            tuple(
-                Schedule.parse(f"r{p}")[0]
-                for p in range(1, MAX_UNIVERSE + 2)
+    def test_wide_universe_matches_stepped(self, sc_model):
+        # 1,100 processors: no cap on the universe, and SA costs, DA
+        # costs and DA's final scheme are still the stepped answers.
+        rng = random.Random(11)
+        processors = range(1, 1101)
+        requests = [read(p) for p in processors]
+        for _ in range(3000):
+            issuer = rng.choice(processors)
+            requests.append(
+                write(issuer) if rng.random() < 0.1 else read(issuer)
             )
+        schedule = Schedule(tuple(requests))
+        scheme = frozenset({3, 500, 1100})
+        batch = compile_schedule(schedule, scheme)
+        assert len(batch.universe) == 1100
+
+        sa_stepped = sc_model.request_costs(
+            StaticAllocation(scheme).run(schedule)
         )
-        with pytest.raises(ConfigurationError):
-            compile_schedule(wide)
+        assert kernel.sa_request_costs(batch, scheme, sc_model)[0].tolist() == (
+            sa_stepped
+        )
+        algorithm = DynamicAllocation(scheme, primary=500)
+        da_stepped = sc_model.request_costs(algorithm.run(schedule))
+        da_costs = kernel.da_request_costs(batch, scheme, sc_model, primary=500)
+        assert da_costs[0].tolist() == da_stepped
+        assert kernel.da_final_schemes(batch, scheme, primary=500) == [
+            algorithm.current_scheme
+        ]
 
 
 class TestCompileOracle:
@@ -276,6 +298,17 @@ class TestEvaluate:
             kernel.da_request_costs(
                 batch, frozenset({1, 2}), sc_model, primary=5
             )
+
+    def test_da_final_schemes_rejects_a_foreign_primary(self):
+        # Both DA entry points validate alike: p must be in the scheme.
+        batch = compile_schedule(Schedule.parse("r3 w3 r1"), {1, 2, 3})
+        with pytest.raises(ConfigurationError):
+            kernel.da_final_schemes(batch, {1, 2}, primary=3)
+
+    def test_da_final_schemes_rejects_a_one_processor_scheme(self):
+        batch = compile_schedule(Schedule.parse("r3 w3 r1"), {1, 2, 3})
+        with pytest.raises(ConfigurationError):
+            kernel.da_final_schemes(batch, {1})
 
     def test_schedule_totals_fold_like_builtin_sum(self):
         costs = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.0]])
