@@ -20,6 +20,7 @@ mode exercises exactly the machinery of the distributed one.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import socket
 import sys
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
+from repro.cluster.loadgen import NodeCalls
 from repro.cluster.metrics import NodeMetrics, aggregate
 from repro.cluster.node import NodeConfig, NodeServer
 from repro.cluster.resilience import RetryPolicy
-from repro.cluster.rpc import read_frame, write_frame
-from repro.cluster.transport import Address, FaultPlan, open_channel
+from repro.cluster.transport import Address, FaultPlan
 from repro.distsim.statistics import SimulationStats
 from repro.exceptions import ClusterError
 
@@ -130,41 +131,16 @@ class ClusterHandle:
     def __init__(self, spec: ClusterSpec, addresses: Dict[int, Address]) -> None:
         self.spec = spec
         self.addresses = dict(addresses)
-        self._admin: Dict[
-            int, Tuple[asyncio.StreamReader, asyncio.StreamWriter]
-        ] = {}
+        self._admin = NodeCalls(self.addresses, key="id")
+        self._admin_ids = itertools.count(1)
 
     # -- raw admin calls ---------------------------------------------------
 
-    async def _channel(
-        self, node_id: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        if node_id not in self._admin:
-            if node_id not in self.addresses:
-                raise ClusterError(f"no such node {node_id}")
-            self._admin[node_id] = await open_channel(self.addresses[node_id])
-        return self._admin[node_id]
-
-    def _drop_channel(self, node_id: int) -> None:
-        """Evict a broken admin channel so the next call redials."""
-        entry = self._admin.pop(node_id, None)
-        if entry is not None:
-            entry[1].close()
-
     async def admin(self, node_id: int, payload: Mapping[str, Any]) -> Dict:
-        """One admin request/response round trip with a node."""
-        reader, writer = await self._channel(node_id)
-        try:
-            await write_frame(writer, payload)
-            reply = await read_frame(reader)
-        except (ConnectionError, OSError) as error:
-            self._drop_channel(node_id)
-            raise ClusterError(
-                f"admin channel to node {node_id} failed: {error}"
-            ) from error
-        if reply is None:
-            self._drop_channel(node_id)
-            raise ClusterError(f"node {node_id} hung up mid-admin-call")
+        """One admin request/response round trip with a node: no retry
+        and no deadline; a lost connection raises ``ClusterError``."""
+        frame = {**payload, "id": next(self._admin_ids)}
+        reply = await self._admin.call(node_id, frame)
         if reply.get("type") == "error":
             raise ClusterError(f"node {node_id}: {reply.get('error')}")
         return reply
@@ -234,7 +210,7 @@ class ClusterHandle:
         for node_id in nodes if nodes is not None else self.spec.processors:
             try:
                 result[node_id] = await self.status(node_id)
-            except (ClusterError, ConnectionError, OSError):
+            except ClusterError:
                 continue
         return result
 
@@ -279,21 +255,11 @@ class ClusterHandle:
         for node_id in self.spec.processors:
             try:
                 await self.admin(node_id, {"type": "shutdown"})
-            except (ClusterError, ConnectionError, OSError):
+            except ClusterError:
                 pass  # already gone
 
-    async def close_admin(self) -> None:
-        channels = list(self._admin.values())
-        self._admin.clear()
-        for _, writer in channels:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
-
     async def stop(self) -> None:  # pragma: no cover - overridden
-        await self.close_admin()
+        await self._admin.close()
 
 
 class LocalCluster(ClusterHandle):
@@ -311,7 +277,7 @@ class LocalCluster(ClusterHandle):
         self._socket_dir = socket_dir
 
     async def stop(self) -> None:
-        await self.close_admin()
+        await self._admin.close()
         for node in self.nodes.values():
             await node.stop()
         if self._socket_dir is not None:
@@ -361,7 +327,7 @@ class SubprocessCluster(ClusterHandle):
 
     async def stop(self) -> None:
         await self.shutdown_nodes()
-        await self.close_admin()
+        await self._admin.close()
         for process in self.processes.values():
             try:
                 await asyncio.wait_for(process.wait(), timeout=5.0)

@@ -83,14 +83,99 @@ class LoadResult:
             )
 
 
-class ClusterClient:
+class NodeCalls:
+    """Request/reply calls to the nodes of a cluster.
+
+    One :class:`FrameConnection` per node, dialled on first use; every
+    reply frame resolves its waiting caller by ``(node, frame[key])`` as
+    it arrives, so many calls can be in flight per node.  A failed dial
+    or send raises ``ClusterError``; one node's lost connection fails
+    only *its* callers, and the next call redials."""
+
+    def __init__(self, addresses: Mapping[int, Address], key: str) -> None:
+        self.addresses = dict(addresses)
+        self._key = key
+        self._conns: Dict[int, FrameConnection] = {}
+        self._dial_lock = asyncio.Lock()
+        self._waiting: Dict[Tuple[int, object], asyncio.Future] = {}
+
+    async def _conn(self, node_id: int) -> FrameConnection:
+        async with self._dial_lock:
+            conn = self._conns.get(node_id)
+            if conn is None or conn.closed:
+                if node_id not in self.addresses:
+                    raise ClusterError(f"no address for node {node_id}")
+                conn = self._conns[node_id] = await connect(
+                    self.addresses[node_id],
+                    FrameConnection(
+                        lambda conn, frame: self._on_reply(node_id, frame),
+                        lambda conn, error: self._on_lost(node_id, error),
+                    ),
+                )
+            return conn
+
+    def _on_reply(self, node_id: int, frame: Dict[str, object]) -> None:
+        future = self._waiting.pop((node_id, frame.get(self._key)), None)
+        if future is not None and not future.done():
+            future.set_result(frame)
+
+    def _on_lost(self, node_id: int, error: Optional[Exception]) -> None:
+        if error is not None:
+            reason = f"connection to node {node_id} died: {error}"
+        else:
+            reason = f"node {node_id} closed the connection"
+        stale = [key for key in self._waiting if key[0] == node_id]
+        for key in stale:
+            future = self._waiting.pop(key)
+            if not future.done():
+                future.set_exception(ClusterError(reason))
+
+    async def call(
+        self,
+        node_id: int,
+        frame: Mapping[str, object],
+        timeout: Optional[float] = None,
+    ) -> Dict[str, object]:
+        """Send ``frame`` to a node and await the reply with the same
+        ``key``, failing with ``asyncio.TimeoutError`` after ``timeout``
+        seconds if one is given."""
+        conn = self._conns.get(node_id)
+        try:
+            if conn is None or conn.closed:
+                conn = await self._conn(node_id)
+            conn.send(frame)
+        except OSError as error:
+            raise ClusterError(
+                f"connection to node {node_id} failed: {error}"
+            ) from error
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        waiting = (node_id, frame[self._key])
+        self._waiting[waiting] = future
+        deadline = (
+            None if timeout is None else loop.call_later(timeout, _expire, future)
+        )
+        try:
+            return await future
+        finally:
+            if deadline is not None:
+                deadline.cancel()
+            self._waiting.pop(waiting, None)
+
+    async def close(self) -> None:
+        conns = list(self._conns.values())
+        self._conns.clear()
+        for conn in conns:
+            conn.close()
+        await asyncio.sleep(0)  # let the closed connections' callbacks run
+
+
+class ClusterClient(NodeCalls):
     """Multiplexed client connections to every node of a cluster.
 
-    One connection per node; ``result`` frames resolve their waiting
-    callers by ``(node, request id)`` as they arrive — so the open-loop
-    generator can keep many requests in flight per node, and one node's
-    death fails only *its* callers.  Each call awaits its reply future
-    under one deadline timer.
+    ``result`` frames resolve their callers by ``(node, request id)``,
+    so the open-loop generator can keep many requests in flight per
+    node.  Each call awaits its reply future under one deadline timer.
 
     The client is the outer half of at-least-once RPC: transport-level
     failures (a dead connection, a refused dial) are retried with seeded
@@ -108,83 +193,11 @@ class ClusterClient:
         timeout: float = 30.0,
         retry: RetryPolicy = RetryPolicy(),
     ) -> None:
-        self.addresses = dict(addresses)
+        super().__init__(addresses, key="rid")
         self.timeout = timeout
         self.retry = retry
         # node_id -1: a stream disjoint from every node's transport RNG.
         self._retry_rng = retry.rng_for(-1)
-        self._conns: Dict[int, FrameConnection] = {}
-        self._dial_lock = asyncio.Lock()
-        self._waiting: Dict[Tuple[int, int], asyncio.Future] = {}
-
-    async def _conn(self, node_id: int) -> FrameConnection:
-        async with self._dial_lock:
-            if node_id not in self._conns:
-                if node_id not in self.addresses:
-                    raise ClusterError(f"no address for node {node_id}")
-                self._conns[node_id] = await connect(
-                    self.addresses[node_id],
-                    FrameConnection(
-                        lambda conn, frame: self._on_result(node_id, frame),
-                        lambda conn, error: self._on_lost(node_id, conn, error),
-                    ),
-                )
-            return self._conns[node_id]
-
-    def _evict(self, node_id: int) -> None:
-        """Forget a dead connection so the next call redials."""
-        conn = self._conns.pop(node_id, None)
-        if conn is not None:
-            conn.close()
-
-    def _on_result(self, node_id: int, frame: Dict[str, object]) -> None:
-        if frame.get("type") != "result":
-            return
-        future = self._waiting.pop((node_id, int(frame.get("rid", 0))), None)
-        if future is not None and not future.done():
-            future.set_result(frame)
-
-    def _on_lost(
-        self, node_id: int, conn: FrameConnection, error: Optional[Exception]
-    ) -> None:
-        # Evict *this* connection (unless a newer one already replaced
-        # it) so the next execute() redials instead of reusing a dead
-        # one, then fail only the callers waiting on this node.
-        if self._conns.get(node_id) is conn:
-            del self._conns[node_id]
-        if error is not None:
-            reason = f"connection to node {node_id} died: {error}"
-        else:
-            reason = f"node {node_id} closed the connection"
-        self._fail_waiting(node_id, reason)
-
-    def _fail_waiting(self, node_id: int, reason: str) -> None:
-        stale = [key for key in self._waiting if key[0] == node_id]
-        for key in stale:
-            future = self._waiting.pop(key)
-            if not future.done():
-                future.set_exception(ClusterError(reason))
-
-    async def _execute_once(
-        self, node_id: int, rid: int, frame: Dict[str, object]
-    ) -> Dict[str, object]:
-        conn = self._conns.get(node_id) or await self._conn(node_id)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        key = (node_id, rid)
-        self._waiting[key] = future
-        try:
-            conn.send(frame)
-        except ConnectionError:
-            self._waiting.pop(key, None)
-            self._evict(node_id)
-            raise
-        deadline = loop.call_later(self.timeout, _expire, future)
-        try:
-            return await future
-        finally:
-            deadline.cancel()
-            self._waiting.pop(key, None)
 
     async def execute(
         self,
@@ -204,11 +217,11 @@ class ClusterClient:
         last_error = "request was never attempted"
         for attempt in range(attempts):
             try:
-                reply = await self._execute_once(node_id, rid, frame)
+                reply = await self.call(node_id, frame, self.timeout)
             except asyncio.TimeoutError:
                 last_error = f"client timed out after {self.timeout}s"
                 break
-            except (ClusterError, ConnectionError, OSError) as error:
+            except ClusterError as error:
                 last_error = str(error)
                 if attempt + 1 < attempts:
                     retries += 1
@@ -236,13 +249,6 @@ class ClusterClient:
             latency=time.monotonic() - started,
             retries=retries,
         )
-
-    async def close(self) -> None:
-        conns = list(self._conns.values())
-        self._conns.clear()
-        for conn in conns:
-            conn.close()
-        await asyncio.sleep(0)  # let the closed connections' callbacks run
 
 
 def _expire(future: asyncio.Future) -> None:

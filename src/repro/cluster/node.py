@@ -535,7 +535,11 @@ class NodeServer:
             reply = await self._admin_reply(kind, frame)
         except ClusterError as error:
             reply = {"type": "error", "error": str(error)}
-        connection.send(reply)
+        reply["id"] = frame.get("id")
+        try:
+            connection.send(reply)
+        except ConnectionError:
+            pass  # the caller hung up: nobody awaits this reply
         if kind == "shutdown" and reply.get("type") == "ok":
             self._stopped.set()
 

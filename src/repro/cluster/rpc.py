@@ -24,18 +24,21 @@ Frame families (the ``type`` field):
     does not charge acknowledgements, so neither does the cluster.
 ``ping`` / ``metrics`` / ``set_peers`` / ``fault`` / ``reset_metrics``
     / ``shutdown``
-    The admin plane, used by launchers, tests and the CLI.
+    The admin plane, used by launchers, tests and the CLI.  A request
+    carries an ``id`` that every reply, ``error`` included, echoes.
 
-The codec below maps every :class:`~repro.distsim.messages.Message`
-subclass to and from its wire form, so the live transport ships the
-*same* protocol vocabulary the discrete-event simulator uses.
+The ``msg`` codec is derived from the fields of the
+:class:`~repro.distsim.messages.Message` classes in
+:data:`MESSAGE_TYPES`, so the live transport ships the *same* protocol
+vocabulary the discrete-event simulator uses: ``{"type": "msg", "rid":
+R, "m": [tag, sender, receiver, ...]}``, the remaining fields following
+in dataclass order.
 
-Node, peer-link and client connections are :class:`FrameConnection`
-protocols that serve each frame the moment its bytes arrive;
-:func:`start_inline` runs a frame's handler there and makes it a Task
-only if it suspends, and :class:`HandlerDeadline` bounds a handler
-without a wrapper task.  :func:`read_frame` / :func:`write_frame` are
-the stream equivalents for request/reply callers (the admin plane).
+Every connection — node, peer link, client and admin — is a
+:class:`FrameConnection` protocol that serves each frame the moment its
+bytes arrive; :func:`start_inline` runs a frame's handler there and
+makes it a Task only if it suspends, and :class:`HandlerDeadline`
+bounds a handler without a wrapper task.
 """
 
 from __future__ import annotations
@@ -43,8 +46,11 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
+import re
 import struct
+from dataclasses import fields
 from typing import Any, Callable, Coroutine, Dict, List, Mapping, Optional
+from typing import get_type_hints
 
 from repro.distsim.messages import (
     Ack,
@@ -55,7 +61,7 @@ from repro.distsim.messages import (
     VersionInquiry,
     VersionReport,
 )
-from repro.exceptions import ClusterError
+from repro.exceptions import ClusterError, ConfigurationError
 from repro.storage.versions import ObjectVersion
 
 _HEADER = struct.Struct(">I")
@@ -83,14 +89,6 @@ def encode_frame(payload: Mapping[str, Any]) -> bytes:
     return _HEADER.pack(len(data)) + data
 
 
-def _check_length(length: int) -> None:
-    if length > MAX_FRAME_BYTES:
-        raise ClusterError(
-            f"incoming frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-
-
 def _decode_body(body: bytes) -> Dict[str, Any]:
     """Parse one frame body; a malformed or non-object body raises."""
     try:
@@ -100,39 +98,6 @@ def _decode_body(body: bytes) -> Dict[str, Any]:
     if not isinstance(payload, dict) or "type" not in payload:
         raise ClusterError("every frame must be a JSON object with a 'type'")
     return payload
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on a clean EOF between frames."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ClusterError(
-            f"connection closed mid-header ({len(error.partial)} of "
-            f"{_HEADER.size} bytes)"
-        ) from error
-    except (ConnectionError, OSError):
-        return None
-    (length,) = _HEADER.unpack(header)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ClusterError(
-            f"connection closed mid-frame ({len(error.partial)} of "
-            f"{length} bytes)"
-        ) from error
-    return _decode_body(body)
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter, payload: Mapping[str, Any]
-) -> None:
-    """Write one frame and flush it."""
-    writer.write(encode_frame(payload))
-    await writer.drain()
 
 
 class FrameConnection(asyncio.Protocol):
@@ -192,7 +157,11 @@ class FrameConnection(asyncio.Protocol):
             (length,) = _HEADER.unpack_from(buffer, start)
             end = start + _HEADER.size + length
             try:
-                _check_length(length)
+                if length > MAX_FRAME_BYTES:
+                    raise ClusterError(
+                        f"incoming frame of {length} bytes exceeds the "
+                        f"{MAX_FRAME_BYTES}-byte limit"
+                    )
                 if end > size:
                     break
                 frame = _decode_body(buffer[start + _HEADER.size : end])
@@ -342,78 +311,76 @@ def version_from_wire(wire: Optional[Mapping[str, Any]]) -> Optional[ObjectVersi
 
 # -- protocol-message codec -------------------------------------------------
 
-_KIND_TO_CLASS = {
-    "read_request": ReadRequest,
-    "invalidate": Invalidate,
-    "ack": Ack,
-    "version_inquiry": VersionInquiry,
-    "version_report": VersionReport,
-    "data_transfer": DataTransfer,
-}
-_CLASS_TO_KIND = {cls: kind for kind, cls in _KIND_TO_CLASS.items()}
+#: Every protocol message the cluster ships.  The codec is derived from
+#: their dataclass fields; a message class missing here has no wire form.
+MESSAGE_TYPES = (
+    ReadRequest,
+    Invalidate,
+    Ack,
+    VersionInquiry,
+    VersionReport,
+    DataTransfer,
+)
+
+
+def _layout(cls: type) -> tuple:
+    """A class's wire tag (its name in snake case), the names and types
+    of its fields in dataclass order (an optional version's type is
+    ``ObjectVersion``), and where ``request_id`` sits among them: it
+    travels as the frame's ``rid``."""
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    types = tuple(
+        ObjectVersion if hints[name] == Optional[ObjectVersion] else hints[name]
+        for name in names
+    )
+    tag = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).lower()
+    return tag, names, types, names.index("request_id")
+
+
+_LAYOUTS = {cls: _layout(cls) for cls in MESSAGE_TYPES}
+_BY_TAG = {layout[0]: (cls, *layout[1:]) for cls, layout in _LAYOUTS.items()}
 
 
 def message_to_wire(message: Message) -> Dict[str, Any]:
-    """Encode a distsim protocol message as a ``msg`` frame payload."""
-    kind = _CLASS_TO_KIND.get(type(message))
-    if kind is None:
+    """Encode a protocol message as a ``msg`` frame payload:
+    ``{"type": "msg", "rid": R, "m": [tag, sender, receiver, ...]}``."""
+    layout = _LAYOUTS.get(type(message))
+    if layout is None:
         raise ClusterError(
             f"no wire encoding for message type {type(message).__name__}"
         )
-    wire: Dict[str, Any] = {
-        "type": "msg",
-        "kind": kind,
-        "sender": message.sender,
-        "receiver": message.receiver,
-        "rid": getattr(message, "request_id", 0),
-    }
-    if isinstance(message, Invalidate):
-        wire["version_number"] = message.version_number
-    elif isinstance(message, VersionReport):
-        wire["version_number"] = message.version_number
-        wire["holds_copy"] = message.holds_copy
-    elif isinstance(message, DataTransfer):
-        wire["version"] = version_to_wire(message.version)
-        wire["save_copy"] = message.save_copy
-    elif isinstance(message, Ack) and message.info is not None:
-        wire["info"] = message.info
-    return wire
+    tag, names, types, rid_at = layout
+    body: List[Any] = [tag]
+    for name, kind in zip(names, types):
+        value = getattr(message, name)
+        body.append(version_to_wire(value) if kind is ObjectVersion else value)
+    rid = body.pop(rid_at + 1)
+    return {"type": "msg", "rid": rid, "m": body}
 
 
 def wire_to_message(wire: Mapping[str, Any]) -> Message:
-    """Decode a ``msg`` frame payload back into a protocol message."""
-    kind = wire.get("kind")
-    cls = _KIND_TO_CLASS.get(kind)
-    if cls is None:
-        raise ClusterError(f"unknown protocol message kind {kind!r}")
-    sender = int(wire["sender"])
-    receiver = int(wire["receiver"])
-    rid = int(wire.get("rid", 0))
-    if cls is ReadRequest:
-        return ReadRequest(sender, receiver, request_id=rid)
-    if cls is Invalidate:
-        return Invalidate(
-            sender,
-            receiver,
-            version_number=int(wire.get("version_number", -1)),
-            request_id=rid,
+    """Decode a ``msg`` frame payload back into a protocol message.  An
+    unknown tag, a wrong field count, a field of the wrong type or a
+    bad version raises :class:`ClusterError`."""
+    body = wire.get("m")
+    try:
+        cls, names, types, rid_at = _BY_TAG[body[0]]
+    except (KeyError, TypeError, IndexError):
+        raise ClusterError(f"unknown protocol message {body!r}") from None
+    args = body[1:]
+    if len(args) != len(names) - 1:
+        raise ClusterError(
+            f"a {body[0]} message has {len(names) - 1} fields, got {len(args)}"
         )
-    if cls is Ack:
-        return Ack(sender, receiver, request_id=rid, info=wire.get("info"))
-    if cls is VersionInquiry:
-        return VersionInquiry(sender, receiver, request_id=rid)
-    if cls is VersionReport:
-        return VersionReport(
-            sender,
-            receiver,
-            request_id=rid,
-            version_number=int(wire.get("version_number", -1)),
-            holds_copy=bool(wire.get("holds_copy", False)),
-        )
-    return DataTransfer(
-        sender,
-        receiver,
-        version=version_from_wire(wire.get("version")),
-        request_id=rid,
-        save_copy=bool(wire.get("save_copy", False)),
-    )
+    args.insert(rid_at, wire.get("rid"))
+    try:
+        for index, kind in enumerate(types):
+            value = args[index]
+            if type(value) is not kind and kind is not Any:
+                if kind is not ObjectVersion:
+                    raise TypeError(f"{names[index]} {value!r} is not {kind.__name__}")
+                args[index] = version_from_wire(value)
+    except (KeyError, TypeError, ValueError, ConfigurationError) as error:
+        raise ClusterError(f"malformed {body[0]} message: {error}") from error
+    return cls(*args)

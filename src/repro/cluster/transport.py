@@ -77,16 +77,6 @@ class Address:
         )
 
 
-async def open_channel(
-    address: Address,
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Connect to a node's listening address as a stream pair (the
-    request/reply admin plane)."""
-    if address.kind == "unix":
-        return await asyncio.open_unix_connection(address.path)
-    return await asyncio.open_connection(address.host, address.port)
-
-
 async def connect(
     address: Address, connection: FrameConnection
 ) -> FrameConnection:

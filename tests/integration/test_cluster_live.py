@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import socket
 
+import pytest
+
 from repro.cluster import (
     ClusterClient,
     ClusterSpec,
@@ -21,12 +23,13 @@ from repro.cluster import (
     start_cluster,
     start_local_cluster,
 )
-from repro.cluster.rpc import message_to_wire, read_frame, write_frame
-from repro.cluster.transport import open_channel
+from repro.cluster.rpc import message_to_wire
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.distsim.messages import ReadRequest
 from repro.storage.versions import ObjectVersion
+from repro.exceptions import ClusterError
 from repro.workloads.uniform import UniformWorkload
+from tests.integration.raw_frames import RawConnection
 
 PROCESSORS = (1, 2, 3)
 SCHEME = frozenset({1, 2})
@@ -259,7 +262,7 @@ class TestMalformedExec:
 
         async def scenario():
             cluster, client = await booted()
-            reader, writer = await open_channel(cluster.addresses[1])
+            raw = await RawConnection.open(cluster.addresses[1])
             try:
                 frame = {
                     "type": "exec",
@@ -269,10 +272,8 @@ class TestMalformedExec:
                 }
                 replies = []
                 for _ in range(2):
-                    await write_frame(writer, frame)
-                    replies.append(
-                        await asyncio.wait_for(read_frame(reader), 5.0)
-                    )
+                    raw.send(frame)
+                    replies.append(await raw.reply())
                 for reply in replies:
                     assert reply["type"] == "result"
                     assert reply["rid"] == 5
@@ -282,7 +283,7 @@ class TestMalformedExec:
                 # The node still serves well-formed requests.
                 assert (await client.execute(1, "read", rid=6)).ok
             finally:
-                writer.close()
+                raw.close()
                 await client.close()
                 await cluster.stop()
 
@@ -360,17 +361,17 @@ class TestInlineServing:
                 lambda loop, context: failures.append(context.get("exception"))
             )
             cluster, client = await booted()
-            reader, writer = await open_channel(cluster.addresses[1])
+            raw = await RawConnection.open(cluster.addresses[1])
             try:
                 misrouted = message_to_wire(ReadRequest(3, 2, request_id=9))
-                await write_frame(writer, misrouted)
-                await write_frame(writer, {"type": "ping"})
-                reply = await asyncio.wait_for(read_frame(reader), 5.0)
+                raw.send(misrouted)
+                raw.send({"type": "ping"})
+                reply = await raw.reply()
                 assert reply["type"] == "pong" and reply["node"] == 1
                 assert len(failures) == 1
                 assert "addressed to someone else" in str(failures[0])
             finally:
-                writer.close()
+                raw.close()
                 await client.close()
                 await cluster.stop()
 
@@ -407,6 +408,74 @@ class TestAdminPlane:
                 assert fresh.requests_completed == 1
                 assert fresh.control_messages == 1
                 assert fresh.data_messages == 1
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
+    def test_a_reply_to_a_caller_that_hung_up_is_dropped(self):
+        """An admin caller that closes its connection before the reply
+        is sent costs the node nothing: no exception escapes the
+        handler, and the node keeps answering."""
+
+        async def scenario():
+            reports = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reports.append(context)
+            )
+            cluster, client = await booted()
+            try:
+                await cluster.set_fault_plan(
+                    FaultPlan(default_delay=0.2), nodes=[1]
+                )
+                raw = await RawConnection.open(cluster.addresses[1])
+                raw.send({"type": "repair_send", "target": 3, "rid": 7, "id": 1})
+                raw.close()
+                await asyncio.sleep(0.05)
+                # The handler is waiting out the delay as a Task.
+                handlers = list(cluster.nodes[1]._tasks)
+                assert len(handlers) == 1
+                await asyncio.wait(handlers, timeout=5.0)
+                assert handlers[0].exception() is None
+                assert reports == []
+                assert (await cluster.admin(1, {"type": "ping"}))["node"] == 1
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_calls_are_matched_by_id_and_a_lost_connection_redials(self):
+        """Admin calls to one node share one connection: replies find
+        their callers by id in any order, ``error`` replies included.
+        Losing the connection fails the waiting call, and the next call
+        redials."""
+
+        async def scenario():
+            cluster, client = await booted()
+            try:
+                await cluster.set_fault_plan(
+                    FaultPlan(default_delay=0.2), nodes=[1]
+                )
+                repair = asyncio.ensure_future(cluster.repair(1, 3, rid=7))
+                await asyncio.sleep(0.05)
+                pong = await cluster.admin(1, {"type": "ping"})
+                assert pong["type"] == "pong" and not repair.done()
+                with pytest.raises(ClusterError, match="unknown frame type"):
+                    await cluster.admin(1, {"type": "gossip"})
+                report = await repair
+                assert report["type"] == "repair_report"
+                assert report["target"] == 3
+
+                slow = asyncio.ensure_future(cluster.repair(1, 3, rid=8))
+                await asyncio.sleep(0.05)
+                for connection in list(cluster.nodes[1]._connections):
+                    connection.close()
+                with pytest.raises(ClusterError, match="node 1"):
+                    await slow
+                assert (await cluster.admin(1, {"type": "ping"}))["node"] == 1
             finally:
                 await client.close()
                 await cluster.stop()

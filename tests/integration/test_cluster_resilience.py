@@ -21,11 +21,10 @@ from repro.cluster import (
     resilience_totals,
     start_local_cluster,
 )
-from repro.cluster.rpc import read_frame, write_frame
-from repro.cluster.transport import open_channel
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.storage.versions import ObjectVersion
 from repro.workloads.uniform import UniformWorkload
+from tests.integration.raw_frames import RawConnection
 
 SCHEME = frozenset({1, 2})
 PRIMARY = 2
@@ -125,14 +124,14 @@ class TestDedup:
                     "op": "write",
                     "version": {"number": 1, "writer": 1},
                 }
-                reader, writer = await open_channel(cluster.addresses[1])
+                raw = await RawConnection.open(cluster.addresses[1])
                 try:
-                    await write_frame(writer, frame)
-                    first = await read_frame(reader)
-                    await write_frame(writer, frame)  # client "retry"
-                    second = await read_frame(reader)
+                    raw.send(frame)
+                    first = await raw.reply()
+                    raw.send(frame)  # client "retry"
+                    second = await raw.reply()
                 finally:
-                    writer.close()
+                    raw.close()
                 assert first["ok"] and second == first
 
                 metrics = await cluster.metrics()

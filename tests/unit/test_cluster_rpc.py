@@ -6,8 +6,12 @@ import asyncio
 import contextvars
 import json
 import struct
+from dataclasses import fields
+from typing import Any, Optional, get_type_hints
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.rpc import (
@@ -16,108 +20,24 @@ from repro.cluster.rpc import (
     HandlerDeadline,
     encode_frame,
     message_to_wire,
-    read_frame,
     start_inline,
     version_from_wire,
     version_to_wire,
     wire_to_message,
-    write_frame,
 )
 from repro.cluster.transport import Address
+from repro.distsim import messages
 from repro.distsim.messages import (
     Ack,
     DataTransfer,
     Invalidate,
+    Message,
     ReadRequest,
     VersionInquiry,
     VersionReport,
 )
 from repro.exceptions import ClusterError
 from repro.storage.versions import ObjectVersion
-
-
-def read_all_frames(data: bytes) -> list:
-    """Feed bytes into a StreamReader and drain every frame from it.
-
-    The reader is built inside the coroutine: asyncio streams must be
-    created while a loop is running."""
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        seen = []
-        while True:
-            frame = await read_frame(reader)
-            if frame is None:
-                return seen
-            seen.append(frame)
-
-    return asyncio.run(go())
-
-
-def read_one_frame(data: bytes):
-    frames = read_all_frames(data)
-    return frames[0] if frames else None
-
-
-class TestFraming:
-    def test_round_trip(self):
-        payload = {"type": "ping", "nested": {"a": [1, 2, 3]}}
-        assert read_one_frame(encode_frame(payload)) == payload
-
-    def test_multiple_frames_in_one_stream(self):
-        frames = [{"type": "ping", "n": n} for n in range(3)]
-        data = b"".join(encode_frame(frame) for frame in frames)
-        assert read_all_frames(data) == frames
-
-    def test_clean_eof_returns_none(self):
-        assert read_one_frame(b"") is None
-
-    def test_mid_header_truncation_raises(self):
-        with pytest.raises(ClusterError, match="mid-header"):
-            read_one_frame(b"\x00\x00")
-
-    def test_mid_frame_truncation_raises(self):
-        with pytest.raises(ClusterError, match="mid-frame"):
-            read_one_frame(encode_frame({"type": "ping"})[:-2])
-
-    def test_oversize_frame_rejected(self):
-        with pytest.raises(ClusterError, match="exceeds"):
-            read_one_frame(struct.pack(">I", MAX_FRAME_BYTES + 1))
-
-    def test_malformed_json_rejected(self):
-        body = b"{not json"
-        with pytest.raises(ClusterError, match="malformed"):
-            read_one_frame(struct.pack(">I", len(body)) + body)
-
-    def test_non_object_payload_rejected(self):
-        body = b"[1,2,3]"
-        with pytest.raises(ClusterError, match="'type'"):
-            read_one_frame(struct.pack(">I", len(body)) + body)
-
-    def test_typeless_object_rejected(self):
-        body = b'{"a":1}'
-        with pytest.raises(ClusterError, match="'type'"):
-            read_one_frame(struct.pack(">I", len(body)) + body)
-
-    def test_write_frame_is_deterministic(self):
-        left = encode_frame({"b": 1, "a": 2, "type": "x"})
-        right = encode_frame({"a": 2, "type": "x", "b": 1})
-        assert left == right  # sorted keys: byte-stable on the wire
-
-    def test_write_frame_to_stream(self):
-        transcript = bytearray()
-
-        class FakeWriter:
-            def write(self, data):
-                transcript.extend(data)
-
-            async def drain(self):
-                pass
-
-        asyncio.run(write_frame(FakeWriter(), {"type": "ping"}))
-        assert read_one_frame(bytes(transcript)) == {"type": "ping"}
 
 
 class FakeTransport:
@@ -151,6 +71,58 @@ def served_connection(sink=None):
     return connection, served
 
 
+def read_all_frames(data: bytes) -> list:
+    """Feed bytes to a FrameConnection: the frames it served, or the
+    framing error that closed it, raised."""
+    served, errors = [], []
+    connection = FrameConnection(
+        lambda conn, frame: served.append(frame),
+        lambda conn, error: errors.append(error),
+    )
+    connection.connection_made(FakeTransport())
+    connection.data_received(data)
+    if connection.closed:
+        connection.connection_lost(None)
+        raise errors[0]
+    return served
+
+
+def read_one_frame(data: bytes):
+    frames = read_all_frames(data)
+    return frames[0] if frames else None
+
+
+class TestFraming:
+    def test_round_trip(self):
+        payload = {"type": "ping", "nested": {"a": [1, 2, 3]}}
+        assert read_one_frame(encode_frame(payload)) == payload
+
+    def test_multiple_frames_in_one_stream(self):
+        frames = [{"type": "ping", "n": n} for n in range(3)]
+        data = b"".join(encode_frame(frame) for frame in frames)
+        assert read_all_frames(data) == frames
+
+    def test_oversize_frame_rejected(self):
+        with pytest.raises(ClusterError, match="exceeds"):
+            read_one_frame(struct.pack(">I", MAX_FRAME_BYTES + 1))
+
+    def test_malformed_json_rejected(self):
+        body = b"{not json"
+        with pytest.raises(ClusterError, match="malformed"):
+            read_one_frame(struct.pack(">I", len(body)) + body)
+
+    def test_non_object_payload_rejected(self):
+        body = b"[1,2,3]"
+        with pytest.raises(ClusterError, match="'type'"):
+            read_one_frame(struct.pack(">I", len(body)) + body)
+
+    def test_write_frame_to_stream(self):
+        connection, _ = served_connection()
+        connection.send({"type": "ping"})
+        written = bytes(connection.transport.written)
+        assert read_one_frame(written) == {"type": "ping"}
+
+
 FRAMES = [{"type": "ping", "n": n, "pad": "x" * n} for n in range(4)]
 STREAM = b"".join(encode_frame(frame) for frame in FRAMES)
 
@@ -182,8 +154,9 @@ class TestFrameConnection:
             struct.pack(">I", MAX_FRAME_BYTES + 1),
             struct.pack(">I", 9) + b"{not json",
             struct.pack(">I", 7) + b"[1,2,3]",
+            struct.pack(">I", 7) + b'{"a":1}',
         ],
-        ids=["oversize", "malformed", "non-object"],
+        ids=["oversize", "malformed", "non-object", "typeless"],
     )
     def test_bad_frame_closes_without_serving(self, data):
         closed = []
@@ -404,6 +377,51 @@ MESSAGES = [
     ),
 ]
 
+#: Every protocol message class: one without a wire form fails below.
+MESSAGE_CLASSES = [
+    cls
+    for cls in vars(messages).values()
+    if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
+]
+
+#: What JSON carries unchanged: no tuples, NaN or infinities.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: A strategy per field type of the message classes.
+FIELD_VALUES = {
+    int: st.integers(),
+    bool: st.booleans(),
+    Any: JSON_VALUES,
+    Optional[ObjectVersion]: st.none()
+    | st.builds(
+        ObjectVersion,
+        st.integers(min_value=0),
+        st.integers(),
+        st.none() | JSON_VALUES,
+    ),
+}
+
+
+def messages_of(cls):
+    hints = get_type_hints(cls)
+    return st.builds(
+        cls, **{f.name: FIELD_VALUES[hints[f.name]] for f in fields(cls)}
+    )
+
+
+def through_bytes(wire):
+    """A payload as the receiving end decodes it."""
+    return json.loads(encode_frame(wire)[4:])
+
 
 class TestMessageCodec:
     @pytest.mark.parametrize(
@@ -412,17 +430,71 @@ class TestMessageCodec:
     def test_round_trip(self, message):
         wire = message_to_wire(message)
         assert wire["type"] == "msg"
-        assert wire_to_message(wire) == message
+        assert wire_to_message(through_bytes(wire)) == message
+
+    @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
+    @given(data=st.data())
+    def test_round_trip_property(self, cls, data):
+        message = data.draw(messages_of(cls))
+        wire = message_to_wire(message)
+        assert wire["type"] == "msg"
+        assert wire["rid"] == message.request_id
+        assert wire_to_message(through_bytes(wire)) == message
+
+    def test_positional_layout(self):
+        message = DataTransfer(
+            1, 2, version=ObjectVersion(3, 1), request_id=7, save_copy=True
+        )
+        assert message_to_wire(message) == {
+            "type": "msg",
+            "rid": 7,
+            "m": ["data_transfer", 1, 2, {"number": 3, "writer": 1}, True],
+        }
 
     def test_wire_form_is_json_clean(self):
-        import json
-
         for message in MESSAGES:
             json.dumps(message_to_wire(message))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ClusterError, match="unknown protocol message"):
-            wire_to_message({"type": "msg", "kind": "gossip"})
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            {"type": "msg", "rid": 1, "m": ["gossip", 1, 2]},
+            {"type": "msg", "rid": 1},
+            {"type": "msg", "rid": 1, "m": []},
+            {"type": "msg", "rid": 1, "m": [["read_request"], 1, 2]},
+            {"type": "msg", "rid": 1, "m": ["read_request", 1]},
+            {"type": "msg", "rid": 1, "m": ["read_request", 1, 2, 3]},
+            {"type": "msg", "rid": 1, "m": ["read_request", "1", 2]},
+            {"type": "msg", "rid": "1", "m": ["read_request", 1, 2]},
+            {"type": "msg", "m": ["read_request", 1, 2]},
+            {"type": "msg", "rid": 1, "m": ["invalidate", 1, 2, 3.5]},
+            {"type": "msg", "rid": 1, "m": ["version_report", 1, 2, 3, 1]},
+            {"type": "msg", "rid": 1, "m": ["data_transfer", 1, 2, [3, 1], True]},
+            {"type": "msg", "rid": 1,
+             "m": ["data_transfer", 1, 2, {"writer": 1}, True]},
+            {"type": "msg", "rid": 1,
+             "m": ["data_transfer", 1, 2, {"number": "x", "writer": 1}, True]},
+        ],
+        ids=[
+            "unknown-tag",
+            "no-body",
+            "empty",
+            "unhashable-tag",
+            "short",
+            "long",
+            "string-sender",
+            "string-rid",
+            "no-rid",
+            "float-version-number",
+            "int-holds-copy",
+            "non-mapping-version",
+            "version-without-number",
+            "string-version-number",
+        ],
+    )
+    def test_malformed_message_rejected(self, wire):
+        with pytest.raises(ClusterError):
+            wire_to_message(wire)
 
     def test_unregistered_type_rejected(self):
         class Exotic(ReadRequest):
@@ -453,12 +525,17 @@ class TestEncoder:
              "version": version_to_wire(ObjectVersion(7, 2))},
             {"type": "metrics_report", "metrics": NodeMetrics(4).to_wire()},
         ],
-        ids=lambda payload: payload.get("kind", payload["type"]),
+        ids=lambda payload: payload.get("m", [payload["type"]])[0],
     )
     def test_bytes_match_json_dumps(self, payload):
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         data = body.encode("utf-8")
         assert encode_frame(payload) == struct.pack(">I", len(data)) + data
+
+    def test_bytes_are_key_order_independent(self):
+        left = encode_frame({"b": 1, "a": 2, "type": "x"})
+        right = encode_frame({"a": 2, "type": "x", "b": 1})
+        assert left == right  # sorted keys: byte-stable on the wire
 
 
 class TestAddress:
