@@ -32,7 +32,7 @@ from repro.chaos.plan import ChaosPlan, FaultEvent, generate_plan
 from repro.cluster.durability import wal_path
 from repro.cluster.launcher import ClusterSpec, start_local_cluster
 from repro.cluster.loadgen import ClusterClient, RequestOutcome
-from repro.cluster.metrics import durability_totals, resilience_totals
+from repro.cluster.metrics import aggregate, durability_totals, resilience_totals
 from repro.cluster.resilience import RetryPolicy, SchemeRepairer
 from repro.cluster.transport import FaultPlan
 from repro.distsim.statistics import SimulationStats
@@ -384,7 +384,7 @@ async def run_chaos(config: ChaosConfig) -> ChaosResult:
                 tracker.record_read(plan.requests + 1, outcome)
 
         metrics = await cluster.metrics()
-        stats = await cluster.aggregate_stats()
+        stats = aggregate(metrics.values())
         extras = resilience_totals(metrics.values())
         durability = (
             durability_totals(metrics.values()) if config.durable else {}

@@ -23,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import sys
 import time
+from typing import Dict, List
 
 from repro.analysis.report import format_mapping, format_table
 from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
@@ -33,7 +34,12 @@ from repro.cluster.loadgen import (
     replay_schedule,
     route_check,
 )
-from repro.cluster.metrics import latency_histogram, percentile, resilience_totals
+from repro.cluster.metrics import (
+    aggregate,
+    latency_histogram,
+    percentile,
+    resilience_totals,
+)
 from repro.cluster.node import NodeConfig, NodeServer
 from repro.cluster.resilience import RetryPolicy
 from repro.cluster.transport import Address, FaultPlan
@@ -129,6 +135,29 @@ def _per_node_table(per_node) -> str:
     )
 
 
+def _print_report(
+    report: Dict[str, object], title: str, latencies: List[float], plot: bool
+) -> None:
+    """Print a command's report with the client-observed latency lines
+    and, with ``--latency-plot``, their histogram."""
+    if latencies:
+        report["mean latency (s)"] = sum(latencies) / len(latencies)
+        for rank in (50, 95, 99):
+            report[f"p{rank} latency (s)"] = percentile(latencies, rank / 100)
+        report["max latency (s)"] = max(latencies)
+    print(format_mapping(report, title=title))
+    if plot:
+        print()
+        print(
+            render_series(
+                latency_histogram(latencies),
+                x_label="latency (s)",
+                y_label="requests",
+                title="Client-observed latency histogram",
+            )
+        )
+
+
 def _stepped_algorithm(protocol: str, scheme, primary):
     if protocol.upper() == "SA":
         return StaticAllocation(scheme)
@@ -152,34 +181,31 @@ def cmd_cluster_run(args) -> int:
             result = await replay_schedule(
                 client, schedule, check_freshness=True
             )
-            per_node = await cluster.metrics()
-            stats = await cluster.aggregate_stats()
-            return result, per_node, stats
+            return result, await cluster.metrics()
         finally:
             await client.close()
             await cluster.stop()
 
-    result, per_node, stats = asyncio.run(drive())
+    result, per_node = asyncio.run(drive())
     result.raise_on_errors()
+    stats = aggregate(per_node.values())
     mode = "subprocess" if args.subprocess else "in-process"
     print(_per_node_table(per_node))
     print()
-    print(
-        format_mapping(
-            {
-                "protocol": spec.protocol,
-                "nodes": len(spec.processors),
-                "mode": mode,
-                "requests": stats.requests_completed,
-                "control messages": stats.control_messages,
-                "data messages": stats.data_messages,
-                "I/O operations": stats.io_reads + stats.io_writes,
-                "dropped messages": stats.dropped_messages,
-                "mean latency (s)": stats.mean_latency,
-                "max latency (s)": stats.max_latency,
-            },
-            title=f"Live cluster replay of {len(schedule)} requests",
-        )
+    _print_report(
+        {
+            "protocol": spec.protocol,
+            "nodes": len(spec.processors),
+            "mode": mode,
+            "requests": stats.requests_completed,
+            "control messages": stats.control_messages,
+            "data messages": stats.data_messages,
+            "I/O operations": stats.io_reads + stats.io_writes,
+            "dropped messages": stats.dropped_messages,
+        },
+        f"Live cluster replay of {len(schedule)} requests",
+        result.latencies,
+        args.latency_plot,
     )
     print()
     print(
@@ -188,16 +214,6 @@ def cmd_cluster_run(args) -> int:
             title="Resilience counters (kept out of charged totals)",
         )
     )
-    if args.latency_plot:
-        print()
-        print(
-            render_series(
-                latency_histogram(result.latencies),
-                x_label="latency (s)",
-                y_label="requests",
-                title="Client-observed latency histogram",
-            )
-        )
     if args.check_parity:
         algorithm = _stepped_algorithm(
             spec.protocol, spec.scheme, spec.primary
@@ -255,42 +271,25 @@ def cmd_cluster_bench(args) -> int:
             await cluster.stop()
 
     result, stats, elapsed = asyncio.run(drive())
-    latencies = result.latencies
-    report = {
-        "protocol": spec.protocol,
-        "nodes": len(spec.processors),
-        "offered rate (req/s)": args.rate,
-        "completed": result.completed,
-        "errors": result.errors,
-        "elapsed (s)": round(elapsed, 3),
-        "throughput (req/s)": (
-            round(result.completed / elapsed, 2) if elapsed > 0 else None
-        ),
-        "control messages": stats.control_messages,
-        "data messages": stats.data_messages,
-        "I/O operations": stats.io_reads + stats.io_writes,
-    }
-    if latencies:
-        report["mean latency (s)"] = sum(latencies) / len(latencies)
-        report["p50 latency (s)"] = percentile(latencies, 0.50)
-        report["p95 latency (s)"] = percentile(latencies, 0.95)
-        report["p99 latency (s)"] = percentile(latencies, 0.99)
-    print(
-        format_mapping(
-            report,
-            title=f"Open-loop Poisson bench, {args.count} requests",
-        )
+    _print_report(
+        {
+            "protocol": spec.protocol,
+            "nodes": len(spec.processors),
+            "offered rate (req/s)": args.rate,
+            "completed": result.completed,
+            "errors": result.errors,
+            "elapsed (s)": round(elapsed, 3),
+            "throughput (req/s)": (
+                round(result.completed / elapsed, 2) if elapsed > 0 else None
+            ),
+            "control messages": stats.control_messages,
+            "data messages": stats.data_messages,
+            "I/O operations": stats.io_reads + stats.io_writes,
+        },
+        f"Open-loop Poisson bench, {args.count} requests",
+        result.latencies,
+        args.latency_plot,
     )
-    if args.latency_plot:
-        print()
-        print(
-            render_series(
-                latency_histogram(latencies),
-                x_label="latency (s)",
-                y_label="requests",
-                title="Client-observed latency histogram",
-            )
-        )
     return 0
 
 

@@ -36,7 +36,8 @@ def _counter(group: Optional[str] = None):
 
 @dataclass
 class NodeMetrics:
-    """Counters one node accumulates while serving.
+    """Counters one node accumulates while serving — integers only;
+    request latency is timed by the client that issued the request.
 
     The wire form (admin ``metrics`` frames) and the bookkeeping totals
     are derived from the dataclass fields, so a new counter is shipped
@@ -73,9 +74,6 @@ class NodeMetrics:
     #: Recoveries that rejoined from the local log with zero data
     #: messages (the tiered-recovery fast path).
     fresh_rejoins: int = _counter("durability")
-    #: Wall-clock service latency of each request this node originated,
-    #: in seconds, in completion order.
-    latencies: List[float] = field(default_factory=list)
 
     def charge_message(self, message: Message) -> None:
         """Count an outgoing protocol message by its paper class."""
@@ -94,11 +92,7 @@ class NodeMetrics:
         missing = [f.name for f in fields(cls) if f.name not in wire]
         if missing:
             raise ClusterError(f"metrics frame lacks {missing}")
-        values: Dict[str, Any] = {
-            f.name: int(wire[f.name]) for f in fields(cls) if f.name != "latencies"
-        }
-        values["latencies"] = [float(value) for value in wire["latencies"]]
-        return cls(**values)
+        return cls(**{f.name: int(wire[f.name]) for f in fields(cls)})
 
 
 def _group_totals(metrics: Iterable[NodeMetrics], group: str) -> Dict[str, int]:
@@ -113,18 +107,18 @@ def _group_totals(metrics: Iterable[NodeMetrics], group: str) -> Dict[str, int]:
 def aggregate(metrics: Iterable[NodeMetrics]) -> SimulationStats:
     """Sum per-node counters into the simulator's statistics type.
 
-    Latencies concatenate in node-id order; each request originates at
-    exactly one node, so request counts add without double counting.
+    Each request originates at exactly one node, so request counts add
+    without double counting.  ``latencies`` stays empty: the nodes keep
+    none (the client times every request).
     """
     stats = SimulationStats()
-    for node in sorted(metrics, key=lambda m: m.node_id):
+    for node in metrics:
         stats.control_messages += node.control_sent
         stats.data_messages += node.data_sent
         stats.io_reads += node.io_reads
         stats.io_writes += node.io_writes
         stats.dropped_messages += node.dropped_messages
         stats.requests_completed += node.requests_completed
-        stats.latencies.extend(node.latencies)
     return stats
 
 

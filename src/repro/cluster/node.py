@@ -12,24 +12,26 @@ connection speaks the frame vocabulary of :mod:`repro.cluster.rpc`:
 * ``msg`` frames from peers carry charged protocol messages;
 * ``done`` frames resolve outstanding work units (the uncharged
   completion oracle);
-* admin frames (``ping``/``metrics``/``set_peers``/``fault``/
-  ``reset_metrics``/``crash``/``recover``/``shutdown``) let launchers
-  and tests steer the node.
+* ``repair`` frames from a donor peer install a repair copy;
+* admin frames (``ping``/``metrics``/``status``/``set_peers``/``fault``/
+  ``resilience``/``adopt``/``set_scheme``/``repair_send``/
+  ``reset_metrics``/``crash``/``recover``/``shutdown``) let launchers,
+  the repairer and tests steer the node.
 
 Crash semantics mirror :mod:`repro.distsim.failures`' fail-stop model:
-a crashed node wipes its join-list, marks its stable copy suspect, and
-*drops* incoming protocol messages — counting the drop and notifying
-the sender's completion oracle so the origin can resolve the work unit
-(writes) or fail fast (reads), exactly like the simulated network's
-``on_dropped`` rule.
+a crashed node wipes its join-list, marks its stable copy suspect,
+settles every :class:`PendingRequest` it held, and *drops* incoming
+protocol messages — counting the drop and notifying the sender's
+completion oracle so the origin can resolve the work unit (writes) or
+fail fast (reads), exactly like the simulated network's ``on_dropped``
+rule.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY, NodeDurability
 from repro.cluster.metrics import NodeMetrics
@@ -51,7 +53,7 @@ from repro.exceptions import (
     ProtocolError,
     StorageError,
 )
-from repro.distsim.messages import VersionInquiry, VersionReport
+from repro.distsim.messages import VersionInquiry
 from repro.storage.local_db import LocalDatabase
 from repro.storage.versions import ObjectVersion
 
@@ -95,11 +97,13 @@ class PendingRequest:
     The live twin of the simulator's
     :class:`~repro.distsim.protocols.base.RequestContext`: ``units``
     counts outstanding sub-operations; the future resolves when the
-    request reached quiescence (for reads, with the version)."""
+    request reached quiescence (for reads, with the version).  A relay
+    entry resolves by acknowledging ``upstream`` instead."""
 
     rid: int
-    #: "r" (client read), "w" (client write or repair copy) or "p"
-    #: (recovery freshness probe).
+    #: "r" (client read), "w" (client write or repair copy), "p"
+    #: (recovery freshness probe) or "i" (invalidations a member of
+    #: ``F`` relays on a writer's behalf).
     kind: str
     units: int
     future: asyncio.Future
@@ -111,26 +115,18 @@ class PendingRequest:
     #: inspects this to decide whether any *live* replica actually took
     #: the update.
     crash_settled: Set[int] = field(default_factory=set)
+    #: DA invalidation targets: one whose unit settles by crash leaves
+    #: the join-list (its copy is gone with it).
+    targets: FrozenSet[int] = frozenset()
+    #: Relay entries only: the writer acknowledged once the relay
+    #: drained, with ``failed`` set if any invalidation was lost, so the
+    #: writer rejects instead of acknowledging over a stale copy.
+    upstream: Optional[int] = None
+    failed: bool = False
 
     def resolve(self) -> None:
         if not self.future.done():
             self.future.set_result(self.version)
-
-
-@dataclass
-class _Relay:
-    """Invalidations a member of ``F`` fans out on a writer's behalf;
-    the upstream store is acknowledged only once they all resolved."""
-
-    upstream: int
-    units: int
-    #: The invalidation targets (for lazy join-list removal on
-    #: crash-settled units).
-    targets: Set[int]
-    #: True once any relayed invalidation was permanently lost; the
-    #: upstream acknowledgement then carries ``failed`` so the writer
-    #: rejects instead of acknowledging over a stale surviving copy.
-    failed: bool = False
 
 
 class _JournaledSet(set):
@@ -208,13 +204,9 @@ class NodeServer:
         #: allocator when nodes share a process (2048: 25x page faults).
         self._exec_cache = DedupCache(256)
         self._exec_inflight: Dict[int, asyncio.Future] = {}
-        #: Per-write invalidation targets, for lazy join-list removal
-        #: when a target's unit settles by crash.
-        self._inval_targets: Dict[int, Set[int]] = {}
-        #: Reads, writes, repair copies and recovery freshness probes
-        #: awaiting peers, by request id.
+        #: Reads, writes, repair copies, recovery freshness probes and
+        #: relayed invalidations awaiting peers, by request id.
         self._pending: Dict[int, PendingRequest] = {}
-        self._relays: Dict[int, _Relay] = {}
         self._probe_rid = PROBE_RID_BASE + config.node_id * 1_000_000
         self._server = None
         self.address: Optional[Address] = None
@@ -414,7 +406,6 @@ class NodeServer:
         ``_execute`` runs in this handler under one deadline, which
         cancels the handler when it fires; the cancellation is then
         withdrawn and the request fails as timed out."""
-        started = time.monotonic()
         deadline = HandlerDeadline(self.config.exec_timeout)
         try:
             version = await self._execute(rid, op, version)
@@ -428,7 +419,6 @@ class NodeServer:
             error = exc
         else:
             self.metrics.requests_completed += 1
-            self.metrics.latencies.append(time.monotonic() - started)
             if op == "write":
                 # Journal the commit *before* the ack leaves the node:
                 # an acknowledged write must be recoverable from the log.
@@ -443,7 +433,6 @@ class NodeServer:
         finally:
             deadline.cancel()
         self._pending.pop(rid, None)
-        self._inval_targets.pop(rid, None)
         return self._failure(rid, error)
 
     def _failure(self, rid: Any, error: Exception) -> Dict[str, Any]:
@@ -490,14 +479,6 @@ class NodeServer:
         dropped = bool(frame.get("dropped", False))
         failed = bool(frame.get("failed", False))
         source = int(frame.get("from", -1))
-        if rid in self._relays:
-            if dropped and source in self._relays[rid].targets:
-                # The target crashed — its copy is invalid, so it is
-                # safe to forget (lazy removal keeps only targets whose
-                # invalidation could NOT be confirmed).
-                self.join_list.discard(source)
-            self.finish_relay_unit(rid, failed=failed)
-            return
         pending = self._pending.get(rid)
         if pending is None:
             return  # late oracle for a request that already failed
@@ -513,16 +494,19 @@ class NodeServer:
             return
         if dropped:
             pending.crash_settled.add(source)
-            if source in self._inval_targets.get(rid, ()):
+            if source in pending.targets:
+                # The target crashed — its copy is invalid, so it is
+                # safe to forget (lazy removal keeps only targets whose
+                # invalidation could NOT be confirmed).
                 self.join_list.discard(source)
-            if pending.kind != "w":
+            if pending.kind in ("r", "p"):
                 # A read's (or probe's) peer crashed or its answer was
                 # lost: fail it so the caller tries the next candidate.
                 self.fail_pending(
                     rid, f"the response to read {rid} was lost in transit"
                 )
                 return
-        # A write's store/invalidate resolved (delivered or dropped —
+        # A store or invalidation resolved (delivered or dropped —
         # either way the work unit is settled).
         self.finish_unit(rid)
 
@@ -705,7 +689,14 @@ class NodeServer:
         self.database.invalidate()
         self.durability.log_invalidate()
 
-    def open_pending(self, rid: int, kind: str, units: int) -> PendingRequest:
+    def open_pending(
+        self,
+        rid: int,
+        kind: str,
+        units: int,
+        targets: Iterable[int] = (),
+        upstream: Optional[int] = None,
+    ) -> PendingRequest:
         if rid in self._pending:
             raise ClusterError(f"request id {rid} is already in flight here")
         pending = PendingRequest(
@@ -713,6 +704,8 @@ class NodeServer:
             kind=kind,
             units=units,
             future=asyncio.get_running_loop().create_future(),
+            targets=frozenset(targets),
+            upstream=upstream,
         )
         if units <= 0:
             pending.resolve()
@@ -720,56 +713,49 @@ class NodeServer:
             self._pending[rid] = pending
         return pending
 
-    def finish_unit(self, rid: int) -> None:
+    def finish_unit(self, rid: int, failed: bool = False) -> None:
         pending = self._pending.get(rid)
         if pending is None:
             return
+        pending.failed = pending.failed or failed
         pending.units -= 1
         if pending.units <= 0:
-            self._pending.pop(rid, None)
-            self._inval_targets.pop(rid, None)
-            pending.resolve()
+            del self._pending[rid]
+            if pending.upstream is None:
+                pending.resolve()
+            else:
+                self.transport.send_done(
+                    pending.upstream, rid, failed=pending.failed
+                )
 
     def fail_pending(self, rid: int, reason: str, degraded: bool = False) -> None:
         pending = self._pending.pop(rid, None)
-        self._inval_targets.pop(rid, None)
         if degraded:
             self.metrics.degraded_rejections += 1
-        if pending is not None and not pending.future.done():
+        if pending is None:
+            return
+        if pending.upstream is not None:
+            # A relay cut short holds at least one unconfirmed
+            # invalidation: the writer must reject, not acknowledge.
+            self.transport.send_done(pending.upstream, rid, failed=True)
+        elif not pending.future.done():
             error_type = ClusterDegradedError if degraded else ClusterError
             pending.future.set_exception(error_type(reason))
 
-    def resolve_read(
-        self, rid: int, version: ObjectVersion, save: bool = False
-    ) -> bool:
-        """Claim an incoming DataTransfer as *this node's* read response.
+    def resolve_pending(self, rid: int, kind: str, value: Any) -> bool:
+        """Claim an incoming answer as this node's own read (``"r"``,
+        the version) or probe (``"p"``, the version report).
 
         Request ids are globally unique (the load generator assigns
-        them), so holding a read pending for ``rid`` is proof the
-        transfer answers our own request rather than delivering a
-        write's store.  Saving readers (DA) charge the output here."""
+        them), so holding a read pending for ``rid`` is proof a
+        DataTransfer answers our own request rather than delivering a
+        write's store."""
         pending = self._pending.get(rid)
-        if pending is None or pending.kind != "r":
+        if pending is None or pending.kind != kind:
             return False
-        if save:
-            self.output_object(version)
-        pending.version = version
+        pending.version = value
         self.finish_unit(rid)
         return True
-
-    def open_relay(self, rid: int, upstream: int, targets: Set[int]) -> None:
-        """One relay unit per invalidation target."""
-        self._relays[rid] = _Relay(upstream, len(targets), targets)
-
-    def finish_relay_unit(self, rid: int, failed: bool = False) -> None:
-        relay = self._relays.get(rid)
-        if relay is None:
-            return
-        relay.failed = relay.failed or failed
-        relay.units -= 1
-        if relay.units <= 0:
-            self._relays.pop(rid, None)
-            self.transport.send_done(relay.upstream, rid, failed=relay.failed)
 
     # -- failures ----------------------------------------------------------
 
@@ -786,8 +772,8 @@ class NodeServer:
             self.join_list.clear()
             self.steward = False
             self.database.crash()
-        self._relays.clear()
-        self._inval_targets.clear()
+        # Settle every entry: origin requests fail, and each open relay
+        # tells its writer an invalidation was lost (``done failed``).
         for rid in list(self._pending):
             self.fail_pending(rid, f"node {self.node_id} crashed")
 
@@ -910,13 +896,6 @@ class NodeServer:
                 return peer, number
             # A copyless peer cannot vouch either way: ask the next.
         return None, None
-
-    def resolve_probe(self, message: VersionReport) -> None:
-        """Claim an incoming ``VersionReport`` as one of our probes."""
-        pending = self._pending.get(message.request_id)
-        if pending is not None and pending.kind == "p":
-            pending.version = (message.version_number, message.holds_copy)
-            self.finish_unit(message.request_id)
 
     def reset_metrics(self) -> None:
         """Fresh counters (e.g. after warm-up); shared with transport."""

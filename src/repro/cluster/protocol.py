@@ -107,7 +107,8 @@ class LiveProtocol:
                 )
             return True
         if isinstance(message, VersionReport):
-            self.node.resolve_probe(message)
+            report = (message.version_number, message.holds_copy)
+            self.node.resolve_pending(message.request_id, "p", report)
             return True
         return False
 
@@ -267,7 +268,9 @@ class LiveStaticAllocation(LiveProtocol):
             # Outsiders do not save the copy under SA.
             await self._serve_read(message, save_copy=False)
         elif isinstance(message, DataTransfer):
-            if self.node.resolve_read(message.request_id, message.version):
+            if self.node.resolve_pending(
+                message.request_id, "r", message.version
+            ):
                 return  # my own read response; SA readers never save
             self.node.output_object(message.version)
             self.node.transport.send_done(
@@ -325,17 +328,15 @@ class LiveDynamicAllocation(LiveProtocol):
                 self.node.join_list, execution_set, self.me
             )
         stores = sorted(execution_set - {self.me})
+        # Lazy discipline: a target leaves the join-list only once its
+        # invalidation settles — delivered (below) or the target crashed
+        # (`done dropped` on this entry in :meth:`NodeServer._handle_done`).
+        # Clearing up front would forget a holder whose invalidation is
+        # then lost for good.
         pending = self.node.open_pending(
-            rid, "w", units=len(stores) + len(own_targets)
+            rid, "w", units=len(stores) + len(own_targets), targets=own_targets
         )
         self.node.output_object(version)
-        if own_targets:
-            # Lazy discipline: a target leaves the join-list only once
-            # its invalidation settles — delivered (below) or the target
-            # crashed (`done dropped` via this record in
-            # :meth:`NodeServer._handle_done`).  Clearing up front would
-            # forget a holder whose invalidation is then lost for good.
-            self.node._inval_targets[rid] = set(own_targets)
         messages: List[Message] = [
             DataTransfer(
                 self.me, member, version=version, request_id=rid,
@@ -404,17 +405,19 @@ class LiveDynamicAllocation(LiveProtocol):
 
     async def _handle_data_transfer(self, message: DataTransfer) -> None:
         rid = message.request_id
-        # A copy served by a member of F is recorded in its join-list,
-        # so the reader keeps it.  One the primary served after failover
-        # is recorded nowhere a write walks: use it, but do not keep it.
-        if self.node.resolve_read(
-            rid, message.version, save=message.sender in self.core
-        ):
-            return  # my own read response (saved in resolve_read)
+        if self.node.resolve_pending(rid, "r", message.version):
+            # My own read response.  A copy served by a member of F is
+            # recorded in its join-list, so the reader keeps it.  One the
+            # primary served after failover is recorded nowhere a write
+            # walks: use it, but do not keep it.
+            if message.sender in self.core:
+                self.node.output_object(message.version)
+            return
         # A store from a writer: output, then (members of F) walk the
         # join-list and invalidate stale holders before acknowledging.
         self.node.output_object(message.version)
         writer = message.sender
+        targets: List[int] = []
         if self.me in self.core:
             execution_set = da_execution_set(self.core, self.primary, writer)
             targets = da_invalidation_targets(
@@ -423,23 +426,21 @@ class LiveDynamicAllocation(LiveProtocol):
             # Lazy discipline (see `client_write`): targets leave the
             # list per settled invalidation, never wholesale.
             self._record_holders(execution_set)
-            if targets:
-                self.node.open_relay(rid, writer, set(targets))
-                await self._relay_invalidations(
-                    rid, message.version.number, targets
-                )
-                return  # the relay acknowledges upstream when drained
-        self.node.transport.send_done(writer, rid)
-
-    async def _relay_invalidations(
-        self, rid: int, version_number: int, targets: List[int]
-    ) -> None:
+        if not targets:
+            self.node.transport.send_done(writer, rid)
+            return
+        # Relay the invalidations; the entry acknowledges the writer
+        # once every one of them settled.
+        self.node.open_pending(
+            rid, "i", len(targets), targets=targets, upstream=writer
+        )
         transport = self.node.transport
         results = await asyncio.gather(
             *(
                 transport.send_protocol(
                     Invalidate(
-                        self.me, target, version_number=version_number,
+                        self.me, target,
+                        version_number=message.version.number,
                         request_id=rid,
                     )
                 )
@@ -453,7 +454,7 @@ class LiveDynamicAllocation(LiveProtocol):
                 # Retries exhausted on a live target: a stale valid copy
                 # may survive there.  Propagate the failure upstream so
                 # the writer rejects instead of acknowledging.
-                self.node.finish_relay_unit(rid, failed=True)
+                self.node.finish_unit(rid, failed=True)
 
 
 def make_live_protocol(name: str, node: "NodeServer") -> LiveProtocol:

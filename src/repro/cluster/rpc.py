@@ -22,10 +22,15 @@ Frame families (the ``type`` field):
     work finished downstream.  It plays the role of the simulator's
     ``on_delivered`` hook (see :mod:`repro.distsim.network`): the paper
     does not charge acknowledgements, so neither does the cluster.
-``ping`` / ``metrics`` / ``set_peers`` / ``fault`` / ``reset_metrics``
-    / ``shutdown``
-    The admin plane, used by launchers, tests and the CLI.  A request
-    carries an ``id`` that every reply, ``error`` included, echoes.
+``repair``
+    A scheme-repair copy from a donor node: charged as one data
+    message, answered by ``done`` like a store.
+``ping`` / ``metrics`` / ``status`` / ``set_peers`` / ``fault`` /
+``resilience`` / ``adopt`` / ``set_scheme`` / ``repair_send`` /
+``reset_metrics`` / ``crash`` / ``recover`` / ``shutdown``
+    The admin plane, used by launchers, the repairer, tests and the
+    CLI.  A request carries an ``id`` that every reply, ``error``
+    included, echoes.
 
 The ``msg`` codec is derived from the fields of the
 :class:`~repro.distsim.messages.Message` classes in

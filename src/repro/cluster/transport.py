@@ -318,8 +318,9 @@ class PeerTransport:
 
         ``dropped`` reports a unit settled by the receiver's fail-stop
         crash; ``failed`` reports a unit that could NOT settle safely —
-        a relayed invalidation permanently lost in transit — so the
-        origin can reject the write instead of acknowledging it.
+        a relayed invalidation lost in transit, or still unconfirmed
+        when the relay crashed — so the origin can reject the write
+        instead of acknowledging it.
 
         A plain write on an open link; only a link not dialled yet (or
         found dead) defers the frame to a task that dials first."""

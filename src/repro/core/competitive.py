@@ -15,8 +15,7 @@ resulting "ratio" is then an upper bound on the true ratio.
 Algorithm costs route through the vectorized kernel
 (:mod:`repro.kernel`) whenever the algorithm is one the kernel
 evaluates exactly (SA and DA); kernel costs are bit-identical to the
-stepped path, so measured ratios are unchanged.  Pass
-``use_kernel=False`` to force the stepped reference path everywhere.
+stepped path, so measured ratios are unchanged.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ def cost_of(
     algorithm: OnlineDOM,
     schedule: Schedule,
     cost_model: CostModel,
-    use_kernel: bool = True,
 ) -> float:
     """COST_A(I, psi): the online algorithm's cost on the schedule.
 
@@ -48,7 +46,7 @@ def cost_of(
     without stepping; everything else runs the stepped reference path.
     Both paths return bit-identical costs.
     """
-    if use_kernel and kernel.supports(algorithm):
+    if kernel.supports(algorithm):
         return kernel.schedule_cost(algorithm, schedule, cost_model)
     allocation = algorithm.run(schedule)
     return cost_model.schedule_cost(allocation)
@@ -145,10 +143,6 @@ class CompetitivenessHarness:
         back to the linear-time lower bound (making measured ratios
         upper bounds on the truth).  The vectorized DP makes 14
         practical (the previous per-state implementation capped at 12).
-    use_kernel:
-        Evaluate kernel-supported algorithms (SA, DA) through the
-        vectorized kernel — bit-identical costs, far faster on long
-        schedules and batches.
     """
 
     def __init__(
@@ -157,7 +151,6 @@ class CompetitivenessHarness:
         threshold: int = 2,
         exact_limit: int = 14,
         beam_width: int = 0,
-        use_kernel: bool = True,
     ) -> None:
         self.cost_model = cost_model
         self.threshold = threshold
@@ -166,7 +159,6 @@ class CompetitivenessHarness:
         #: beam-search *upper* bound on OPT, so their observations carry
         #: a ratio interval instead of a one-sided bound.
         self.beam_width = beam_width
-        self.use_kernel = use_kernel
         self._solver = OfflineOptimal(cost_model, threshold, exact_limit)
 
     def reference_cost(
@@ -185,9 +177,7 @@ class CompetitivenessHarness:
         self, algorithm: OnlineDOM, schedule: Schedule
     ) -> RatioObservation:
         """Measure one schedule."""
-        algorithm_cost = cost_of(
-            algorithm, schedule, self.cost_model, use_kernel=self.use_kernel
-        )
+        algorithm_cost = cost_of(algorithm, schedule, self.cost_model)
         return self._record(schedule, algorithm_cost, algorithm.initial_scheme)
 
     def _record(
@@ -224,7 +214,7 @@ class CompetitivenessHarness:
             raise ConfigurationError("no schedules to measure")
         probe = make_algorithm()
         name = probe.name
-        if self.use_kernel and kernel.supports(probe):
+        if kernel.supports(probe):
             costs = kernel.batch_costs(probe, list(schedules), self.cost_model)
             observations = [
                 self._record(schedule, cost, probe.initial_scheme)

@@ -99,6 +99,58 @@ class TestCrashRecover:
 
         run(scenario())
 
+    @staticmethod
+    async def relay_cut_by_crash(processors, scheme, primary, joiner, writer):
+        """Server 1 relays the writer's invalidation to ``joiner`` over a
+        slow link and crashes while it is in flight: the writer must get
+        the typed degraded rejection at once, not wait out its deadline."""
+        spec = ClusterSpec(
+            processors=processors,
+            scheme=frozenset(scheme),
+            protocol="DA",
+            primary=primary,
+            exec_timeout=3.0,
+        )
+        cluster = await start_local_cluster(spec)
+        client = ClusterClient(cluster.addresses, timeout=10.0)
+        try:
+            joined = await client.execute(joiner, "read", rid=1)
+            assert joined.ok
+            assert joiner in (await cluster.status(1))["join_list"]
+            await cluster.set_fault_plan(
+                FaultPlan(link_delays={(1, joiner): 30.0}), nodes=[1]
+            )
+            write = asyncio.ensure_future(
+                client.execute(
+                    writer, "write", rid=2, version=ObjectVersion(1, writer)
+                )
+            )
+            # The store landed at 1, so its relay to the joiner is open.
+            while (await cluster.status(1))["version"]["number"] != 1:
+                await asyncio.sleep(0.01)
+            await cluster.crash(1)
+            outcome = await write
+            assert not outcome.ok and outcome.degraded
+            assert "timed out" not in outcome.error
+            assert "relayed invalidation was permanently lost" in outcome.error
+            assert cluster.nodes[1]._pending == {}
+        finally:
+            await client.close()
+            await cluster.stop()
+
+    def test_crash_mid_relay_rejects_a_non_core_write(self):
+        # F = {1}; the primary 2 writes, 1 relays to the joiner 3.
+        run(self.relay_cut_by_crash((1, 2, 3), {1, 2}, 2, joiner=3, writer=2))
+
+    def test_crash_mid_relay_rejects_a_core_write(self):
+        # F = {1, 2}; core member 2 (not the server) writes, 1 relays to
+        # the joiner 4.
+        run(
+            self.relay_cut_by_crash(
+                (1, 2, 3, 4), {1, 2, 3}, 3, joiner=4, writer=2
+            )
+        )
+
 
 class TestTransportFaults:
     def test_dropped_read_request_fails_cleanly(self):
@@ -214,9 +266,9 @@ class TestLoadGeneration:
                 )
                 assert result.errors == 0
                 assert result.completed == 60
+                assert len(result.latencies) == 60
                 stats = await cluster.aggregate_stats()
                 assert stats.requests_completed == 60
-                assert len(stats.latencies) == 60
             finally:
                 await client.close()
                 await cluster.stop()

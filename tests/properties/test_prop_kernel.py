@@ -129,8 +129,8 @@ def test_dispatch_cost_of_is_stepped_cost(schedule, pair, model):
         lambda: StaticAllocation(scheme),
         lambda: DynamicAllocation(scheme, primary=primary),
     ):
-        assert cost_of(make(), schedule, model) == cost_of(
-            make(), schedule, model, use_kernel=False
+        assert cost_of(make(), schedule, model) == model.schedule_cost(
+            make().run(schedule)
         )
 
 
