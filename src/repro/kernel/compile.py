@@ -27,12 +27,15 @@ width of the DA evaluator's ``row*n + proc`` sort keys.
 
 **Columns, not requests.**  Compilation reads each schedule's cached
 columnar form (:attr:`~repro.model.schedule.Schedule.columns`) rather
-than its ``Request`` objects: one ``np.unique`` over the concatenated
-issuer columns (plus the extras) yields the universe and every
-request's bit index at once, and a masked copy lays them out row by
-row.  A generator may fill the columns in as it draws the trace; other
-schedules compute them once, on first compile, so the SA and DA
-compiles of one batch walk the requests at most once between them.
+than its ``Request`` objects.  The concatenated issuer columns (plus
+the extras) are ranked without a sort: when they span no more values
+than there are ids, a bool table marks the ids present, and its
+running count gives the universe and every request's bit index in
+O(N).  Wider, sparse ids fall back to one ``np.unique`` sort.  A
+masked copy then lays the indices out row by row.  A generator may
+fill the columns in as it draws the trace; other schedules compute
+them once, on first compile, so the SA and DA compiles of one batch
+walk the requests at most once between them.
 
 The compiled form is immutable and picklable, so engine workers can
 receive compiled batches instead of object traces.  What the evaluators
@@ -124,6 +127,28 @@ class CompiledBatch:
         return flags
 
 
+def _universe_bits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of int64 ``ids`` and each id's index
+    among them, as :func:`numpy.unique` with ``return_inverse`` gives.
+
+    Ids spanning at most as many values as there are ids (the usual
+    small universe) are ranked in O(N) without a sort: a bool table
+    marks the ids present, and its running count minus one is each
+    value's rank.  Wider spans, such as ``{0, 2**62}``, would need a
+    table larger than the input and take the sort instead.  The span is
+    computed in Python ints, since ids can reach ``2**63 - 1``.
+    """
+    if ids.size:
+        low, high = int(ids.min()), int(ids.max())
+        if high - low < ids.size:
+            offsets = ids - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[offsets] = True
+            rank = np.cumsum(present, dtype=np.int32) - 1
+            return np.flatnonzero(present) + low, rank.take(offsets)
+    return np.unique(ids, return_inverse=True)
+
+
 def compile_batch(
     schedules: Sequence[Schedule],
     extra_processors: Iterable[ProcessorId] = (),
@@ -139,10 +164,8 @@ def compile_batch(
         raise ConfigurationError("cannot compile an empty batch")
     columns = [schedule.columns for schedule in schedules]
     extra = np.array(processor_universe(extra_processors), dtype=np.int64)
-    # One sort yields the universe and every request's bit index.
-    universe_ids, bits = np.unique(
-        np.concatenate([extra, *(column.processors for column in columns)]),
-        return_inverse=True,
+    universe_ids, bits = _universe_bits(
+        np.concatenate([extra, *(column.processors for column in columns)])
     )
     lengths = np.array(
         [len(column.processors) for column in columns], dtype=np.int64

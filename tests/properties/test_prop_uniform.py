@@ -6,6 +6,8 @@ chunks.  It must give exactly what the per-request loop
 :func:`~repro.workloads.uniform.generate_stepwise` gives — the same
 requests, the same columns — and leave a caller-owned ``Random`` in
 the same state.  Tiny chunks make every trace cross chunk boundaries.
+The chain of ``choice`` words inside one buffer is checked on its own
+against a word-by-word loop.
 """
 
 from __future__ import annotations
@@ -104,3 +106,55 @@ def test_choice_word_last_in_its_chunk():
     for length in (1, 2, 5):
         workload = UniformWorkload(range(count), length, 0.5)
         assert_same(workload, random.Random(seed), chunk_words)
+
+
+def reference_choice_words(accepted, limit):
+    """Word by word: a word is chosen iff it is accepted, neither of the
+    two words before it was chosen, and both its ``random()`` words are
+    inside the buffer; the first ``limit`` are kept."""
+    chosen = []
+    for word, keep in enumerate(accepted.tolist()):
+        if keep and word + 2 < accepted.size and not (chosen and chosen[-1] > word - 3):
+            chosen.append(word)
+    return chosen[:limit]
+
+
+@st.composite
+def choice_buffers(draw):
+    """``(accepted, limit)``: runs of words, each with its own acceptance
+    density from 0 to 1, so long clusters with gaps of 1 and 2 occur
+    next to sparse stretches."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.one_of(st.integers(0, 3), st.integers(0, 400)),
+            ),
+            max_size=4,
+        )
+    )
+    accepted = np.array(
+        [rng.random() < density for density, size in runs for _ in range(size)],
+        dtype=bool,
+    )
+    return accepted, draw(st.integers(min_value=0, max_value=accepted.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(buffer=choice_buffers())
+def test_choice_words_match_the_word_loop(buffer):
+    accepted, limit = buffer
+    chosen = uniform._choice_words(accepted, limit)
+    assert chosen.tolist() == reference_choice_words(accepted, limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(buffer=choice_buffers(), share=st.sampled_from([0, 10**9]))
+def test_both_chain_strategies_match_the_word_loop(buffer, share):
+    """Share 0 always follows the chain by pointer doubling, and
+    10**9 always restarts it at the sync candidates."""
+    accepted, limit = buffer
+    with mock.patch.object(uniform, "SYNC_SHARE", share):
+        chosen = uniform._choice_words(accepted, limit)
+    assert chosen.tolist() == reference_choice_words(accepted, limit)

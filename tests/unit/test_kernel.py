@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +192,49 @@ class TestCompileOracle:
             rebuilt.columns.is_write.tolist()
         )
         assert_matches_reference([generated, rebuilt], [1])
+
+    # Ids spanning at most as many values as there are ids are ranked
+    # through a table; wider spans take np.unique's sort.
+    def test_generated_kernel_batch(self):
+        generator = UniformWorkload(range(1, 17), 10_000, 0.2)
+        assert_matches_reference(generator.batch_independent(32, root_seed=3), [1, 2])
+
+    def test_wide_sparse_ids(self):
+        assert_matches_reference([Schedule((read(0), write(2**62)))])
+        assert_matches_reference([Schedule((read(2**62),))], [0, 2**63 - 1])
+
+    def test_one_id(self):
+        assert_matches_reference([Schedule.parse("r5")])
+        assert_matches_reference([Schedule.parse("w5 r5"), Schedule()], [5])
+        assert_matches_reference([Schedule((write(2**63 - 1),))])
+
+    def test_extras_only(self):
+        assert_matches_reference([Schedule()], [9])
+        assert_matches_reference([Schedule(), Schedule()], [0, 2**62])
+        assert_matches_reference([Schedule()])
+
+    def test_span_equal_to_the_id_count(self):
+        # Three ids spanning 0..2 (the table), then 0..3 (the sort).
+        assert_matches_reference([Schedule.parse("r0 r2 w2")])
+        assert_matches_reference([Schedule.parse("r0 r3 w3")])
+        assert_matches_reference([Schedule.parse("r4 w5"), Schedule()], [6, 7])
+        assert_matches_reference([Schedule.parse("r4 w5"), Schedule()], [6, 8])
+
+    @pytest.mark.parametrize(
+        "text, extras, sorts",
+        [
+            ("r0 r2 w2", (), False),
+            ("r0 r3 w3", (), True),
+            ("r4 w5", (6, 7), False),
+            ("r4 w5", (6, 8), True),
+            ("r3", (), False),
+            ("", (), True),
+        ],
+    )
+    def test_only_wider_spans_sort(self, text, extras, sorts):
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            compile_batch([Schedule.parse(text)], extras)
+        assert unique.called == sorts
 
 
 class TestPopcount:
