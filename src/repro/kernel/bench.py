@@ -116,11 +116,11 @@ def run_kernel_bench(
         ("SA", lambda: StaticAllocation(scheme)),
         ("DA", lambda: DynamicAllocation(scheme)),
     )
-    # Price a quarter batch untimed first, as perfbench's set-up does,
-    # so that the first algorithm timed does not pay the cold start.
-    warm_up = generator.batch_independent(
-        max(1, config["batch_size"] // 4), root_seed=seed + 1
-    )
+    # Price one smoke-shaped batch untimed first, as perfbench's set-up
+    # does, so that first calls are not timed on the first algorithm.
+    warm_up = UniformWorkload(
+        range(1, SMOKE["processors"] + 1), SMOKE["length"], write_fraction
+    ).batch_independent(SMOKE["batch_size"], root_seed=seed + 1)
     for _, factory in algorithms:
         _time_stepped(factory, warm_up, model)
         _time_kernel(factory(), warm_up, model)

@@ -42,13 +42,6 @@ from repro.workloads.generator import WorkloadGenerator, validate_write_fraction
 #: decoder's working memory (about 2 MB) whatever the trace length.
 CHUNK_WORDS = 1 << 16
 
-#: The choice chain is followed from its sync candidates (see
-#: :func:`_choice_words`) when more than one candidate in
-#: ``SYNC_SHARE`` is one, and by pointer doubling otherwise.  At 16
-#: processors about one in four is, and the chains end within ~20
-#: rounds; at 15 it is one in 256, and they would run for hundreds.
-SYNC_SHARE = 8
-
 
 class UniformWorkload(WorkloadGenerator):
     """Uniformly random issuer, fixed write fraction."""
@@ -155,23 +148,9 @@ def _choice_words(accepted: np.ndarray, limit: int) -> np.ndarray:
     ``accepted`` marks the words a ``choice`` would keep.  A request
     starting at word s chooses at the first accepted word c >= s and
     the next request starts at c + 3, after the two ``random()`` words.
-    So an accepted word is chosen iff neither of the two words before
-    it was, and it is usable only with both ``random()`` words inside
-    the buffer: such words are the candidates.
-
-    A *sync* candidate, the first candidate or one at least 3 words
-    after the previous candidate, is always chosen.  If the previous
-    candidate was chosen, this is the first candidate at least 3 words
-    after it.  If not, the previous one lay inside a chosen word's two
-    ``random()`` words, and this is the first candidate at least 3
-    words after that chosen word.  So the chain restarts at every sync
-    candidate: all the short chains advance in lockstep through
-    ``jump`` (a candidate's successor) until each reaches the next sync
-    candidate.  When sync candidates are rare (for n just below a power
-    of two nearly every word is accepted), the chains are long, and
-    pointer doubling follows the one chain from word 0 instead:
-    ``jump`` then maps a candidate to its 2**m-th successor, and each
-    round appends the images of the chain so far, doubling it.
+    The chain is followed by pointer doubling: ``jump`` maps a
+    candidate to its 2**m-th successor, and each round appends the
+    images of the chain so far, doubling it.
     """
     # A choice word is usable only with both random() words after it.
     candidates = np.flatnonzero(accepted[: accepted.size - 2])
@@ -181,23 +160,10 @@ def _choice_words(accepted: np.ndarray, limit: int) -> np.ndarray:
     # Candidates are distinct words, so the first one at least 3 words
     # on is one of the next three.
     ahead = np.append(candidates, (candidates[-1] + 3, candidates[-1] + 3))
-    near = ahead[1:-1] - candidates < 3
     jump = np.arange(1, end + 2)
-    jump[:end] += near
+    jump[:end] += ahead[1:-1] - candidates < 3
     jump[:end] += ahead[2:] - candidates < 3
     jump[end] = end
-    # The sync candidates are those not near their predecessor.
-    if SYNC_SHARE * (end - np.count_nonzero(near[:-1])) > end:
-        # The end stops a chain as a sync candidate does.
-        sync = np.ones(end + 1, dtype=bool)
-        sync[1:end] = ~near[:-1]
-        chosen = sync[:end].copy()
-        chains = np.flatnonzero(chosen)
-        while chains.size:
-            chains = jump[chains]
-            chains = chains[~sync[chains]]
-            chosen[chains] = True
-        return candidates[np.flatnonzero(chosen)[:limit]]
     chain = np.zeros(1, dtype=np.intp)
     while chain.size < limit and chain[-1] != end:
         chain = np.concatenate((chain, jump[chain]))

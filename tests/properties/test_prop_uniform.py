@@ -148,13 +148,3 @@ def test_choice_words_match_the_word_loop(buffer):
     chosen = uniform._choice_words(accepted, limit)
     assert chosen.tolist() == reference_choice_words(accepted, limit)
 
-
-@settings(max_examples=200, deadline=None)
-@given(buffer=choice_buffers(), share=st.sampled_from([0, 10**9]))
-def test_both_chain_strategies_match_the_word_loop(buffer, share):
-    """Share 0 always follows the chain by pointer doubling, and
-    10**9 always restarts it at the sync candidates."""
-    accepted, limit = buffer
-    with mock.patch.object(uniform, "SYNC_SHARE", share):
-        chosen = uniform._choice_words(accepted, limit)
-    assert chosen.tolist() == reference_choice_words(accepted, limit)
