@@ -11,8 +11,9 @@ Three leaves:
     Launch a whole cluster (in-process by default, ``--subprocess``
     for real OS processes), replay a schedule closed-loop, print the
     per-node and aggregate traffic, and — with ``--check-parity`` —
-    verify the live counts bit-for-bit against the stepped algorithm
-    and the discrete-event simulator, exiting non-zero on mismatch.
+    verify the live counts bit-for-bit against the stepped algorithm,
+    the discrete-event simulator and the vectorized kernel, exiting
+    non-zero on mismatch.
 ``repro cluster bench``
     Open-loop Poisson load against a live cluster; reports throughput
     and latency percentiles.
@@ -46,6 +47,7 @@ from repro.cluster.transport import Address, FaultPlan
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.distsim.runner import run_protocol
+from repro.kernel import schedule_breakdown
 from repro.exceptions import ClusterError
 from repro.model.schedule import Schedule
 from repro.viz.ascii_plot import render_series
@@ -222,11 +224,12 @@ def cmd_cluster_run(args) -> int:
         simulated = run_protocol(
             spec.protocol, schedule, spec.scheme, primary=spec.primary
         ).breakdown()
+        kernel = schedule_breakdown(algorithm, schedule)
         live = stats.breakdown()
         print()
-        if live == stepped == simulated:
+        if live == stepped == simulated == kernel:
             print(
-                f"parity OK: live == stepped == simulated ({live})"
+                f"parity OK: live == stepped == simulated == kernel ({live})"
                 + (" with injected delays" if faulted else "")
             )
         else:
@@ -234,7 +237,8 @@ def cmd_cluster_run(args) -> int:
                 "PARITY MISMATCH:\n"
                 f"  live      {live}\n"
                 f"  stepped   {stepped}\n"
-                f"  simulated {simulated}",
+                f"  simulated {simulated}\n"
+                f"  kernel    {kernel}",
                 file=sys.stderr,
             )
             return 1
@@ -378,7 +382,7 @@ def add_cluster_parser(subparsers, scheme_type) -> None:
     )
     run.add_argument(
         "--check-parity", action="store_true",
-        help="exit 1 unless live counts == stepped == simulated",
+        help="exit 1 unless live counts == stepped == simulated == kernel",
     )
     run.set_defaults(handler=cmd_cluster_run)
 

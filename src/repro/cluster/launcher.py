@@ -216,7 +216,7 @@ class ClusterHandle:
 
     async def repair(self, donor: int, target: int, rid: int) -> Dict:
         """Ask ``donor`` to copy its object to ``target`` (one data
-        message charged at the donor; see ``NodeServer._handle_repair_send``)."""
+        message charged at the donor; see ``NodeServer._repair_send``)."""
         return await self.admin(
             donor, {"type": "repair_send", "target": target, "rid": rid}
         )

@@ -18,13 +18,17 @@ connection speaks the frame vocabulary of :mod:`repro.cluster.rpc`:
   ``reset_metrics``/``crash``/``recover``/``shutdown``) let launchers,
   the repairer and tests steer the node.
 
+The three peer frames are served synchronously, and the node's own peer
+sends are plain calls; only an ``exec`` or admin handler can suspend.
+
 Crash semantics mirror :mod:`repro.distsim.failures`' fail-stop model:
 a crashed node wipes its join-list, marks its stable copy suspect,
 settles every :class:`PendingRequest` it held, and *drops* incoming
 protocol messages — counting the drop and notifying the sender's
 completion oracle so the origin can resolve the work unit (writes) or
 fail fast (reads), exactly like the simulated network's ``on_dropped``
-rule.
+rule.  A charged frame the node itself lost on every attempt is settled
+by one rule, :meth:`NodeServer._settle_lost`.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ class PendingRequest:
     entry resolves by acknowledging ``upstream`` instead."""
 
     rid: int
-    #: "r" (client read), "w" (client write or repair copy), "p"
+    #: "r" (client read), "w" (client write), "c" (repair copy), "p"
     #: (recovery freshness probe) or "i" (invalidations a member of
     #: ``F`` relays on a writer's behalf).
     kind: str
@@ -176,7 +180,7 @@ class NodeServer:
         self.node_id = config.node_id
         self.metrics = NodeMetrics(config.node_id)
         self.transport = PeerTransport(
-            config.node_id, self.metrics, retry_policy=config.resilience
+            config.node_id, self.metrics, self._settle_lost, config.resilience
         )
         self.database = LocalDatabase(config.node_id)
         #: The node's journal (WAL + snapshots); a permanently muted
@@ -296,6 +300,9 @@ class NodeServer:
         self._stopped.set()
         server, self._server = self._server, None
         if server is not None:
+            # A peer's dial the listener already took must attach first:
+            # a closed server cannot, and the socket would leak.
+            await asyncio.sleep(0)
             server.close()
         for task in list(self._tasks):
             task.cancel()
@@ -321,19 +328,22 @@ class NodeServer:
     def _dispatch(
         self, connection: FrameConnection, frame: Mapping[str, Any]
     ) -> None:
-        """Serve one frame as it arrives.  ``done`` is settled on the
-        spot; every other handler starts inline and becomes a Task only
-        if it suspends (awaiting a peer, a retry backoff, a delay)."""
+        """Serve one frame as it arrives.  Peer frames (``msg``,
+        ``done``, ``repair``) are served on the spot; an ``exec`` or
+        admin handler starts inline and becomes a Task only if it
+        suspends (awaiting a peer's answer)."""
         kind = frame["type"]
+        if kind == "msg":
+            self._handle_msg(frame)
+            return
         if kind == "done":
             self._handle_done(frame)
             return
+        if kind == "repair":
+            self._handle_repair_copy(frame)
+            return
         if kind == "exec":
             handler = self._handle_exec(frame, connection)
-        elif kind == "msg":
-            handler = self._handle_msg(frame)
-        elif kind == "repair":
-            handler = self._handle_repair_copy(frame)
         else:
             handler = self._handle_admin(kind, frame, connection)
         task = start_inline(handler)
@@ -454,7 +464,7 @@ class NodeServer:
 
     # -- the peer plane ----------------------------------------------------
 
-    async def _handle_msg(self, frame: Mapping[str, Any]) -> None:
+    def _handle_msg(self, frame: Mapping[str, Any]) -> None:
         message = wire_to_message(frame)
         if message.receiver != self.node_id:
             raise ClusterError(
@@ -472,7 +482,7 @@ class NodeServer:
                 dropped=True,
             )
             return
-        await self.protocol.handle_message(message)
+        self.protocol.handle_message(message)
 
     def _handle_done(self, frame: Mapping[str, Any]) -> None:
         rid = int(frame.get("rid", 0))
@@ -492,13 +502,14 @@ class NodeServer:
                 degraded=True,
             )
             return
+        if source in pending.targets:
+            # An invalidation target acknowledged, or crashed: its copy
+            # is invalid either way, so it is safe to forget (lazy
+            # removal keeps only targets whose invalidation could NOT
+            # be confirmed).
+            self.join_list.discard(source)
         if dropped:
             pending.crash_settled.add(source)
-            if source in pending.targets:
-                # The target crashed — its copy is invalid, so it is
-                # safe to forget (lazy removal keeps only targets whose
-                # invalidation could NOT be confirmed).
-                self.join_list.discard(source)
             if pending.kind in ("r", "p"):
                 # A read's (or probe's) peer crashed or its answer was
                 # lost: fail it so the caller tries the next candidate.
@@ -509,6 +520,29 @@ class NodeServer:
         # A store or invalidation resolved (delivered or dropped —
         # either way the work unit is settled).
         self.finish_unit(rid)
+
+    def _settle_lost(self, receiver: int, rid: int) -> None:
+        """The one rule for a charged frame that every attempt lost,
+        by what this node's ``_pending`` table holds for ``rid``.
+
+        No entry: the frame answered someone else's request (a read's
+        data, a probe's report), so tell the asker it is not coming.
+        A relay's entry fails upstream; a writer's write is rejected
+        degraded; a read, probe or repair copy fails plainly."""
+        pending = self._pending.get(rid)
+        if pending is None:
+            self.transport.send_done(receiver, rid, dropped=True)
+        elif pending.kind == "i":
+            # A stale valid copy may survive at the target: the writer
+            # must reject instead of acknowledging.
+            self.finish_unit(rid, failed=True)
+        else:
+            self.fail_pending(
+                rid,
+                f"request {rid}: a message to {receiver} was permanently "
+                "lost after retries",
+                degraded=pending.kind == "w",
+            )
 
     # -- admin plane -------------------------------------------------------
 
@@ -626,17 +660,9 @@ class NodeServer:
                 f"repair donor {self.node_id} holds no valid copy"
             )
         version = self.database.peek_version()
-        pending = self.open_pending(rid, "w", units=1)
+        pending = self.open_pending(rid, "c", units=1)
         try:
-            delivered = await self.transport.send_repair(
-                target, rid, version_to_wire(version)
-            )
-            if not delivered:
-                self.fail_pending(
-                    rid,
-                    f"repair copy {self.node_id} -> {target} was lost "
-                    "in transit",
-                )
+            self.transport.send_repair(target, rid, version_to_wire(version))
             await pending.future
         finally:
             self._pending.pop(rid, None)
@@ -649,7 +675,7 @@ class NodeServer:
             "version": version_to_wire(version),
         }
 
-    async def _handle_repair_copy(self, frame: Mapping[str, Any]) -> None:
+    def _handle_repair_copy(self, frame: Mapping[str, Any]) -> None:
         """Peer plane: install a repair copy shipped by a donor."""
         rid = int(frame.get("rid", 0))
         donor = int(frame.get("from", -1))
@@ -881,14 +907,12 @@ class NodeServer:
                 f"probe {rid} to {peer} timed out",
             )
             try:
-                delivered = await self.transport.send_protocol(
+                self.transport.send_protocol(
                     VersionInquiry(self.node_id, peer, request_id=rid)
                 )
-                if not delivered:
-                    continue
                 number, holds = await pending.future
             except ClusterError:
-                continue  # the peer is crashed or the report was lost
+                continue  # the peer is crashed, or a frame was lost
             finally:
                 deadline.cancel()
                 self._pending.pop(rid, None)

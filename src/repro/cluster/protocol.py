@@ -20,16 +20,17 @@ stepped accounting == kernel.
 
 Completion tracking uses uncharged ``done`` frames (the wire analogue
 of the simulator's ``on_delivered`` oracle) arranged hierarchically:
-the origin node awaits its direct sends; a member of ``F`` that relays
-invalidations on behalf of a write acknowledges the store only after
-its own invalidations are acknowledged.  Running each request to
-quiescence before the next starts realizes the paper's totally-ordered
-schedules exactly like the simulator does.
+the origin node awaits the ``done`` of each direct send; a member of
+``F`` that relays invalidations on behalf of a write acknowledges the
+store only after its own invalidations are acknowledged.  Running each
+request to quiescence before the next starts realizes the paper's
+totally-ordered schedules exactly like the simulator does.
+Sends are plain calls and peer messages are handled synchronously; a
+message lost on every attempt is settled by the node, not here.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.distsim.messages import (
@@ -79,7 +80,7 @@ class LiveProtocol:
         vouch for its logged version (one control round trip each)."""
         return sorted(self.scheme - {self.me})
 
-    async def _handle_common(self, message: Message) -> bool:
+    def _handle_common(self, message: Message) -> bool:
         """Protocol-independent messages: the recovery freshness probe.
 
         A ``VersionInquiry`` is answered from the uncharged version peek
@@ -88,7 +89,7 @@ class LiveProtocol:
         Returns True when the message was consumed here."""
         if isinstance(message, VersionInquiry):
             version = self.node.database.peek_version()
-            delivered = await self.node.transport.send_protocol(
+            self.node.transport.send_protocol(
                 VersionReport(
                     self.me,
                     message.sender,
@@ -99,12 +100,6 @@ class LiveProtocol:
                     holds_copy=self.node.database.holds_valid_copy,
                 )
             )
-            if not delivered:
-                # Unblock the prober so it can fail over to the next
-                # candidate (the oracle plane is never faulted).
-                self.node.transport.send_done(
-                    message.sender, message.request_id, dropped=True
-                )
             return True
         if isinstance(message, VersionReport):
             report = (message.version_number, message.holds_copy)
@@ -118,28 +113,10 @@ class LiveProtocol:
     async def client_write(self, rid: int, version: ObjectVersion) -> None:
         raise NotImplementedError
 
-    async def handle_message(self, message: Message) -> None:
+    def handle_message(self, message: Message) -> None:
         raise NotImplementedError
 
     # -- shared building blocks ------------------------------------------
-
-    async def _fan_out(self, rid: int, messages: List[Message]) -> List[bool]:
-        """Send concurrently.  A message still lost after the retry
-        budget fails the request typed: a live receiver missed an update
-        it needed, so acknowledging could let a stale copy be read."""
-        transport = self.node.transport
-        results = await asyncio.gather(
-            *(transport.send_protocol(message) for message in messages)
-        )
-        for message, delivered in zip(messages, results):
-            if not delivered:
-                self.node.fail_pending(
-                    rid,
-                    f"request {rid}: message to {message.receiver} "
-                    "was permanently lost after retries",
-                    degraded=True,
-                )
-        return results
 
     async def _remote_read(self, rid: int) -> ObjectVersion:
         """Request the object from the first answering peer.
@@ -155,15 +132,9 @@ class LiveProtocol:
         last_error: Optional[ClusterError] = None
         for server in servers:
             pending = self.node.open_pending(rid, "r", units=1)
-            delivered = await self.node.transport.send_protocol(
+            self.node.transport.send_protocol(
                 ReadRequest(self.me, server, request_id=rid)
             )
-            if not delivered:
-                self.node.fail_pending(
-                    rid,
-                    f"read request from {self.me} to {server} was lost "
-                    "in transit",
-                )
             try:
                 return await pending.future
             except ClusterDegradedError:
@@ -175,7 +146,7 @@ class LiveProtocol:
             f"{servers} ({last_error})"
         )
 
-    async def _serve_read(self, message: ReadRequest, save_copy: bool) -> None:
+    def _serve_read(self, message: ReadRequest, save_copy: bool) -> None:
         """Input the object and ship it back to the requester."""
         try:
             version = self.node.input_object()
@@ -187,7 +158,7 @@ class LiveProtocol:
                 message.sender, message.request_id, dropped=True
             )
             return
-        delivered = await self.node.transport.send_protocol(
+        self.node.transport.send_protocol(
             DataTransfer(
                 self.me,
                 message.sender,
@@ -196,12 +167,6 @@ class LiveProtocol:
                 save_copy=save_copy,
             )
         )
-        if not delivered:
-            # The response is gone; unblock the reader so it can fail
-            # fast instead of hanging (the oracle plane is never faulted).
-            self.node.transport.send_done(
-                message.sender, message.request_id, dropped=True
-            )
 
 
 class LiveStaticAllocation(LiveProtocol):
@@ -233,16 +198,13 @@ class LiveStaticAllocation(LiveProtocol):
         if self.me in self.scheme:
             self.node.output_object(version)
         try:
-            await self._fan_out(
-                rid,
-                [
+            for member in targets:
+                self.node.transport.send_protocol(
                     DataTransfer(
                         self.me, member, version=version, request_id=rid,
                         save_copy=True,
                     )
-                    for member in targets
-                ],
-            )
+                )
             await pending.future
         except ClusterError:
             if self.me in self.scheme:
@@ -261,12 +223,12 @@ class LiveStaticAllocation(LiveProtocol):
                 "no live replica holds the update"
             )
 
-    async def handle_message(self, message: Message) -> None:
-        if await self._handle_common(message):
+    def handle_message(self, message: Message) -> None:
+        if self._handle_common(message):
             return
         if isinstance(message, ReadRequest):
             # Outsiders do not save the copy under SA.
-            await self._serve_read(message, save_copy=False)
+            self._serve_read(message, save_copy=False)
         elif isinstance(message, DataTransfer):
             if self.node.resolve_pending(
                 message.request_id, "r", message.version
@@ -329,36 +291,30 @@ class LiveDynamicAllocation(LiveProtocol):
             )
         stores = sorted(execution_set - {self.me})
         # Lazy discipline: a target leaves the join-list only once its
-        # invalidation settles — delivered (below) or the target crashed
-        # (`done dropped` on this entry in :meth:`NodeServer._handle_done`).
+        # invalidation settles — its `done` arrives, acknowledged or
+        # dropped by a crash (:meth:`NodeServer._handle_done`).
         # Clearing up front would forget a holder whose invalidation is
         # then lost for good.
         pending = self.node.open_pending(
             rid, "w", units=len(stores) + len(own_targets), targets=own_targets
         )
         self.node.output_object(version)
-        messages: List[Message] = [
-            DataTransfer(
-                self.me, member, version=version, request_id=rid,
-                save_copy=True,
-            )
-            for member in stores
-        ]
-        messages += [
-            Invalidate(
-                self.me, target, version_number=version.number, request_id=rid
-            )
-            for target in own_targets
-        ]
         try:
-            results = await self._fan_out(rid, messages)
+            for member in stores:
+                self.node.transport.send_protocol(
+                    DataTransfer(
+                        self.me, member, version=version, request_id=rid,
+                        save_copy=True,
+                    )
+                )
+            for target in own_targets:
+                self.node.transport.send_protocol(
+                    Invalidate(
+                        self.me, target, version_number=version.number,
+                        request_id=rid,
+                    )
+                )
             if self.me in self.core:
-                for message, delivered in zip(messages, results):
-                    if delivered and isinstance(message, Invalidate):
-                        # On the wire to a live target: the copy there is
-                        # invalid either way (the frame invalidates it, a
-                        # crash would too).
-                        self.node.join_list.discard(message.receiver)
                 self._record_holders(execution_set)
             await pending.future
         except ClusterError:
@@ -383,16 +339,16 @@ class LiveDynamicAllocation(LiveProtocol):
         if self.me == self.server or self.node.steward:
             self.node.join_list.update(execution_set - self.core)
 
-    async def handle_message(self, message: Message) -> None:
-        if await self._handle_common(message):
+    def handle_message(self, message: Message) -> None:
+        if self._handle_common(message):
             return
         if isinstance(message, ReadRequest):
             if message.sender not in self.core:
                 self.node.join_list.add(message.sender)
             # The reader saves the copy: a saving-read.
-            await self._serve_read(message, save_copy=True)
+            self._serve_read(message, save_copy=True)
         elif isinstance(message, DataTransfer):
-            await self._handle_data_transfer(message)
+            self._handle_data_transfer(message)
         elif isinstance(message, Invalidate):
             self.node.invalidate_object()
             self.node.transport.send_done(
@@ -403,7 +359,7 @@ class LiveDynamicAllocation(LiveProtocol):
                 f"{self.name} got unexpected {message.describe()}"
             )
 
-    async def _handle_data_transfer(self, message: DataTransfer) -> None:
+    def _handle_data_transfer(self, message: DataTransfer) -> None:
         rid = message.request_id
         if self.node.resolve_pending(rid, "r", message.version):
             # My own read response.  A copy served by a member of F is
@@ -430,31 +386,18 @@ class LiveDynamicAllocation(LiveProtocol):
             self.node.transport.send_done(writer, rid)
             return
         # Relay the invalidations; the entry acknowledges the writer
-        # once every one of them settled.
+        # once every one of them settled, and a lost one fails it.
         self.node.open_pending(
             rid, "i", len(targets), targets=targets, upstream=writer
         )
-        transport = self.node.transport
-        results = await asyncio.gather(
-            *(
-                transport.send_protocol(
-                    Invalidate(
-                        self.me, target,
-                        version_number=message.version.number,
-                        request_id=rid,
-                    )
+        for target in targets:
+            self.node.transport.send_protocol(
+                Invalidate(
+                    self.me, target,
+                    version_number=message.version.number,
+                    request_id=rid,
                 )
-                for target in targets
             )
-        )
-        for target, delivered in zip(targets, results):
-            if delivered:
-                self.node.join_list.discard(target)
-            else:
-                # Retries exhausted on a live target: a stale valid copy
-                # may survive there.  Propagate the failure upstream so
-                # the writer rejects instead of acknowledging.
-                self.node.finish_unit(rid, failed=True)
 
 
 def make_live_protocol(name: str, node: "NodeServer") -> LiveProtocol:

@@ -8,6 +8,10 @@ exactly where the simulated :class:`~repro.distsim.network.Network`
 charges them — so live and simulated totals are comparable unit for
 unit.
 
+Every send is a plain call that returns nothing, and every frame
+leaves through ``PeerTransport._write``.  Delays and retry backoffs are
+loop timers; only a link that still has to be dialled costs a task.
+
 Fault injection mirrors the two fault planes of the simulator:
 
 * **node faults** (crash/recover) follow the fail-stop semantics of
@@ -18,7 +22,8 @@ Fault injection mirrors the two fault planes of the simulator:
   and *partition* (drop-all across groups).  Delays reorder delivery
   but never change what is charged; drops are charged to the sender and
   counted in ``dropped_messages``, matching the simulated network's
-  treatment of messages addressed to dead nodes.
+  treatment of messages addressed to dead nodes.  A failed dial or
+  write is a lost attempt too.
 
 Only charged protocol frames are subject to transport faults.  ``done``
 frames are the experimenter's completion oracle — the stand-in for the
@@ -219,24 +224,27 @@ class FaultPlan:
 
 
 class PeerTransport:
-    """One node's outgoing links to its peers."""
+    """One node's outgoing links to its peers; a charged frame lost on
+    every attempt goes to ``on_lost(receiver, rid)``."""
 
     def __init__(
         self,
         node_id: int,
         metrics: NodeMetrics,
-        fault_plan: Optional[FaultPlan] = None,
+        on_lost: Callable[[int, int], None],
         retry_policy: RetryPolicy = RetryPolicy(),
     ) -> None:
         self.node_id = node_id
         self.metrics = metrics
-        self.fault_plan = fault_plan
+        self.on_lost = on_lost
+        #: Set by the admin ``fault`` frame; ``None`` is fault-free.
+        self.fault_plan: Optional[FaultPlan] = None
         self.set_retry_policy(retry_policy)
         self.peers: Dict[int, Address] = {}
         self._links: Dict[int, FrameConnection] = {}
         self._connect_lock = asyncio.Lock()
-        #: ``done`` frames waiting for their link to be dialled.
-        self._dialling: Set[asyncio.Task] = set()
+        #: Delay and backoff timers and dialling tasks still to run.
+        self._scheduled: Set[asyncio.TimerHandle | asyncio.Task] = set()
 
     def set_peers(self, peers: Mapping[int, Address]) -> None:
         self.peers = dict(peers)
@@ -248,16 +256,17 @@ class PeerTransport:
 
     # -- the two send planes ---------------------------------------------
 
-    async def send_protocol(self, message: Message) -> bool:
-        """Charge and ship a protocol message; ``False`` if a transport
-        fault swallowed it (the charge stands, mirroring the simulated
-        network's sender-side accounting for doomed messages).
+    def send_protocol(self, message: Message) -> None:
+        """Charge and ship a protocol message.
 
         The transmission is at-least-once: a faulted attempt backs off
         and re-sends up to the :class:`~repro.cluster.resilience.RetryPolicy`
         budget.  Only the first attempt is charged by paper class —
         retransmissions count in ``retries_sent`` so faulted runs report
-        recovery work without perturbing the cost-model accounting."""
+        recovery work without perturbing the cost-model accounting.  A
+        message lost on every attempt stays charged (the simulated
+        network's sender-side accounting for doomed messages) and goes
+        to ``on_lost``."""
         if message.sender != self.node_id:
             raise ClusterError(
                 f"node {self.node_id} cannot send on behalf of "
@@ -269,11 +278,11 @@ class PeerTransport:
                 "(local work is I/O, not communication)"
             )
         self.metrics.charge_message(message)
-        return await self._ship(message.receiver, message_to_wire(message))
+        self._ship(message.receiver, message_to_wire(message), 0)
 
-    async def send_repair(
+    def send_repair(
         self, peer: int, rid: int, version_wire: Mapping[str, Any]
-    ) -> bool:
+    ) -> None:
         """Ship a repair copy of the object to ``peer``.
 
         Charged as **one data message** (what the cost model prices a
@@ -287,29 +296,7 @@ class PeerTransport:
             "from": self.node_id,
             "version": dict(version_wire),
         }
-        return await self._ship(peer, payload)
-
-    async def _ship(self, receiver: int, payload: Mapping[str, Any]) -> bool:
-        """One charged transmission, with the fault plan and the retry
-        policy's backoff retransmissions applied."""
-        policy = self.retry_policy
-        for attempt in range(policy.attempts):
-            plan = self.fault_plan
-            if plan is not None and plan.should_drop(self.node_id, receiver):
-                self.metrics.dropped_messages += 1
-            else:
-                delay = plan.delay_for(self.node_id, receiver) if plan else 0.0
-                try:
-                    await self._write(receiver, payload, delay)
-                    return True
-                except ClusterError:
-                    # A dead link is a lost transmission: count it and
-                    # fall through to the retry path.
-                    self.metrics.dropped_messages += 1
-            if attempt + 1 < policy.attempts:
-                self.metrics.retries_sent += 1
-                await asyncio.sleep(policy.backoff(attempt, self._retry_rng))
-        return False
+        self._ship(peer, payload, 0)
 
     def send_done(
         self, peer: int, rid: int, dropped: bool = False, failed: bool = False
@@ -317,13 +304,10 @@ class PeerTransport:
         """Ship an uncharged completion notification (never faulted).
 
         ``dropped`` reports a unit settled by the receiver's fail-stop
-        crash; ``failed`` reports a unit that could NOT settle safely —
-        a relayed invalidation lost in transit, or still unconfirmed
-        when the relay crashed — so the origin can reject the write
-        instead of acknowledging it.
-
-        A plain write on an open link; only a link not dialled yet (or
-        found dead) defers the frame to a task that dials first."""
+        crash, or an answer lost in transit; ``failed`` reports a unit
+        that could NOT settle safely — a relayed invalidation lost in
+        transit, or still unconfirmed when the relay crashed — so the
+        origin can reject the write instead of acknowledging it."""
         payload = {
             "type": "done",
             "rid": rid,
@@ -332,64 +316,100 @@ class PeerTransport:
         }
         if failed:
             payload["failed"] = True
-        link = self._links.get(peer)
-        if link is not None and not link.closed:
-            link.send(payload)
-            return
-        task = asyncio.ensure_future(self._write(peer, payload, delay=0.0))
-        self._dialling.add(task)
-        task.add_done_callback(self._dialled)
-
-    def _dialled(self, task: asyncio.Task) -> None:
-        self._dialling.discard(task)
-        if not task.cancelled() and task.exception() is not None:
-            # Nobody awaits a deferred ``done``: report its loss.
-            asyncio.get_running_loop().call_exception_handler(
-                {"message": "a done frame was lost", "exception": task.exception()}
-            )
+        self._write(peer, payload, None)
 
     # -- plumbing ---------------------------------------------------------
 
-    async def _link(self, peer: int) -> FrameConnection:
+    def _ship(
+        self, receiver: int, payload: Mapping[str, Any], attempt: int
+    ) -> None:
+        """One attempt of a charged frame, with the fault plan applied."""
+        plan = self.fault_plan
+        if plan is not None:
+            if plan.should_drop(self.node_id, receiver):
+                self._lost(receiver, payload, attempt)
+                return
+            delay = plan.delay_for(self.node_id, receiver)
+            if delay > 0.0:
+                self._later(delay, self._write, receiver, payload, attempt)
+                return
+        self._write(receiver, payload, attempt)
+
+    def _lost(
+        self, receiver: int, payload: Mapping[str, Any], attempt: int
+    ) -> None:
+        """A charged attempt was lost: back off and re-ship it, or hand
+        the frame to ``on_lost`` once the retry budget is spent."""
+        self.metrics.dropped_messages += 1
+        policy = self.retry_policy
+        if attempt + 1 < policy.attempts:
+            self.metrics.retries_sent += 1
+            self._later(
+                policy.backoff(attempt, self._retry_rng),
+                self._ship, receiver, payload, attempt + 1,
+            )
+        else:
+            self.on_lost(receiver, payload["rid"])
+
+    def _write(
+        self, peer: int, payload: Mapping[str, Any], attempt: Optional[int]
+    ) -> None:
+        """Write a frame on ``peer``'s link; ``attempt`` is ``None`` for
+        an uncharged ``done``.  A link not dialled yet, closed or broken
+        on this write defers the frame to a task that dials first."""
         link = self._links.get(peer)
         if link is not None and not link.closed:
-            return link
-        async with self._connect_lock:
-            link = self._links.get(peer)
-            if link is not None and not link.closed:
-                return link
-            if peer not in self.peers:
-                raise ClusterError(
-                    f"node {self.node_id} has no address for peer {peer}"
-                )
-            # Peers answer over their own links: nothing arrives here.
-            link = await connect(
-                self.peers[peer], FrameConnection(lambda link, frame: None)
-            )
-            self._links[peer] = link
-            return link
-
-    async def _write(
-        self, peer: int, payload: Mapping[str, Any], delay: float
-    ) -> None:
-        if delay > 0.0:
-            await asyncio.sleep(delay)
-        for attempt in (0, 1):
-            link = await self._link(peer)
             try:
                 link.send(payload)
                 return
-            except ConnectionError as error:
-                if self._links.get(peer) is link:
-                    del self._links[peer]
-                if attempt:
-                    raise ClusterError(
-                        f"link {self.node_id} -> {peer} failed: {error}"
-                    ) from error
+            except ConnectionError:
+                del self._links[peer]
+        task = asyncio.ensure_future(self._dial(peer, payload, attempt))
+        self._scheduled.add(task)
+        task.add_done_callback(self._scheduled.discard)
+
+    async def _dial(
+        self, peer: int, payload: Mapping[str, Any], attempt: Optional[int]
+    ) -> None:
+        try:
+            async with self._connect_lock:
+                link = self._links.get(peer)
+                if link is None or link.closed:
+                    address = self.peers.get(peer)
+                    if address is None:
+                        raise ClusterError(
+                            f"node {self.node_id} has no address for {peer}"
+                        )
+                    # Peers answer over their own links: nothing arrives.
+                    link = await connect(
+                        address, FrameConnection(lambda link, frame: None)
+                    )
+                    self._links[peer] = link
+            link.send(payload)
+        except (OSError, ClusterError) as error:
+            if attempt is not None:
+                # A failed dial or write loses the attempt like a drop.
+                self._lost(peer, payload, attempt)
+            else:
+                # Nobody waits on a ``done``: report its loss.
+                asyncio.get_running_loop().call_exception_handler(
+                    {"message": "a done frame was lost", "exception": error}
+                )
+
+    def _later(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        def fire() -> None:
+            self._scheduled.discard(handle)
+            callback(*args)
+
+        handle = asyncio.get_running_loop().call_later(delay, fire)
+        self._scheduled.add(handle)
 
     async def close(self) -> None:
-        for task in list(self._dialling):
-            task.cancel()
+        for scheduled in self._scheduled:
+            scheduled.cancel()
+        self._scheduled.clear()
         links = list(self._links.values())
         self._links.clear()
         for link in links:

@@ -1,15 +1,20 @@
 """Integration: opt-in fault tolerance on the live cluster.
 
-At-least-once retries over lossy links, node-side dedup of duplicated
-client requests, scheme repair back to ``t`` valid copies (with DA
-join-list adoption), degraded-mode write rejection under a partition,
-client connection recovery, and the headline guarantee that fault-free
-runs stay bit-identical with resilience enabled.
+At-least-once retries over lossy links and to a peer that refuses the
+dial, the one rule that settles a frame lost on every attempt, node-side
+dedup of duplicated client requests, scheme repair back to ``t`` valid
+copies (with DA join-list adoption), degraded-mode write rejection
+under a partition, client connection recovery, and the headline
+guarantee that fault-free runs stay bit-identical with resilience
+enabled.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
+
+import pytest
 
 from repro.cluster import (
     ClusterClient,
@@ -22,6 +27,7 @@ from repro.cluster import (
     start_local_cluster,
 )
 from repro.core.dynamic_allocation import DynamicAllocation
+from repro.exceptions import ClusterError
 from repro.storage.versions import ObjectVersion
 from repro.workloads.uniform import UniformWorkload
 from tests.integration.raw_frames import RawConnection
@@ -106,6 +112,117 @@ class TestRetries:
                 for node, rid in ((3, 4), (4, 5)):
                     read = await client.execute(node, "read", rid=rid)
                     assert read.ok and read.version.number == 1
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestUndialablePeer:
+    def test_write_to_a_stopped_replica_is_rejected_degraded(self):
+        """Regression: a store whose peer refuses the dial used to kill
+        the writer's exec handler with the raw ``ConnectionRefusedError``:
+        no reply (the client waited out its timeout), no drop or retry
+        counted, and the unacknowledged version stayed readable."""
+
+        async def scenario():
+            spec = ClusterSpec(
+                processors=(1, 2, 3),
+                scheme=SCHEME,
+                protocol="SA",
+                resilience=RetryPolicy(attempts=2),
+            )
+            cluster = await start_local_cluster(spec)
+            client = ClusterClient(cluster.addresses, timeout=3.0)
+            try:
+                await cluster.nodes[2].stop()
+                started = time.monotonic()
+                write = await client.execute(
+                    1, "write", rid=1, version=ObjectVersion(1, 1)
+                )
+                elapsed = time.monotonic() - started
+                assert not write.ok and write.degraded
+                assert elapsed < 1.0
+                # Each refused dial is a lost attempt: one drop per
+                # attempt and one retry between them.
+                metrics = cluster.nodes[1].metrics
+                assert metrics.dropped_messages == 2
+                assert metrics.retries_sent == 1
+                # The writer rolled its unacknowledged copy back.
+                read = await client.execute(1, "read", rid=2)
+                assert not read.ok or read.version.number != 1
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
+async def _lost_data_reply(cluster, client):
+    # Server 1's answer to outsider 4 is lost: 4 fails over to 2.
+    await cluster.set_fault_plan(FaultPlan(drop_next={(1, 4): 1}), nodes=[1])
+    read = await client.execute(4, "read", rid=1)
+    assert read.ok and read.version.number == 0
+    metrics = await cluster.metrics()
+    assert metrics[1].dropped_messages == 1
+    assert metrics[2].data_sent == 1
+
+
+async def _lost_relayed_invalidation(cluster, client):
+    # 4 joins node 1's list; the primary's write makes 1 relay an
+    # invalidation to 4, which is lost.
+    assert (await client.execute(4, "read", rid=1)).ok
+    await cluster.set_fault_plan(FaultPlan(drop_next={(1, 4): 1}), nodes=[1])
+    write = await client.execute(3, "write", rid=2, version=ObjectVersion(1, 3))
+    assert not write.ok and write.degraded
+    assert "a relayed invalidation was permanently lost" in write.error
+    assert 4 in (await cluster.status(1))["join_list"]
+
+
+async def _lost_repair_copy(cluster, client):
+    await cluster.set_fault_plan(FaultPlan(drop_next={(1, 4): 1}), nodes=[1])
+    with pytest.raises(ClusterError):
+        await cluster.repair(1, 4, rid=10)
+    totals = resilience_totals((await cluster.metrics()).values())
+    assert totals["degraded_rejections"] == 0
+
+
+async def _lost_own_invalidation(cluster, client):
+    # Core writer 1 invalidates the joiner 4 itself; every attempt is
+    # lost.
+    assert (await client.execute(4, "read", rid=1)).ok
+    await cluster.set_fault_plan(FaultPlan(drop_next={(1, 4): 1}), nodes=[1])
+    write = await client.execute(1, "write", rid=2, version=ObjectVersion(1, 1))
+    assert not write.ok and write.degraded
+
+
+class TestLossRule:
+    """Each way a charged frame lost on every attempt is settled, on DA
+    with scheme {1, 2, 3} (F = {1, 2}, primary 3) and outsider 4."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _lost_data_reply,
+            _lost_relayed_invalidation,
+            _lost_repair_copy,
+            _lost_own_invalidation,
+        ],
+    )
+    def test_lost_frame_is_settled(self, case):
+        async def scenario():
+            spec = ClusterSpec(
+                processors=(1, 2, 3, 4),
+                scheme=frozenset({1, 2, 3}),
+                protocol="DA",
+                primary=3,
+                resilience=RetryPolicy(attempts=1),
+            )
+            cluster = await start_local_cluster(spec)
+            client = ClusterClient(cluster.addresses, timeout=5.0)
+            try:
+                await case(cluster, client)
             finally:
                 await client.close()
                 await cluster.stop()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster.node import NodeConfig, NodeServer
 from repro.cluster.resilience import DedupCache, RetryPolicy
+from repro.cluster.transport import FaultPlan
 from repro.distsim.failures import FailureInjector
 from repro.distsim.network import Network
 from repro.distsim.simulator import Simulator
@@ -76,16 +77,27 @@ class TestReadFailoverOrder:
     @staticmethod
     def _walk(protocol, node_id):
         node = NodeServer(
-            NodeConfig(node_id=node_id, scheme={1, 2, 3}, protocol=protocol)
+            NodeConfig(
+                node_id=node_id,
+                scheme={1, 2, 3},
+                protocol=protocol,
+                resilience=RetryPolicy(attempts=1),
+            )
         )
         node.database.invalidate()  # no local copy: the read goes remote
+        # An island: every request is lost, so the read fails over
+        # through the real loss path until no candidate is left.
+        node.transport.fault_plan = FaultPlan(
+            partitions=(frozenset({node_id}),)
+        )
         asked = []
+        send = node.transport.send_protocol
 
-        async def lost(message):
+        def recorded(message):
             asked.append(message.receiver)
-            return False
+            send(message)
 
-        node.transport.send_protocol = lost
+        node.transport.send_protocol = recorded
         with pytest.raises(ClusterError, match="no reachable copy"):
             asyncio.run(node.protocol.client_read(rid=1))
         return asked, node.protocol.probe_candidates()
