@@ -126,7 +126,8 @@ class PendingRequest:
     #: drained, with ``failed`` set if any invalidation was lost, so the
     #: writer rejects instead of acknowledging over a stale copy.
     upstream: Optional[int] = None
-    failed: bool = False
+    #: Why a unit was lost (the first loss wins), acted on once drained.
+    failure: Optional[str] = None
 
     def resolve(self) -> None:
         if not self.future.done():
@@ -487,21 +488,10 @@ class NodeServer:
     def _handle_done(self, frame: Mapping[str, Any]) -> None:
         rid = int(frame.get("rid", 0))
         dropped = bool(frame.get("dropped", False))
-        failed = bool(frame.get("failed", False))
         source = int(frame.get("from", -1))
         pending = self._pending.get(rid)
         if pending is None:
             return  # late oracle for a request that already failed
-        if failed:
-            # A downstream relay could not invalidate a stale holder:
-            # acknowledging the write would let that copy be read later.
-            self.fail_pending(
-                rid,
-                f"write {rid}: a relayed invalidation was permanently "
-                "lost; a stale copy may survive",
-                degraded=True,
-            )
-            return
         if source in pending.targets:
             # An invalidation target acknowledged, or crashed: its copy
             # is invalid either way, so it is safe to forget (lazy
@@ -518,8 +508,10 @@ class NodeServer:
                 )
                 return
         # A store or invalidation resolved (delivered or dropped —
-        # either way the work unit is settled).
-        self.finish_unit(rid)
+        # either way the work unit is settled); ``failed`` means a relay
+        # could not invalidate a stale holder.
+        relayed = "a relayed invalidation was permanently lost"
+        self.finish_unit(rid, relayed if frame.get("failed") else None)
 
     def _settle_lost(self, receiver: int, rid: int) -> None:
         """The one rule for a charged frame that every attempt lost,
@@ -527,22 +519,19 @@ class NodeServer:
 
         No entry: the frame answered someone else's request (a read's
         data, a probe's report), so tell the asker it is not coming.
-        A relay's entry fails upstream; a writer's write is rejected
-        degraded; a read, probe or repair copy fails plainly."""
+        A write's or relay's unit settles failed, and the entry rejects
+        once every unit has settled, so no frame of the write lands after
+        its reply; a read, probe or repair copy fails plainly."""
         pending = self._pending.get(rid)
+        lost = f"a message to {receiver} was permanently lost after retries"
         if pending is None:
             self.transport.send_done(receiver, rid, dropped=True)
-        elif pending.kind == "i":
-            # A stale valid copy may survive at the target: the writer
-            # must reject instead of acknowledging.
-            self.finish_unit(rid, failed=True)
+        elif pending.kind in ("w", "i"):
+            # A live receiver missed an update it needed: acknowledging
+            # could let a stale copy be read.
+            self.finish_unit(rid, lost)
         else:
-            self.fail_pending(
-                rid,
-                f"request {rid}: a message to {receiver} was permanently "
-                "lost after retries",
-                degraded=pending.kind == "w",
-            )
+            self.fail_pending(rid, f"request {rid}: {lost}")
 
     # -- admin plane -------------------------------------------------------
 
@@ -739,25 +728,31 @@ class NodeServer:
             self._pending[rid] = pending
         return pending
 
-    def finish_unit(self, rid: int, failed: bool = False) -> None:
+    def finish_unit(self, rid: int, failure: Optional[str] = None) -> None:
+        """Settle one unit of ``rid``, lost if ``failure`` is given; once
+        drained, a failed write rejects degraded and a relay, upstream."""
         pending = self._pending.get(rid)
         if pending is None:
             return
-        pending.failed = pending.failed or failed
+        pending.failure = pending.failure or failure
         pending.units -= 1
-        if pending.units <= 0:
-            del self._pending[rid]
-            if pending.upstream is None:
-                pending.resolve()
-            else:
-                self.transport.send_done(
-                    pending.upstream, rid, failed=pending.failed
-                )
-
-    def fail_pending(self, rid: int, reason: str, degraded: bool = False) -> None:
-        pending = self._pending.pop(rid, None)
-        if degraded:
+        if pending.units > 0:
+            return
+        del self._pending[rid]
+        if pending.upstream is not None:
+            self.transport.send_done(
+                pending.upstream, rid, failed=pending.failure is not None
+            )
+        elif pending.failure is None:
+            pending.resolve()
+        elif not pending.future.done():
             self.metrics.degraded_rejections += 1
+            pending.future.set_exception(
+                ClusterDegradedError(f"write {rid}: {pending.failure}")
+            )
+
+    def fail_pending(self, rid: int, reason: str) -> None:
+        pending = self._pending.pop(rid, None)
         if pending is None:
             return
         if pending.upstream is not None:
@@ -765,8 +760,7 @@ class NodeServer:
             # invalidation: the writer must reject, not acknowledge.
             self.transport.send_done(pending.upstream, rid, failed=True)
         elif not pending.future.done():
-            error_type = ClusterDegradedError if degraded else ClusterError
-            pending.future.set_exception(error_type(reason))
+            pending.future.set_exception(ClusterError(reason))
 
     def resolve_pending(self, rid: int, kind: str, value: Any) -> bool:
         """Claim an incoming answer as this node's own read (``"r"``,

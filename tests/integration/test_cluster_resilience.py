@@ -230,6 +230,80 @@ class TestLossRule:
         run(scenario())
 
 
+class TestLostBesideDelayed:
+    """A write whose frame is lost on every attempt rejects only after
+    its sibling frames have settled: a delayed sibling never lands after
+    the reply (where it could overwrite a newer acknowledged copy)."""
+
+    DELAY = 0.3
+
+    def test_lost_store_waits_for_a_delayed_sibling_store(self):
+        async def scenario():
+            cluster, client = await booted("SA")
+            try:
+                # Outsider 3 writes to Q = {1, 2}: every store to 1 is
+                # lost, the store to 2 is delayed past the retry budget.
+                await cluster.set_fault_plan(
+                    FaultPlan(
+                        blocked_links=frozenset({(3, 1)}),
+                        link_delays={(3, 2): self.DELAY},
+                    ),
+                    nodes=[3],
+                )
+                started = time.monotonic()
+                write = await client.execute(
+                    3, "write", rid=1, version=ObjectVersion(1, 3)
+                )
+                assert not write.ok and write.degraded
+                assert time.monotonic() - started >= self.DELAY
+                # The delayed store landed before the rejection left.
+                assert (await cluster.status(2))["version"]["number"] == 1
+                assert cluster.nodes[3]._pending == {}
+                assert cluster.nodes[3].metrics.degraded_rejections == 1
+                # A newer acknowledged write is what 2 then serves.
+                newer = await client.execute(
+                    1, "write", rid=2, version=ObjectVersion(2, 1)
+                )
+                assert newer.ok
+                read = await client.execute(2, "read", rid=3)
+                assert read.ok and read.version.number == 2
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_lost_invalidation_waits_for_a_delayed_sibling(self):
+        async def scenario():
+            cluster, client = await booted(processors=(1, 2, 3, 4))
+            try:
+                # F = {1}; outsiders 3 and 4 join server 1's list, then
+                # 1 writes: its invalidation of 3 is lost on every
+                # attempt, the one of 4 is delayed.
+                for rid, reader in ((1, 3), (2, 4)):
+                    assert (await client.execute(reader, "read", rid=rid)).ok
+                await cluster.set_fault_plan(
+                    FaultPlan(
+                        blocked_links=frozenset({(1, 3)}),
+                        link_delays={(1, 4): self.DELAY},
+                    ),
+                    nodes=[1],
+                )
+                write = await client.execute(
+                    1, "write", rid=3, version=ObjectVersion(1, 1)
+                )
+                assert not write.ok and write.degraded
+                assert not (await cluster.status(4))["holds_valid_copy"]
+                # Only the target whose invalidation was lost is kept.
+                join_list = (await cluster.status(1))["join_list"]
+                assert 3 in join_list and 4 not in join_list
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
 class TestDedup:
     def test_duplicate_write_frame_runs_once(self):
         async def scenario():
