@@ -10,7 +10,8 @@ One :func:`run_chaos` call is a complete experiment:
    event run one :class:`~repro.cluster.resilience.SchemeRepairer`
    round, then check ``t``-availability and (DA) join-list consistency;
 4. heal everything, run a final repair round, and sweep a fault-free
-   read over every node — the "no lost acknowledged writes" check;
+   read over every node — the "no lost acknowledged writes" check —
+   after which no node may hold an open request;
 5. report outcomes, violations, charged stats and resilience counters.
 
 The closed loop matters: fault events apply *between* requests, so the
@@ -64,7 +65,6 @@ class ChaosConfig:
     #: Transmissions per message/request (1 send + attempts-1 retries).
     attempts: int = 4
     transport: str = "auto"
-    exec_timeout: float = 15.0
     client_timeout: float = 20.0
     #: Give every node a WAL + snapshots and route recoveries through
     #: the tiered log-replay path (see docs/durability.md).
@@ -271,7 +271,6 @@ async def run_chaos(config: ChaosConfig) -> ChaosResult:
         protocol=plan.protocol,
         primary=plan.primary,
         transport=config.transport,
-        exec_timeout=config.exec_timeout,
         resilience=policy,
         state_dir=state_root if config.durable else None,
     )
@@ -382,6 +381,7 @@ async def run_chaos(config: ChaosConfig) -> ChaosResult:
                 )
             else:
                 tracker.record_read(plan.requests + 1, outcome)
+        tracker.check_quiescence(plan.requests + 1, await cluster.status_all())
 
         metrics = await cluster.metrics()
         stats = aggregate(metrics.values())

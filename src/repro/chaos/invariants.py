@@ -11,6 +11,7 @@ older than an acknowledged write: that would be a lost update.
 status reports right after each repair round, which is the only moment
 they are guaranteed: between rounds a fresh crash may transiently
 violate them — that is exactly what the next round repairs.
+Quiescence is checked once, after the final fault-free sweep.
 """
 
 from __future__ import annotations
@@ -194,6 +195,26 @@ class InvariantTracker:
                     f"node {node} stores version {number}, below its "
                     f"durable floor {floor} from a log-fresh rejoin",
                 )
+
+    # -- after the run -----------------------------------------------------
+
+    def check_quiescence(
+        self, at: int, statuses: Mapping[int, Mapping[str, Any]]
+    ) -> None:
+        """Every request settled: with the cluster idle, no node may
+        still hold an open request.  Nodes keep no clock, so an entry no
+        rule settles would stay open for good."""
+        open_requests = {
+            node: status["pending"]
+            for node, status in sorted(statuses.items())
+            if status.get("pending")
+        }
+        if open_requests:
+            self._flag(
+                "quiescence",
+                at,
+                f"open requests by node after the final sweep: {open_requests}",
+            )
 
     @property
     def ok(self) -> bool:

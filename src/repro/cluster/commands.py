@@ -67,7 +67,6 @@ def cmd_cluster_serve(args) -> int:
         protocol=args.protocol.upper(),
         primary=args.primary,
         address=Address.parse(args.listen),
-        exec_timeout=args.exec_timeout,
         state_dir=args.state_dir,
         snapshot_every=args.snapshot_every,
     )
@@ -110,7 +109,6 @@ def _cluster_spec(args, schedule=None) -> ClusterSpec:
         protocol=args.protocol.upper(),
         primary=args.primary,
         transport=args.transport,
-        exec_timeout=args.exec_timeout,
         resilience=RetryPolicy(seed=args.seed),
         state_dir=args.state_dir,
         snapshot_every=args.snapshot_every,
@@ -315,10 +313,6 @@ def add_cluster_parser(subparsers, scheme_type) -> None:
         parser.add_argument(
             "--primary", type=int, default=None,
             help="DA primary processor (default: max of the scheme)",
-        )
-        parser.add_argument(
-            "--exec-timeout", type=float, default=15.0,
-            help="per-request hard timeout at the node, seconds",
         )
         parser.add_argument(
             "--state-dir", default=None,

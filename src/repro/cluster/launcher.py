@@ -69,7 +69,6 @@ class ClusterSpec:
     protocol: str = "DA"
     primary: Optional[int] = None
     transport: str = "auto"
-    exec_timeout: float = 15.0
     #: Every node's retry policy (``RetryPolicy(attempts=1)``: no
     #: retries).  Fault-free traffic does not depend on it.
     resilience: RetryPolicy = RetryPolicy()
@@ -99,7 +98,6 @@ class ClusterSpec:
             protocol=self.protocol,
             primary=self.primary,
             address=address,
-            exec_timeout=self.exec_timeout,
             resilience=self.resilience,
             state_dir=self.state_dir,
             snapshot_every=self.snapshot_every,
@@ -354,8 +352,6 @@ def _serve_command(spec: ClusterSpec, node_id: int, address: Address) -> List[st
         ",".join(str(p) for p in sorted(spec.scheme)),
         "--listen",
         address.render(),
-        "--exec-timeout",
-        str(spec.exec_timeout),
     ]
     if spec.primary is not None:
         command += ["--primary", str(spec.primary)]

@@ -18,8 +18,13 @@ connection speaks the frame vocabulary of :mod:`repro.cluster.rpc`:
   ``reset_metrics``/``crash``/``recover``/``shutdown``) let launchers,
   the repairer and tests steer the node.
 
-The three peer frames are served synchronously, and the node's own peer
-sends are plain calls; only an ``exec`` or admin handler can suspend.
+Every frame is served the moment it arrives, and the node's own peer
+sends are plain calls.  A client ``exec`` is a continuation: its handler
+starts the request and returns, and the settle that drains or fails the
+request's :class:`PendingRequest` sends the ``result`` frame.  Only the
+``repair_send`` and ``recover`` admin frames wait, each as a task.  The
+node keeps no clock: every entry is settled by a rule — an answer, a
+``done``, a frame lost on every attempt or a crash.
 
 Crash semantics mirror :mod:`repro.distsim.failures`' fail-stop model:
 a crashed node wipes its join-list, marks its stable copy suspect,
@@ -35,7 +40,19 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY, NodeDurability
 from repro.cluster.metrics import NodeMetrics
@@ -43,8 +60,6 @@ from repro.cluster.protocol import make_live_protocol
 from repro.cluster.resilience import DedupCache, RetryPolicy
 from repro.cluster.rpc import (
     FrameConnection,
-    HandlerDeadline,
-    start_inline,
     version_from_wire,
     version_to_wire,
     wire_to_message,
@@ -76,9 +91,6 @@ class NodeConfig:
     protocol: str = "DA"
     primary: Optional[int] = None
     address: Optional[Address] = None
-    #: Hard ceiling on one client request; a live protocol stalled by
-    #: extreme fault plans fails loudly instead of wedging the node.
-    exec_timeout: float = 15.0
     #: Retries with backoff on both planes, node-side dedup, read
     #: failover and typed degraded-write rejection.  "No retries" is
     #: ``RetryPolicy(attempts=1)``; fault-free traffic is the same
@@ -100,9 +112,10 @@ class PendingRequest:
 
     The live twin of the simulator's
     :class:`~repro.distsim.protocols.base.RequestContext`: ``units``
-    counts outstanding sub-operations; the future resolves when the
-    request reached quiescence (for reads, with the version).  A relay
-    entry resolves by acknowledging ``upstream`` instead."""
+    counts outstanding sub-operations.  ``then(entry, error)`` runs
+    exactly once, after the entry left the table: when the last unit
+    settled (``error`` is ``None`` unless a unit was lost), or when the
+    entry failed outright."""
 
     rid: int
     #: "r" (client read), "w" (client write), "c" (repair copy), "p"
@@ -110,8 +123,8 @@ class PendingRequest:
     #: ``F`` relays on a writer's behalf).
     kind: str
     units: int
-    future: asyncio.Future
-    #: What the future resolves with: a read's version, or a probe's
+    then: Callable[["PendingRequest", Optional[Exception]], None]
+    #: The answer: a read's version, or a probe's
     #: ``(version_number, holds_copy)`` report.
     version: Any = None
     #: Peers whose unit settled because they were crashed (fail-stop
@@ -122,16 +135,8 @@ class PendingRequest:
     #: DA invalidation targets: one whose unit settles by crash leaves
     #: the join-list (its copy is gone with it).
     targets: FrozenSet[int] = frozenset()
-    #: Relay entries only: the writer acknowledged once the relay
-    #: drained, with ``failed`` set if any invalidation was lost, so the
-    #: writer rejects instead of acknowledging over a stale copy.
-    upstream: Optional[int] = None
     #: Why a unit was lost (the first loss wins), acted on once drained.
     failure: Optional[str] = None
-
-    def resolve(self) -> None:
-        if not self.future.done():
-            self.future.set_result(self.version)
 
 
 class _JournaledSet(set):
@@ -202,20 +207,21 @@ class NodeServer:
         self.steward = False
         self.crashed = False
         #: At-least-once dedup: completed exec replies by request id,
-        #: plus a future per request still running, which a concurrent
-        #: retry awaits for the same reply.  256 replies cover the
+        #: plus the connections awaiting each request still running (a
+        #: concurrent retry joins them for the same reply).  256 cover the
         #: client's default retry budget (~0.14 s) up to ~1,800 req/s
         #: per node; more keeps replies alive long enough to churn the
         #: allocator when nodes share a process (2048: 25x page faults).
         self._exec_cache = DedupCache(256)
-        self._exec_inflight: Dict[int, asyncio.Future] = {}
+        self._exec_inflight: Dict[int, List[FrameConnection]] = {}
         #: Reads, writes, repair copies, recovery freshness probes and
         #: relayed invalidations awaiting peers, by request id.
         self._pending: Dict[int, PendingRequest] = {}
         self._probe_rid = PROBE_RID_BASE + config.node_id * 1_000_000
         self._server = None
         self.address: Optional[Address] = None
-        #: Handlers that suspended, and the connections being served.
+        #: Running ``repair_send``/``recover`` handlers, and the
+        #: connections being served.
         self._tasks: Set[asyncio.Task] = set()
         self._connections: Set[FrameConnection] = set()
         self._stopped = asyncio.Event()
@@ -329,68 +335,62 @@ class NodeServer:
     def _dispatch(
         self, connection: FrameConnection, frame: Mapping[str, Any]
     ) -> None:
-        """Serve one frame as it arrives.  Peer frames (``msg``,
-        ``done``, ``repair``) are served on the spot; an ``exec`` or
-        admin handler starts inline and becomes a Task only if it
-        suspends (awaiting a peer's answer)."""
+        """Serve one frame as it arrives.  Only ``repair_send`` and
+        ``recover`` wait for peers' answers, each as a task."""
         kind = frame["type"]
         if kind == "msg":
             self._handle_msg(frame)
-            return
-        if kind == "done":
+        elif kind == "done":
             self._handle_done(frame)
-            return
-        if kind == "repair":
+        elif kind == "repair":
             self._handle_repair_copy(frame)
-            return
-        if kind == "exec":
-            handler = self._handle_exec(frame, connection)
-        else:
-            handler = self._handle_admin(kind, frame, connection)
-        task = start_inline(handler)
-        if task is not None:
+        elif kind == "exec":
+            self._handle_exec(frame, connection)
+        elif kind in ("repair_send", "recover"):
+            task = asyncio.get_running_loop().create_task(
+                self._handle_waiting_admin(kind, frame, connection)
+            )
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
+        else:
+            self._handle_admin(kind, frame, connection)
 
     # -- the client plane --------------------------------------------------
 
-    async def _handle_exec(
+    def _handle_exec(
         self, frame: Mapping[str, Any], connection: FrameConnection
-    ) -> Dict[str, Any]:
-        """Run one client request and reply; returns the reply payload.
+    ) -> None:
+        """Start one client request; :meth:`_reply` answers it.
 
         At-least-once dedup: a client retry of a request that already
         ran (or is running) observes the original outcome and never
-        re-executes a write.  A running request's in-flight entry is a
-        future of its reply, which a retry awaits."""
+        re-executes a write.  A retry of a running request joins the
+        connections its reply goes to."""
         try:
             rid, op, version = self._decode_exec(frame)
         except ClusterError as error:
-            payload = self._failure(frame.get("rid"), error)
-        else:
-            payload = self._exec_cache.lookup(rid)
-            if payload is None and rid in self._exec_inflight:
-                payload = await self._exec_inflight[rid]
-            if payload is not None:
-                self.metrics.dedup_hits += 1
+            _send(connection, self._failure(frame.get("rid"), error))
+            return
+        cached = self._exec_cache.lookup(rid)
+        if cached is not None or rid in self._exec_inflight:
+            self.metrics.dedup_hits += 1
+            if cached is not None:
+                _send(connection, cached)
             else:
-                reply = asyncio.get_running_loop().create_future()
-                self._exec_inflight[rid] = reply
-                try:
-                    payload = await self._exec_payload(rid, op, version)
-                except BaseException:
-                    reply.cancel()
-                    raise
-                finally:
-                    del self._exec_inflight[rid]
-                self._exec_cache.store(rid, payload)
-                if not reply.done():  # a waiting retry may have gone
-                    reply.set_result(payload)
+                self._exec_inflight[rid].append(connection)
+            return
+        self._exec_inflight[rid] = [connection]
+        then = partial(self._reply, rid, op)
         try:
-            connection.send(payload)
-        except ConnectionError:
-            pass  # the client hung up; its retry reads the cached reply
-        return payload
+            if self.crashed:
+                raise ClusterError(f"node {self.node_id} is crashed")
+            if op == "read":
+                self.protocol.client_read(rid, then)
+            else:
+                self.protocol.client_write(rid, version, then)
+        except (ClusterError, ProtocolError, StorageError) as error:
+            self._pending.pop(rid, None)
+            then(None, error)
 
     @staticmethod
     def _decode_exec(
@@ -409,25 +409,21 @@ class NodeServer:
             raise ClusterError("a write exec frame needs a 'version'")
         return rid, op, version
 
-    async def _exec_payload(
-        self, rid: int, op: str, version: Optional[ObjectVersion]
-    ) -> Dict[str, Any]:
-        """Execute one decoded request; the ``result`` frame to reply.
-
-        ``_execute`` runs in this handler under one deadline, which
-        cancels the handler when it fires; the cancellation is then
-        withdrawn and the request fails as timed out."""
-        deadline = HandlerDeadline(self.config.exec_timeout)
-        try:
-            version = await self._execute(rid, op, version)
-        except asyncio.CancelledError:
-            if not deadline.absorb():
-                raise
-            error: Exception = ClusterError(
-                f"request {rid} timed out after {self.config.exec_timeout}s"
-            )
-        except (ClusterError, ProtocolError, StorageError) as exc:
-            error = exc
+    def _reply(
+        self,
+        rid: int,
+        op: str,
+        version: Optional[ObjectVersion],
+        error: Optional[Exception],
+    ) -> None:
+        """Answer request ``rid`` on every connection awaiting it, and
+        keep the reply for retries; a second call finds none and does
+        nothing."""
+        waiters = self._exec_inflight.pop(rid, None)
+        if waiters is None:
+            return
+        if error is not None:
+            payload = self._failure(rid, error)
         else:
             self.metrics.requests_completed += 1
             if op == "write":
@@ -435,16 +431,15 @@ class NodeServer:
                 # an acknowledged write must be recoverable from the log.
                 self._latest_commit = max(self._latest_commit, version.number)
                 self.durability.log_commit(rid, version.number)
-            return {
+            payload = {
                 "type": "result",
                 "rid": rid,
                 "ok": True,
                 "version": version_to_wire(version),
             }
-        finally:
-            deadline.cancel()
-        self._pending.pop(rid, None)
-        return self._failure(rid, error)
+        self._exec_cache.store(rid, payload)
+        for connection in waiters:
+            _send(connection, payload)
 
     def _failure(self, rid: Any, error: Exception) -> Dict[str, Any]:
         self.metrics.request_errors += 1
@@ -452,16 +447,6 @@ class NodeServer:
         if isinstance(error, ClusterDegradedError):
             payload["degraded"] = True
         return payload
-
-    async def _execute(
-        self, rid: int, op: str, version: Optional[ObjectVersion]
-    ) -> Optional[ObjectVersion]:
-        if self.crashed:
-            raise ClusterError(f"node {self.node_id} is crashed")
-        if op == "read":
-            return await self.protocol.client_read(rid)
-        await self.protocol.client_write(rid, version)
-        return version
 
     # -- the peer plane ----------------------------------------------------
 
@@ -535,28 +520,32 @@ class NodeServer:
 
     # -- admin plane -------------------------------------------------------
 
-    async def _handle_admin(
+    def _handle_admin(
         self, kind: str, frame: Mapping[str, Any], connection: FrameConnection
     ) -> None:
         try:
-            reply = await self._admin_reply(kind, frame)
+            reply = self._admin_reply(kind, frame)
         except ClusterError as error:
             reply = {"type": "error", "error": str(error)}
         reply["id"] = frame.get("id")
-        try:
-            connection.send(reply)
-        except ConnectionError:
-            pass  # the caller hung up: nobody awaits this reply
+        _send(connection, reply)
         if kind == "shutdown" and reply.get("type") == "ok":
             self._stopped.set()
 
-    async def _admin_reply(
-        self, kind: str, frame: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        if kind == "repair_send":
-            return await self._repair_send(frame)
-        if kind == "recover":
-            return await self.recover_async()
+    async def _handle_waiting_admin(
+        self, kind: str, frame: Mapping[str, Any], connection: FrameConnection
+    ) -> None:
+        try:
+            if kind == "repair_send":
+                reply = await self._repair_send(frame)
+            else:
+                reply = await self.recover_async()
+        except ClusterError as error:
+            reply = {"type": "error", "error": str(error)}
+        reply["id"] = frame.get("id")
+        _send(connection, reply)
+
+    def _admin_reply(self, kind: str, frame: Mapping[str, Any]) -> Dict[str, Any]:
         if kind == "ping":
             return {
                 "type": "pong",
@@ -601,6 +590,8 @@ class NodeServer:
                 "protocol": self.protocol.name,
                 "durable": self.durability.durable,
                 "latest_commit": self._latest_commit,
+                # Requests still open here; 0 once the cluster is idle.
+                "pending": len(self._pending) + len(self._exec_inflight),
             }
         if kind == "adopt":
             if self.crashed:
@@ -649,12 +640,10 @@ class NodeServer:
                 f"repair donor {self.node_id} holds no valid copy"
             )
         version = self.database.peek_version()
-        pending = self.open_pending(rid, "c", units=1)
-        try:
-            self.transport.send_repair(target, rid, version_to_wire(version))
-            await pending.future
-        finally:
-            self._pending.pop(rid, None)
+        send = partial(
+            self.transport.send_repair, target, rid, version_to_wire(version)
+        )
+        pending = await self._settled(rid, "c", send)
         if target in pending.crash_settled:
             raise ClusterError(f"repair target {target} is crashed")
         return {
@@ -709,28 +698,22 @@ class NodeServer:
         rid: int,
         kind: str,
         units: int,
+        then: Callable[[PendingRequest, Optional[Exception]], None],
         targets: Iterable[int] = (),
-        upstream: Optional[int] = None,
-    ) -> PendingRequest:
+    ) -> None:
+        """Open an entry for ``units`` outstanding work units; with none,
+        ``then`` runs at once."""
         if rid in self._pending:
             raise ClusterError(f"request id {rid} is already in flight here")
-        pending = PendingRequest(
-            rid=rid,
-            kind=kind,
-            units=units,
-            future=asyncio.get_running_loop().create_future(),
-            targets=frozenset(targets),
-            upstream=upstream,
-        )
+        pending = PendingRequest(rid, kind, units, then, targets=frozenset(targets))
         if units <= 0:
-            pending.resolve()
+            then(pending, None)
         else:
             self._pending[rid] = pending
-        return pending
 
     def finish_unit(self, rid: int, failure: Optional[str] = None) -> None:
         """Settle one unit of ``rid``, lost if ``failure`` is given; once
-        drained, a failed write rejects degraded and a relay, upstream."""
+        drained, the entry settles — degraded if any unit was lost."""
         pending = self._pending.get(rid)
         if pending is None:
             return
@@ -739,28 +722,39 @@ class NodeServer:
         if pending.units > 0:
             return
         del self._pending[rid]
-        if pending.upstream is not None:
-            self.transport.send_done(
-                pending.upstream, rid, failed=pending.failure is not None
-            )
-        elif pending.failure is None:
-            pending.resolve()
-        elif not pending.future.done():
-            self.metrics.degraded_rejections += 1
-            pending.future.set_exception(
-                ClusterDegradedError(f"write {rid}: {pending.failure}")
-            )
+        error = None
+        if pending.failure is not None:
+            error = ClusterDegradedError(f"write {rid}: {pending.failure}")
+            if pending.kind == "w":
+                self.metrics.degraded_rejections += 1
+        pending.then(pending, error)
 
     def fail_pending(self, rid: int, reason: str) -> None:
         pending = self._pending.pop(rid, None)
-        if pending is None:
-            return
-        if pending.upstream is not None:
-            # A relay cut short holds at least one unconfirmed
-            # invalidation: the writer must reject, not acknowledge.
-            self.transport.send_done(pending.upstream, rid, failed=True)
-        elif not pending.future.done():
-            pending.future.set_exception(ClusterError(reason))
+        if pending is not None:
+            pending.then(pending, ClusterError(reason))
+
+    async def _settled(
+        self, rid: int, kind: str, send: Callable[[], None]
+    ) -> PendingRequest:
+        """Open a one-unit entry, ``send`` its frame and wait until the
+        entry settles; a failed entry raises its error."""
+        settled = asyncio.get_running_loop().create_future()
+
+        def then(pending: PendingRequest, error: Optional[Exception]) -> None:
+            if settled.done():  # cancelled: the node is stopping
+                return
+            if error is None:
+                settled.set_result(pending)
+            else:
+                settled.set_exception(error)
+
+        self.open_pending(rid, kind, 1, then)
+        try:
+            send()
+            return await settled
+        finally:
+            self._pending.pop(rid, None)
 
     def resolve_pending(self, rid: int, kind: str, value: Any) -> bool:
         """Claim an incoming answer as this node's own read (``"r"``,
@@ -881,35 +875,26 @@ class NodeServer:
         """Ask peers to vouch for the logged version's freshness.
 
         Walks the protocol's candidate order (the read-failover order),
-        one control round trip per attempt, each given up after the exec
-        timeout: a ``VersionInquiry`` out, a ``VersionReport`` back —
+        one control round trip per attempt, each settled by the report,
+        a loss or a crash: a ``VersionInquiry`` out, a ``VersionReport``
+        back —
         message types the quorum literature's recovery handshake already
         defines (cf.
         :mod:`repro.distsim.protocols.missing_writes`: an empty log is
         revalidated at the price of a version check).  Returns
         ``(peer, version_number)`` from the first peer that holds a
         valid copy, or ``(None, None)`` when nobody can vouch."""
-        loop = asyncio.get_running_loop()
         for peer in self.protocol.probe_candidates():
             self._probe_rid += 1
             rid = self._probe_rid
-            pending = self.open_pending(rid, "p", units=1)
-            deadline = loop.call_later(
-                self.config.exec_timeout,
-                self.fail_pending,
-                rid,
-                f"probe {rid} to {peer} timed out",
-            )
+            inquiry = VersionInquiry(self.node_id, peer, request_id=rid)
             try:
-                self.transport.send_protocol(
-                    VersionInquiry(self.node_id, peer, request_id=rid)
+                pending = await self._settled(
+                    rid, "p", partial(self.transport.send_protocol, inquiry)
                 )
-                number, holds = await pending.future
             except ClusterError:
                 continue  # the peer is crashed, or a frame was lost
-            finally:
-                deadline.cancel()
-                self._pending.pop(rid, None)
+            number, holds = pending.version
             if holds:
                 return peer, number
             # A copyless peer cannot vouch either way: ask the next.
@@ -920,3 +905,12 @@ class NodeServer:
         self.metrics = NodeMetrics(self.node_id)
         self.transport.metrics = self.metrics
         self.durability.metrics = self.metrics
+
+
+def _send(connection: FrameConnection, payload: Mapping[str, Any]) -> None:
+    """Reply on ``connection``; a caller that hung up gets nothing (a
+    client's retry reads the cached reply)."""
+    try:
+        connection.send(payload)
+    except ConnectionError:
+        pass

@@ -25,13 +25,15 @@ the origin node awaits the ``done`` of each direct send; a member of
 store only after its own invalidations are acknowledged.  Running each
 request to quiescence before the next starts realizes the paper's
 totally-ordered schedules exactly like the simulator does.
-Sends are plain calls and peer messages are handled synchronously; a
-message lost on every attempt is settled by the node, not here.
+Every method here is a plain call: ``client_read`` and ``client_write``
+start a request and leave a callback on its pending entry, which
+reports to ``then(version, error)`` once the entry settles.  A message
+lost on every attempt is settled by the node, not here.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.distsim.messages import (
     DataTransfer,
@@ -51,6 +53,10 @@ from repro.storage.versions import ObjectVersion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import NodeServer
+
+#: Where a client request reports: ``then(version, error)``, exactly
+#: once — the version read or written, or the error it failed with.
+Then = Callable[[Optional[ObjectVersion], Optional[Exception]], None]
 
 
 class LiveProtocol:
@@ -107,10 +113,10 @@ class LiveProtocol:
             return True
         return False
 
-    async def client_read(self, rid: int) -> ObjectVersion:
+    def client_read(self, rid: int, then: Then) -> None:
         raise NotImplementedError
 
-    async def client_write(self, rid: int, version: ObjectVersion) -> None:
+    def client_write(self, rid: int, version: ObjectVersion, then: Then) -> None:
         raise NotImplementedError
 
     def handle_message(self, message: Message) -> None:
@@ -118,7 +124,7 @@ class LiveProtocol:
 
     # -- shared building blocks ------------------------------------------
 
-    async def _remote_read(self, rid: int) -> ObjectVersion:
+    def _remote_read(self, rid: int, then: Then) -> None:
         """Request the object from the first answering peer.
 
         Walks :meth:`probe_candidates` in order, moving on when a
@@ -127,24 +133,31 @@ class LiveProtocol:
         notification), never by slowness, so at most one candidate ever
         answers — no duplicate-response races.  Fault-free, the first
         candidate is the paper's serving member, so traffic is the
-        model's message for message."""
+        model's message for message.  A crash of this node ends the
+        walk."""
         servers = self.probe_candidates()
-        last_error: Optional[ClusterError] = None
-        for server in servers:
-            pending = self.node.open_pending(rid, "r", units=1)
+        remaining = iter(servers)
+
+        def ask(pending=None, error: Optional[Exception] = None) -> None:
+            if pending is not None and error is None:
+                then(pending.version, None)
+                return
+            if isinstance(error, ClusterDegradedError) or self.node.crashed:
+                then(None, error)
+                return
+            server = next(remaining, None)
+            if server is None:
+                then(None, ClusterError(
+                    f"read {rid} at {self.me}: no reachable copy among "
+                    f"{servers} ({error})"
+                ))
+                return
+            self.node.open_pending(rid, "r", 1, ask)
             self.node.transport.send_protocol(
                 ReadRequest(self.me, server, request_id=rid)
             )
-            try:
-                return await pending.future
-            except ClusterDegradedError:
-                raise
-            except ClusterError as error:
-                last_error = error
-        raise ClusterError(
-            f"read {rid} at {self.me}: no reachable copy among "
-            f"{servers} ({last_error})"
-        )
+
+        ask()
 
     def _serve_read(self, message: ReadRequest, save_copy: bool) -> None:
         """Input the object and ship it back to the requester."""
@@ -185,42 +198,44 @@ class LiveStaticAllocation(LiveProtocol):
             raise ClusterError("the scheme must keep t >= 2 members")
         self.scheme = scheme
 
-    async def client_read(self, rid: int) -> ObjectVersion:
+    def client_read(self, rid: int, then: Then) -> None:
         if self.me in self.scheme and self.node.database.holds_valid_copy:
-            return self.node.input_object()
-        # Outsiders read remotely; so does a freshly recovered member
-        # until a repair round restores its local copy.
-        return await self._remote_read(rid)
+            then(self.node.input_object(), None)
+        else:
+            # Outsiders read remotely; so does a freshly recovered member
+            # until a repair round restores its local copy.
+            self._remote_read(rid, then)
 
-    async def client_write(self, rid: int, version: ObjectVersion) -> None:
+    def client_write(self, rid: int, version: ObjectVersion, then: Then) -> None:
         targets = sa_store_targets(self.scheme, self.me)
-        pending = self.node.open_pending(rid, "w", units=len(targets))
         if self.me in self.scheme:
             self.node.output_object(version)
-        try:
-            for member in targets:
-                self.node.transport.send_protocol(
-                    DataTransfer(
-                        self.me, member, version=version, request_id=rid,
-                        save_copy=True,
-                    )
+
+        def settled(pending, error: Optional[Exception]) -> None:
+            if error is not None:
+                if self.me in self.scheme:
+                    # Roll back the unacknowledged local copy so no
+                    # replica serves a version newer than the last
+                    # acknowledged one as if it were committed.
+                    self.node.invalidate_object()
+            elif (
+                self.me not in self.scheme
+                and targets
+                and set(targets) <= pending.crash_settled
+            ):
+                error = ClusterDegradedError(
+                    f"write {rid}: every scheme member is crashed; "
+                    "no live replica holds the update"
                 )
-            await pending.future
-        except ClusterError:
-            if self.me in self.scheme:
-                # Roll back the unacknowledged local copy so no replica
-                # serves a version newer than the last acknowledged one
-                # as if it were committed.
-                self.node.invalidate_object()
-            raise
-        if (
-            self.me not in self.scheme
-            and targets
-            and set(targets) <= pending.crash_settled
-        ):
-            raise ClusterDegradedError(
-                f"write {rid}: every scheme member is crashed; "
-                "no live replica holds the update"
+            then(version, error)
+
+        self.node.open_pending(rid, "w", len(targets), settled)
+        for member in targets:
+            self.node.transport.send_protocol(
+                DataTransfer(
+                    self.me, member, version=version, request_id=rid,
+                    save_copy=True,
+                )
             )
 
     def handle_message(self, message: Message) -> None:
@@ -277,12 +292,13 @@ class LiveDynamicAllocation(LiveProtocol):
             candidates.append(self.primary)
         return candidates
 
-    async def client_read(self, rid: int) -> ObjectVersion:
+    def client_read(self, rid: int, then: Then) -> None:
         if self.node.database.holds_valid_copy:
-            return self.node.input_object()
-        return await self._remote_read(rid)
+            then(self.node.input_object(), None)
+        else:
+            self._remote_read(rid, then)
 
-    async def client_write(self, rid: int, version: ObjectVersion) -> None:
+    def client_write(self, rid: int, version: ObjectVersion, then: Then) -> None:
         execution_set = da_execution_set(self.core, self.primary, self.me)
         own_targets: List[int] = []
         if self.me in self.core:
@@ -290,46 +306,46 @@ class LiveDynamicAllocation(LiveProtocol):
                 self.node.join_list, execution_set, self.me
             )
         stores = sorted(execution_set - {self.me})
+        self.node.output_object(version)
+        if self.me in self.core:
+            self._record_holders(execution_set)
+
+        def settled(pending, error: Optional[Exception]) -> None:
+            if error is None and self.me not in self.core:
+                core_stores = {member for member in stores if member in self.core}
+                if core_stores and core_stores <= pending.crash_settled:
+                    error = ClusterDegradedError(
+                        f"write {rid}: every member of F crashed during the "
+                        "store; reads routed through F would miss the update"
+                    )
+            if error is not None:
+                # The update was not acknowledged; drop the local copy so
+                # this node cannot serve it as if committed.
+                self.node.invalidate_object()
+            then(version, error)
+
         # Lazy discipline: a target leaves the join-list only once its
         # invalidation settles — its `done` arrives, acknowledged or
         # dropped by a crash (:meth:`NodeServer._handle_done`).
         # Clearing up front would forget a holder whose invalidation is
         # then lost for good.
-        pending = self.node.open_pending(
-            rid, "w", units=len(stores) + len(own_targets), targets=own_targets
+        self.node.open_pending(
+            rid, "w", len(stores) + len(own_targets), settled, targets=own_targets
         )
-        self.node.output_object(version)
-        try:
-            for member in stores:
-                self.node.transport.send_protocol(
-                    DataTransfer(
-                        self.me, member, version=version, request_id=rid,
-                        save_copy=True,
-                    )
+        for member in stores:
+            self.node.transport.send_protocol(
+                DataTransfer(
+                    self.me, member, version=version, request_id=rid,
+                    save_copy=True,
                 )
-            for target in own_targets:
-                self.node.transport.send_protocol(
-                    Invalidate(
-                        self.me, target, version_number=version.number,
-                        request_id=rid,
-                    )
+            )
+        for target in own_targets:
+            self.node.transport.send_protocol(
+                Invalidate(
+                    self.me, target, version_number=version.number,
+                    request_id=rid,
                 )
-            if self.me in self.core:
-                self._record_holders(execution_set)
-            await pending.future
-        except ClusterError:
-            # The update was not acknowledged; drop the local copy so
-            # this node cannot serve it as if committed.
-            self.node.invalidate_object()
-            raise
-        if self.me not in self.core:
-            core_stores = {target for target in stores if target in self.core}
-            if core_stores and core_stores <= pending.crash_settled:
-                self.node.invalidate_object()
-                raise ClusterDegradedError(
-                    f"write {rid}: every member of F crashed during the "
-                    "store; reads routed through F would miss the update"
-                )
+            )
 
     def _record_holders(self, execution_set) -> None:
         """The serving member (or a steward) records the execution set's
@@ -382,14 +398,15 @@ class LiveDynamicAllocation(LiveProtocol):
             # Lazy discipline (see `client_write`): targets leave the
             # list per settled invalidation, never wholesale.
             self._record_holders(execution_set)
-        if not targets:
-            self.node.transport.send_done(writer, rid)
-            return
-        # Relay the invalidations; the entry acknowledges the writer
-        # once every one of them settled, and a lost one fails it.
-        self.node.open_pending(
-            rid, "i", len(targets), targets=targets, upstream=writer
-        )
+
+        def acknowledge(pending, error: Optional[Exception]) -> None:
+            # A lost invalidation leaves a stale holder: the writer
+            # must reject, not acknowledge.
+            self.node.transport.send_done(writer, rid, failed=error is not None)
+
+        # Relay the invalidations; the entry acknowledges the writer once
+        # every one of them settled (at once, with none to relay).
+        self.node.open_pending(rid, "i", len(targets), acknowledge, targets=targets)
         for target in targets:
             self.node.transport.send_protocol(
                 Invalidate(

@@ -41,20 +41,18 @@ in dataclass order.
 
 Every connection — node, peer link, client and admin — is a
 :class:`FrameConnection` protocol that serves each frame the moment its
-bytes arrive; :func:`start_inline` runs a frame's handler there and
-makes it a Task only if it suspends, and :class:`HandlerDeadline`
-bounds a handler without a wrapper task.
+bytes arrive.  A node serves almost every frame within that callback
+(see :mod:`repro.cluster.node`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import json
 import re
 import struct
 from dataclasses import fields
-from typing import Any, Callable, Coroutine, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 from typing import get_type_hints
 
 from repro.distsim.messages import (
@@ -191,107 +189,6 @@ class FrameConnection(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         if self._on_close is not None:
             self._on_close(self, self._error or exc)
-
-
-# -- serving handlers inline -------------------------------------------------
-
-#: The handler ``start_inline`` is running: a one-slot list that holds
-#: its Task once the handler suspended (see :class:`HandlerDeadline`).
-_HANDLER: contextvars.ContextVar[List[asyncio.Task]] = contextvars.ContextVar(
-    "repro_cluster_handler"
-)
-
-
-def start_inline(coro: Coroutine[Any, Any, Any]) -> Optional[asyncio.Task]:
-    """Run a frame handler's first step now; a Task only if it suspends.
-
-    Most handlers finish without awaiting anything, so a Task per frame
-    is pure overhead.  Python 3.11 has no eager tasks, so this is one:
-    the first step runs in a fresh copy of the current context, and if
-    the coroutine suspends, the Task that finishes it runs in that
-    *same* Context — a ``ContextVar`` token set before the first await
-    still resets after it.  Returns the Task, or ``None`` when the
-    handler already finished.  An exception from the first step
-    propagates to the caller."""
-    home: List[asyncio.Task] = []
-    context = contextvars.copy_context()
-    context.run(_HANDLER.set, home)
-    driver = _drive(coro)
-    try:
-        context.run(driver.send, None)
-    except StopIteration:
-        return None
-    task = asyncio.get_running_loop().create_task(driver, context=context)
-    home.append(task)
-    return task
-
-
-async def _drive(coro: Coroutine[Any, Any, Any]) -> Any:
-    return await _Driven(coro)
-
-
-class _Driven:
-    """Drives a coroutine: its first step for :func:`start_inline`,
-    which it then parks, and the rest for the Task that takes it over.
-    Everything the Task throws in (a cancellation, even before its
-    first step) is thrown into the coroutine."""
-
-    __slots__ = ("_coro",)
-
-    def __init__(self, coro: Coroutine[Any, Any, Any]) -> None:
-        self._coro = coro
-
-    def __await__(self):
-        coro = self._coro
-        step, value = coro.send, None
-        parked = False
-        while True:
-            try:
-                awaited = step(value)
-            except StopIteration as stop:
-                return stop.value
-            try:
-                if not parked:
-                    parked = True
-                    yield  # the inline step ends; the Task resumes here
-                value = yield awaited
-            except BaseException as error:  # thrown in by the Task
-                step, value = coro.throw, error
-            else:
-                step = coro.send
-
-
-class HandlerDeadline:
-    """One timer that cancels the handler it was armed in.
-
-    Arm it only in a handler :func:`start_inline` runs.  It cancels
-    that handler's Task, which exists by the time the timer fires: a
-    handler still running then has suspended.  After a
-    ``CancelledError``, :meth:`absorb` tells whether this deadline
-    caused it, and if so withdraws the cancellation so the handler can
-    answer instead."""
-
-    __slots__ = ("_home", "_timer", "_fired")
-
-    def __init__(self, delay: float) -> None:
-        self._home = _HANDLER.get()
-        self._fired: Optional[asyncio.Task] = None
-        self._timer = asyncio.get_running_loop().call_later(delay, self._fire)
-
-    def _fire(self) -> None:
-        (task,) = self._home
-        if not task.done():
-            self._fired = task
-            task.cancel()
-
-    def absorb(self) -> bool:
-        if self._fired is None:
-            return False
-        self._fired.uncancel()
-        return True
-
-    def cancel(self) -> None:
-        self._timer.cancel()
 
 
 # -- object versions -------------------------------------------------------

@@ -26,6 +26,12 @@ CONFIG = dict(
     drop_probability=0.02,
 )
 
+#: The seed-sweep fault load (``scripts/chaos_sweep.sh``): eight nodes,
+#: t=3, six crashes, two partitions and ambient drops.
+SWEEP = dict(
+    nodes=8, t=3, requests=250, crashes=6, partitions=2, drop_probability=0.1
+)
+
 
 def run(config: ChaosConfig):
     return asyncio.run(run_chaos(config))
@@ -48,17 +54,23 @@ class TestChaosRun:
         )
 
     def test_sa_run_holds_all_invariants(self):
-        result = run(ChaosConfig(**{**CONFIG, "protocol": "SA", "seed": 2}))
-        assert result.ok, result.describe()
-        assert result.writes_acked >= 1
+        for config in (
+            {**CONFIG, "protocol": "SA", "seed": 2},
+        ):
+            result = run(ChaosConfig(**config))
+            assert result.ok, result.describe()
+            assert result.writes_acked >= 1
 
     def test_same_seed_replays_identically(self):
-        first = run(ChaosConfig(**CONFIG))
-        second = run(ChaosConfig(**CONFIG))
-        assert first.plan == second.plan
-        # The closed-loop outcome is a function of the seed alone.
-        assert first.writes_acked == second.writes_acked
-        assert first.writes_rejected == second.writes_rejected
-        assert first.reads_ok == second.reads_ok
-        assert first.latest_acked == second.latest_acked
-        assert first.ok and second.ok
+        for config in (
+            CONFIG,
+            # Once a join-list-consistency failure that differed from
+            # run to run.
+            {**SWEEP, "protocol": "DA", "seed": 4, "durable": True},
+        ):
+            first = run(ChaosConfig(**config))
+            second = run(ChaosConfig(**config))
+            # The closed-loop outcome is a function of the seed alone:
+            # plan, outcomes, charged counts and invariant verdict.
+            assert first.describe() == second.describe()
+            assert first.ok, first.describe()

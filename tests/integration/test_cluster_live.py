@@ -103,13 +103,13 @@ class TestCrashRecover:
     async def relay_cut_by_crash(processors, scheme, primary, joiner, writer):
         """Server 1 relays the writer's invalidation to ``joiner`` over a
         slow link and crashes while it is in flight: the writer must get
-        the typed degraded rejection at once, not wait out its deadline."""
+        the typed degraded rejection at once, not wait out the client's
+        timeout."""
         spec = ClusterSpec(
             processors=processors,
             scheme=frozenset(scheme),
             protocol="DA",
             primary=primary,
-            exec_timeout=3.0,
         )
         cluster = await start_local_cluster(spec)
         client = ClusterClient(cluster.addresses, timeout=10.0)
@@ -344,35 +344,24 @@ class TestMalformedExec:
 
 class TestDeadlines:
     """Node 3 holds no copy, so its read asks node 1 over the delayed
-    link 3 -> 1: the request outlives whichever deadline is shorter."""
+    link 3 -> 1.  The node keeps no clock; the client's timeout is the
+    only deadline."""
 
     SLOW_LINK = FaultPlan(link_delays={(3, 1): 0.6})
 
-    def test_node_deadline_fails_the_request_and_the_node_serves_on(self):
+    def test_a_slow_read_answers_and_leaves_nothing_open(self):
         async def scenario():
-            spec = ClusterSpec(
-                processors=PROCESSORS,
-                scheme=SCHEME,
-                protocol="DA",
-                primary=PRIMARY,
-                exec_timeout=0.2,
-            )
-            cluster = await start_local_cluster(spec)
-            client = ClusterClient(cluster.addresses, timeout=10.0)
+            cluster, client = await booted()
             try:
                 await cluster.set_fault_plan(self.SLOW_LINK, nodes=[3])
                 slow = await client.execute(3, "read", rid=1)
-                assert not slow.ok
-                assert "request 1 timed out after 0.2s" in slow.error
-                # The deadline cut the delayed send short.
-                assert slow.latency < 0.5
+                assert slow.ok and slow.version.number == 0
+                # The answer waited out the delayed request.
+                assert slow.latency > 0.5
                 node = cluster.nodes[3]
                 assert node._exec_inflight == {} and node._pending == {}
-                assert node.metrics.request_errors == 1
-
-                await cluster.set_fault_plan(None, nodes=[3])
-                healed = await client.execute(3, "read", rid=2)
-                assert healed.ok and healed.version.number == 0
+                assert (await cluster.status(3))["pending"] == 0
+                assert node.metrics.request_errors == 0
             finally:
                 await client.close()
                 await cluster.stop()

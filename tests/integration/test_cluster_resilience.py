@@ -337,6 +337,46 @@ class TestDedup:
 
         run(scenario())
 
+    def test_duplicate_of_a_running_write_gets_the_same_reply(self):
+        """A retry that arrives while the original write still waits on a
+        delayed store joins it: both connections get the one reply, and
+        the write runs once."""
+
+        async def scenario():
+            cluster, client = await booted()
+            frame = {
+                "type": "exec",
+                "rid": 1,
+                "op": "write",
+                "version": {"number": 1, "writer": 1},
+            }
+            first = await RawConnection.open(cluster.addresses[1])
+            retry = await RawConnection.open(cluster.addresses[1])
+            try:
+                await cluster.set_fault_plan(
+                    FaultPlan(link_delays={(1, 2): 0.3}), nodes=[1]
+                )
+                first.send(frame)
+                node = cluster.nodes[1]
+                while 1 not in node._exec_inflight:
+                    await asyncio.sleep(0.01)
+                retry.send(frame)
+                replies = [await first.reply(), await retry.reply()]
+                assert replies[0]["ok"] and replies[1] == replies[0]
+                assert node._exec_inflight == {} and node._pending == {}
+
+                metrics = await cluster.metrics()
+                assert metrics[1].dedup_hits == 1
+                assert metrics[1].io_writes == 1
+                assert metrics[1].data_sent == 1
+            finally:
+                first.close()
+                retry.close()
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
 
 class TestSchemeRepair:
     def test_repair_restores_t_copies_and_adopts(self):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import json
 import struct
 from dataclasses import fields
@@ -17,10 +16,8 @@ from repro.cluster.metrics import NodeMetrics
 from repro.cluster.rpc import (
     MAX_FRAME_BYTES,
     FrameConnection,
-    HandlerDeadline,
     encode_frame,
     message_to_wire,
-    start_inline,
     version_from_wire,
     version_to_wire,
     wire_to_message,
@@ -212,138 +209,6 @@ class TestFrameConnection:
         connection.connection_made(BrokenPipe())
         with pytest.raises(ConnectionError, match="broke on write"):
             connection.send({"type": "ping"})
-
-
-class TestStartInline:
-    def test_a_handler_that_never_suspends_runs_now(self):
-        steps = []
-
-        async def handler():
-            steps.append("ran")
-            return 1
-
-        async def go():
-            task = start_inline(handler())
-            return task, list(steps)
-
-        assert asyncio.run(go()) == (None, ["ran"])
-
-    def test_a_suspending_handler_becomes_a_task(self):
-        async def handler(gate):
-            first = asyncio.current_task()
-            value = await gate
-            return first, asyncio.current_task(), value
-
-        async def go():
-            gate = asyncio.get_running_loop().create_future()
-            task = start_inline(handler(gate))
-            assert task is not None and not task.done()
-            gate.set_result(7)
-            first, later, value = await task
-            return task, first, later, value
-
-        task, first, later, value = asyncio.run(go())
-        # The inline step ran in its caller; the rest ran in the Task.
-        assert first is not task and later is task and value == 7
-
-    def test_one_context_across_the_inline_step_and_the_task(self):
-        var = contextvars.ContextVar("span", default="outside")
-
-        async def handler(gate):
-            token = var.set("inside")
-            await gate
-            seen = var.get()
-            var.reset(token)  # raises if the Task ran in another Context
-            return seen, var.get()
-
-        async def go():
-            gate = asyncio.get_running_loop().create_future()
-            task = start_inline(handler(gate))
-            outside = var.get()
-            gate.set_result(None)
-            return outside, await task
-
-        assert asyncio.run(go()) == ("outside", ("inside", "outside"))
-
-    def test_an_exception_in_the_inline_step_propagates(self):
-        async def handler():
-            raise ClusterError("bad frame")
-
-        async def go():
-            with pytest.raises(ClusterError, match="bad frame"):
-                start_inline(handler())
-
-        asyncio.run(go())
-
-    def test_cancelling_the_task_reaches_the_handler(self):
-        cleaned = []
-
-        async def handler():
-            try:
-                await asyncio.sleep(10)
-            finally:
-                cleaned.append(True)
-
-        async def go():
-            task = start_inline(handler())
-            await asyncio.sleep(0)
-            task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await task
-
-        asyncio.run(go())
-        assert cleaned == [True]
-
-    def test_a_cancel_before_the_tasks_first_step_reaches_the_handler(self):
-        seen = []
-
-        async def handler(gate):
-            try:
-                await gate
-            except asyncio.CancelledError:
-                seen.append("cancelled")
-                raise
-
-        async def go():
-            gate = asyncio.get_running_loop().create_future()
-            task = start_inline(handler(gate))
-            task.cancel()  # the Task has not stepped yet
-            with pytest.raises(asyncio.CancelledError):
-                await task
-
-        asyncio.run(go())
-        assert seen == ["cancelled"]
-
-    def test_a_deadline_cancels_the_handler_it_was_armed_in(self):
-        async def handler():
-            deadline = HandlerDeadline(0.01)
-            try:
-                await asyncio.sleep(10)
-            except asyncio.CancelledError:
-                return deadline.absorb()
-            finally:
-                deadline.cancel()
-            return "slept"
-
-        async def go():
-            task = start_inline(handler())
-            absorbed = await task
-            return absorbed, task.cancelling()
-
-        assert asyncio.run(go()) == (True, 0)
-
-    def test_a_disarmed_deadline_does_not_fire(self):
-        async def handler():
-            deadline = HandlerDeadline(0.01)
-            await asyncio.sleep(0)
-            deadline.cancel()
-            await asyncio.sleep(0.03)
-            return deadline.absorb()
-
-        async def go():
-            return await start_inline(handler())
-
-        assert asyncio.run(go()) is False
 
 
 class TestVersionCodec:
