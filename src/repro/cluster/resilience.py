@@ -293,11 +293,25 @@ class SchemeRepairer:
 
         repaired: List[Tuple[int, int, int]] = []
         failed_targets: List[int] = []
+        spares = iter(
+            [n for n in sorted(usable) if n not in holders and n not in targets]
+        )
+        # The loop also visits targets appended while it runs.
         for target in targets:
             try:
                 await self.cluster.repair(donor, target, self._rid())
             except ClusterError:
                 failed_targets.append(target)
+                # Fail over as a read does: while t copies are short,
+                # copy to the next usable processor instead.
+                copies = len(holders) + sum(
+                    1
+                    for n in targets
+                    if n not in holders and n not in failed_targets
+                )
+                spare = next(spares, None) if copies < self.t else None
+                if spare is not None:
+                    targets.append(spare)
                 continue
             repaired.append((donor, target, latest))
 
@@ -326,9 +340,11 @@ class SchemeRepairer:
             adopted=adopted,
             scheme=tuple(sorted(scheme)),
             holders=holders_after,
+            # A failed copy degrades the round only if no spare made up
+            # for it, or if it left a stale holder unrefreshed.
             degraded=(
                 len(holders_after) < self.t
-                or bool(failed_targets)
+                or any(target in holders for target in failed_targets)
                 or not adoption_ok
             ),
         )

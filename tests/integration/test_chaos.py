@@ -56,6 +56,10 @@ class TestChaosRun:
     def test_sa_run_holds_all_invariants(self):
         for config in (
             {**CONFIG, "protocol": "SA", "seed": 2},
+            # Seed 26 loses every copy 1 -> 4 of its first repair round;
+            # the round must fail over to another target.
+            {**SWEEP, "protocol": "SA", "seed": 26},
+            {**SWEEP, "protocol": "SA", "seed": 26, "durable": True},
         ):
             result = run(ChaosConfig(**config))
             assert result.ok, result.describe()

@@ -428,6 +428,29 @@ class TestSchemeRepair:
         run(scenario())
 
 
+    def test_a_lost_copy_fails_over_to_the_next_processor(self):
+        """Every transmission of the copy to node 3 is lost: the round
+        copies to node 4 instead and still reaches t copies."""
+
+        async def scenario():
+            cluster, client = await booted(processors=(1, 2, 3, 4))
+            repairer = SchemeRepairer(cluster, t=2)
+            try:
+                await cluster.crash(2)
+                await cluster.set_fault_plan(
+                    FaultPlan(drop_next={(1, 3): POLICY.attempts}), nodes=[1]
+                )
+                report = await repairer.repair_round()
+                assert report.repaired == ((1, 4, 0),)
+                assert report.holders == (1, 4)
+                assert not report.degraded
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
 class TestStewardCrashMidRepair:
     def test_second_pass_converges_without_recopying(self):
         """Regression: the prospective steward crashing between the
