@@ -4,8 +4,9 @@ One leaf command: generate a deterministic fault plan from the seed,
 replay a seeded workload while the plan fires, repair after every
 event, and exit non-zero if any invariant (read freshness, no lost
 acknowledged writes, ``t``-availability, DA join-list consistency,
-every request settled) was violated.  ``--plan-only`` prints the schedule without running it —
-useful for inspecting what a seed would do before replaying it.
+every request settled) was violated.  ``--plan-only`` prints the
+schedule without running it — useful for inspecting what a seed would
+do before replaying it.
 """
 
 from __future__ import annotations

@@ -389,7 +389,9 @@ class NodeServer:
             else:
                 self.protocol.client_write(rid, version, then)
         except (ClusterError, ProtocolError, StorageError) as error:
-            self._pending.pop(rid, None)
+            # Settle what the start left open (a write rolls its copy
+            # back); the reply carries this error unless one already left.
+            self.fail_pending(rid, error)
             then(None, error)
 
     @staticmethod
@@ -489,7 +491,8 @@ class NodeServer:
                 # A read's (or probe's) peer crashed or its answer was
                 # lost: fail it so the caller tries the next candidate.
                 self.fail_pending(
-                    rid, f"the response to read {rid} was lost in transit"
+                    rid,
+                    ClusterError(f"the response to read {rid} was lost in transit"),
                 )
                 return
         # A store or invalidation resolved (delivered or dropped —
@@ -516,7 +519,7 @@ class NodeServer:
             # could let a stale copy be read.
             self.finish_unit(rid, lost)
         else:
-            self.fail_pending(rid, f"request {rid}: {lost}")
+            self.fail_pending(rid, ClusterError(f"request {rid}: {lost}"))
 
     # -- admin plane -------------------------------------------------------
 
@@ -729,10 +732,10 @@ class NodeServer:
                 self.metrics.degraded_rejections += 1
         pending.then(pending, error)
 
-    def fail_pending(self, rid: int, reason: str) -> None:
+    def fail_pending(self, rid: int, error: Exception) -> None:
         pending = self._pending.pop(rid, None)
         if pending is not None:
-            pending.then(pending, ClusterError(reason))
+            pending.then(pending, error)
 
     async def _settled(
         self, rid: int, kind: str, send: Callable[[], None]
@@ -789,7 +792,7 @@ class NodeServer:
         # Settle every entry: origin requests fail, and each open relay
         # tells its writer an invalidation was lost (``done failed``).
         for rid in list(self._pending):
-            self.fail_pending(rid, f"node {self.node_id} crashed")
+            self.fail_pending(rid, ClusterError(f"node {self.node_id} crashed"))
 
     async def recover_async(self) -> Dict[str, Any]:
         """Tiered recovery; returns the ``recover`` admin reply.

@@ -147,10 +147,11 @@ class LiveProtocol:
                 return
             server = next(remaining, None)
             if server is None:
-                then(None, ClusterError(
+                error = ClusterError(
                     f"read {rid} at {self.me}: no reachable copy among "
                     f"{servers} ({error})"
-                ))
+                )
+                then(None, error)
                 return
             self.node.open_pending(rid, "r", 1, ask)
             self.node.transport.send_protocol(
@@ -208,8 +209,6 @@ class LiveStaticAllocation(LiveProtocol):
 
     def client_write(self, rid: int, version: ObjectVersion, then: Then) -> None:
         targets = sa_store_targets(self.scheme, self.me)
-        if self.me in self.scheme:
-            self.node.output_object(version)
 
         def settled(pending, error: Optional[Exception]) -> None:
             if error is not None:
@@ -230,6 +229,8 @@ class LiveStaticAllocation(LiveProtocol):
             then(version, error)
 
         self.node.open_pending(rid, "w", len(targets), settled)
+        if self.me in self.scheme:
+            self.node.output_object(version)
         for member in targets:
             self.node.transport.send_protocol(
                 DataTransfer(
@@ -306,9 +307,6 @@ class LiveDynamicAllocation(LiveProtocol):
                 self.node.join_list, execution_set, self.me
             )
         stores = sorted(execution_set - {self.me})
-        self.node.output_object(version)
-        if self.me in self.core:
-            self._record_holders(execution_set)
 
         def settled(pending, error: Optional[Exception]) -> None:
             if error is None and self.me not in self.core:
@@ -332,6 +330,10 @@ class LiveDynamicAllocation(LiveProtocol):
         self.node.open_pending(
             rid, "w", len(stores) + len(own_targets), settled, targets=own_targets
         )
+        self.node.output_object(version)
+        if self.me in self.core:
+            # Before the sends: a send can settle the entry at once.
+            self._record_holders(execution_set)
         for member in stores:
             self.node.transport.send_protocol(
                 DataTransfer(

@@ -23,9 +23,14 @@ from repro.cluster import (
     start_cluster,
     start_local_cluster,
 )
-from repro.cluster.rpc import message_to_wire
+from repro.cluster.rpc import (
+    MAX_FRAME_BYTES,
+    encode_frame,
+    message_to_wire,
+    version_to_wire,
+)
 from repro.core.dynamic_allocation import DynamicAllocation
-from repro.distsim.messages import ReadRequest
+from repro.distsim.messages import DataTransfer, ReadRequest
 from repro.storage.versions import ObjectVersion
 from repro.exceptions import ClusterError
 from repro.workloads.uniform import UniformWorkload
@@ -68,6 +73,31 @@ class TestCrashRecover:
                 # The rest of the cluster is unbothered.
                 alive = await client.execute(1, "read", rid=2)
                 assert alive.ok
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_crash_fails_the_nodes_own_read_in_flight(self):
+        """Node 3's remote read is held on a slow link when node 3
+        crashes: the read fails at once instead of failing over from a
+        dead node, and leaves nothing open."""
+
+        async def scenario():
+            cluster, client = await booted()
+            try:
+                await cluster.set_fault_plan(
+                    FaultPlan(link_delays={(3, 1): 0.5}), nodes=[3]
+                )
+                read = asyncio.ensure_future(client.execute(3, "read", rid=1))
+                node = cluster.nodes[3]
+                while 1 not in node._pending:
+                    await asyncio.sleep(0.01)
+                await cluster.crash(3)
+                outcome = await read
+                assert not outcome.ok and "node 3 crashed" in outcome.error
+                assert node._pending == {} and node._exec_inflight == {}
             finally:
                 await client.close()
                 await cluster.stop()
@@ -334,6 +364,42 @@ class TestMalformedExec:
                 assert cluster.nodes[1]._exec_inflight == {}
                 # The node still serves well-formed requests.
                 assert (await client.execute(1, "read", rid=6)).ok
+            finally:
+                raw.close()
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_a_store_too_large_to_send_rolls_the_write_back(self):
+        """The exec frame fits the frame limit but the store it causes
+        does not: starting the write raises, the writer's copy rolls
+        back, and the write is answered ``ok: false``."""
+        header = {"type": "exec", "rid": 2, "op": "write"}
+        bare = {**header, "version": {"number": 2, "writer": 1, "payload": ""}}
+        payload = "x" * (MAX_FRAME_BYTES - len(encode_frame(bare)) + 4)
+        version = ObjectVersion(2, 1, payload)
+        frame = {**header, "version": version_to_wire(version)}
+        store = DataTransfer(1, 2, version=version, request_id=2, save_copy=True)
+        assert len(encode_frame(frame)) - 4 == MAX_FRAME_BYTES
+        with pytest.raises(ClusterError, match="exceeds"):
+            encode_frame(message_to_wire(store))
+
+        async def scenario():
+            cluster, client = await booted("SA")
+            raw = await RawConnection.open(cluster.addresses[1])
+            try:
+                # A first write opens the link 1 -> 2.
+                first = await client.execute(
+                    1, "write", rid=1, version=ObjectVersion(1, 1)
+                )
+                assert first.ok
+                raw.send(frame)
+                reply = await raw.reply()
+                assert reply["ok"] is False and "exceeds" in reply["error"]
+                node = cluster.nodes[1]
+                assert node._pending == {} and node._exec_inflight == {}
+                assert not node.database.holds_valid_copy
             finally:
                 raw.close()
                 await client.close()
