@@ -19,11 +19,12 @@ connection speaks the frame vocabulary of :mod:`repro.cluster.rpc`:
   the repairer and tests steer the node.
 
 Every frame is served the moment it arrives, and the node's own peer
-sends are plain calls.  A client ``exec`` is a continuation: its handler
-starts the request and returns, and the settle that drains or fails the
-request's :class:`PendingRequest` sends the ``result`` frame.  Only the
-``repair_send`` and ``recover`` admin frames wait, each as a task.  The
-node keeps no clock: every entry is settled by a rule — an answer, a
+sends are plain calls; the node starts no task.  A client ``exec``, a
+``repair_send`` and a ``recover`` are continuations: the handler opens a
+:class:`PendingRequest` and returns, and the settle that drains or fails
+the entry sends the reply.  A read and the recovery freshness probe ask
+peers one at a time through one walk, :meth:`NodeServer.ask_in_turn`.
+The node keeps no clock: every entry is settled by a rule — an answer, a
 ``done``, a frame lost on every attempt or a crash.
 
 Crash semantics mirror :mod:`repro.distsim.failures`' fail-stop model:
@@ -72,7 +73,7 @@ from repro.exceptions import (
     ProtocolError,
     StorageError,
 )
-from repro.distsim.messages import VersionInquiry
+from repro.distsim.messages import Message, VersionInquiry
 from repro.storage.local_db import LocalDatabase
 from repro.storage.versions import ObjectVersion
 
@@ -124,8 +125,8 @@ class PendingRequest:
     kind: str
     units: int
     then: Callable[["PendingRequest", Optional[Exception]], None]
-    #: The answer: a read's version, or a probe's
-    #: ``(version_number, holds_copy)`` report.
+    #: The answer: a read's version, or ``(peer, version_number)`` from
+    #: a probed peer that holds a copy.
     version: Any = None
     #: Peers whose unit settled because they were crashed (fail-stop
     #: receivers count the drop and notify the oracle).  The write path
@@ -220,9 +221,6 @@ class NodeServer:
         self._probe_rid = PROBE_RID_BASE + config.node_id * 1_000_000
         self._server = None
         self.address: Optional[Address] = None
-        #: Running ``repair_send``/``recover`` handlers, and the
-        #: connections being served.
-        self._tasks: Set[asyncio.Task] = set()
         self._connections: Set[FrameConnection] = set()
         self._stopped = asyncio.Event()
         # A restarting durable node resumes from its log instead of the
@@ -311,10 +309,6 @@ class NodeServer:
             # a closed server cannot, and the socket would leak.
             await asyncio.sleep(0)
             server.close()
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
         for connection in list(self._connections):
             connection.close()
         if server is not None:
@@ -335,8 +329,7 @@ class NodeServer:
     def _dispatch(
         self, connection: FrameConnection, frame: Mapping[str, Any]
     ) -> None:
-        """Serve one frame as it arrives.  Only ``repair_send`` and
-        ``recover`` wait for peers' answers, each as a task."""
+        """Serve one frame as it arrives."""
         kind = frame["type"]
         if kind == "msg":
             self._handle_msg(frame)
@@ -346,12 +339,6 @@ class NodeServer:
             self._handle_repair_copy(frame)
         elif kind == "exec":
             self._handle_exec(frame, connection)
-        elif kind in ("repair_send", "recover"):
-            task = asyncio.get_running_loop().create_task(
-                self._handle_waiting_admin(kind, frame, connection)
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
         else:
             self._handle_admin(kind, frame, connection)
 
@@ -487,17 +474,11 @@ class NodeServer:
             self.join_list.discard(source)
         if dropped:
             pending.crash_settled.add(source)
-            if pending.kind in ("r", "p"):
-                # A read's (or probe's) peer crashed or its answer was
-                # lost: fail it so the caller tries the next candidate.
-                self.fail_pending(
-                    rid,
-                    ClusterError(f"the response to read {rid} was lost in transit"),
-                )
-                return
         # A store or invalidation resolved (delivered or dropped —
         # either way the work unit is settled); ``failed`` means a relay
-        # could not invalidate a stale holder.
+        # could not invalidate a stale holder.  A read's or probe's peer
+        # that crashed, holds no copy or lost its answer settles the
+        # unit with no value, so the walk asks the next candidate.
         relayed = "a relayed invalidation was permanently lost"
         self.finish_unit(rid, relayed if frame.get("failed") else None)
 
@@ -526,27 +507,28 @@ class NodeServer:
     def _handle_admin(
         self, kind: str, frame: Mapping[str, Any], connection: FrameConnection
     ) -> None:
-        try:
-            reply = self._admin_reply(kind, frame)
-        except ClusterError as error:
-            reply = {"type": "error", "error": str(error)}
-        reply["id"] = frame.get("id")
-        _send(connection, reply)
-        if kind == "shutdown" and reply.get("type") == "ok":
-            self._stopped.set()
+        """Answer an admin frame: at once, or — ``repair_send`` and
+        ``recover`` — from the callback of the entry the frame opened."""
 
-    async def _handle_waiting_admin(
-        self, kind: str, frame: Mapping[str, Any], connection: FrameConnection
-    ) -> None:
+        def answer(
+            reply: Optional[Dict[str, Any]], error: Optional[Exception] = None
+        ) -> None:
+            if error is not None:
+                reply = {"type": "error", "error": str(error)}
+            reply["id"] = frame.get("id")
+            _send(connection, reply)
+            if kind == "shutdown" and error is None:
+                self._stopped.set()
+
         try:
             if kind == "repair_send":
-                reply = await self._repair_send(frame)
+                self._repair_send(frame, answer)
+            elif kind == "recover":
+                self.recover(answer)
             else:
-                reply = await self.recover_async()
+                answer(self._admin_reply(kind, frame))
         except ClusterError as error:
-            reply = {"type": "error", "error": str(error)}
-        reply["id"] = frame.get("id")
-        _send(connection, reply)
+            answer(None, error)
 
     def _admin_reply(self, kind: str, frame: Mapping[str, Any]) -> Dict[str, Any]:
         if kind == "ping":
@@ -586,7 +568,7 @@ class NodeServer:
                 "node": self.node_id,
                 "crashed": self.crashed,
                 "holds_valid_copy": self.database.holds_valid_copy,
-                "version": version_to_wire(version),
+                "version": _stamp(version),
                 "join_list": sorted(self.join_list),
                 "steward": self.steward,
                 "scheme": sorted(self.protocol.scheme),
@@ -625,10 +607,12 @@ class NodeServer:
 
     # -- scheme repair -----------------------------------------------------
 
-    async def _repair_send(self, frame: Mapping[str, Any]) -> Dict[str, Any]:
+    def _repair_send(
+        self, frame: Mapping[str, Any], answer: Callable[..., None]
+    ) -> None:
         """Admin: act as repair donor — copy our object to a peer.
 
-        Replies only after the transfer settled, so the repairer can
+        Answers only after the transfer settled, so the repairer can
         drive rounds synchronously.  The copy is charged as one data
         message at this node (see ``PeerTransport.send_repair``) plus
         the store I/O at the target; the donor's local read is
@@ -643,18 +627,23 @@ class NodeServer:
                 f"repair donor {self.node_id} holds no valid copy"
             )
         version = self.database.peek_version()
-        send = partial(
-            self.transport.send_repair, target, rid, version_to_wire(version)
-        )
-        pending = await self._settled(rid, "c", send)
-        if target in pending.crash_settled:
-            raise ClusterError(f"repair target {target} is crashed")
-        return {
-            "type": "repair_report",
-            "donor": self.node_id,
-            "target": target,
-            "version": version_to_wire(version),
-        }
+
+        def settled(pending: PendingRequest, error: Optional[Exception]) -> None:
+            if error is None and target in pending.crash_settled:
+                error = ClusterError(f"repair target {target} is crashed")
+            report = {
+                "type": "repair_report",
+                "donor": self.node_id,
+                "target": target,
+                "version": _stamp(version),
+            }
+            answer(report, error)
+
+        self.open_pending(rid, "c", 1, settled)
+        try:
+            self.transport.send_repair(target, rid, version_to_wire(version))
+        except ClusterError as error:
+            self.fail_pending(rid, error)
 
     def _handle_repair_copy(self, frame: Mapping[str, Any]) -> None:
         """Peer plane: install a repair copy shipped by a donor."""
@@ -737,31 +726,48 @@ class NodeServer:
         if pending is not None:
             pending.then(pending, error)
 
-    async def _settled(
-        self, rid: int, kind: str, send: Callable[[], None]
-    ) -> PendingRequest:
-        """Open a one-unit entry, ``send`` its frame and wait until the
-        entry settles; a failed entry raises its error."""
-        settled = asyncio.get_running_loop().create_future()
+    def ask_in_turn(
+        self,
+        rid: int,
+        kind: str,
+        candidates: List[int],
+        ask: Callable[[int], Message],
+        then: Callable[[Any, Optional[Exception]], None],
+    ) -> None:
+        """Ask ``candidates`` one at a time, under request ``rid``: each
+        gets a one-unit ``kind`` entry and the message ``ask(peer)``.
 
-        def then(pending: PendingRequest, error: Optional[Exception]) -> None:
-            if settled.done():  # cancelled: the node is stopping
+        ``then(value, error)`` reports the first answer that carries a
+        value.  An entry that settles without one — the peer is crashed,
+        copyless or unreachable — moves the walk on to the next
+        candidate.  Only a settled entry moves it, never slowness, so at
+        most one candidate answers.  The walk fails once no candidate is
+        left, or once this node has crashed."""
+        remaining = iter(candidates)
+
+        def ask_next(pending=None, error: Optional[Exception] = None) -> None:
+            if pending is not None and pending.version is not None:
+                then(pending.version, None)
                 return
-            if error is None:
-                settled.set_result(pending)
-            else:
-                settled.set_exception(error)
+            if self.crashed:
+                then(None, error)
+                return
+            peer = next(remaining, None)
+            if peer is None:
+                then(None, ClusterError(
+                    f"request {rid} at {self.node_id}: no reachable copy among "
+                    f"{candidates} ({error or 'none came back'})"
+                ))
+                return
+            self.open_pending(rid, kind, 1, ask_next)
+            self.transport.send_protocol(ask(peer))
 
-        self.open_pending(rid, kind, 1, then)
-        try:
-            send()
-            return await settled
-        finally:
-            self._pending.pop(rid, None)
+        ask_next()
 
     def resolve_pending(self, rid: int, kind: str, value: Any) -> bool:
         """Claim an incoming answer as this node's own read (``"r"``,
-        the version) or probe (``"p"``, the version report).
+        the version) or probe (``"p"``, the vouching peer and its
+        version number, or ``None`` from a copyless peer).
 
         Request ids are globally unique (the load generator assigns
         them), so holding a read pending for ``rid`` is proof a
@@ -794,8 +800,9 @@ class NodeServer:
         for rid in list(self._pending):
             self.fail_pending(rid, ClusterError(f"node {self.node_id} crashed"))
 
-    async def recover_async(self) -> Dict[str, Any]:
-        """Tiered recovery; returns the ``recover`` admin reply.
+    def recover(self, answer: Callable[..., None]) -> None:
+        """Tiered recovery; ``answer(reply, error)`` gets the ``recover``
+        admin reply.
 
         Tiers (see ``docs/durability.md``):
 
@@ -815,7 +822,8 @@ class NodeServer:
         control round trip (inquiry here, report at the peer) — never
         as data messages.  Damage (torn/corrupt tail) was already
         truncated by the WAL, so ``damaged``/``truncated_bytes`` in the
-        reply report what the crash cost."""
+        reply report what the crash cost.  A crash while the probe is in
+        flight answers that crash's error."""
         if not self.crashed:
             raise ClusterError(f"node {self.node_id} is not down")
         self.crashed = False
@@ -826,44 +834,63 @@ class NodeServer:
             "tier": "volatile",
         }
         if not self.durability.durable:
-            return reply
+            answer(reply)
+            return
         state = self.durability.recover()
         self.metrics.io_reads += state.replay_cost
         reply.update(
             replayed=state.replayed,
             truncated_bytes=state.truncated_bytes,
             damaged=state.damaged,
-            version=version_to_wire(state.version),
+            version=_stamp(state.version),
         )
         if state.version is None or not state.valid:
             reply["tier"] = "log-empty" if state.version is None else "log-stale"
             self._settle_stale_recovery(state)
-            return reply
-        peer, peer_number = await self._probe_freshness()
-        reply["probe_peer"] = peer
-        reply["peer_version"] = peer_number
-        if peer is None:
-            reply["tier"] = "log-unverified"
-            self._settle_stale_recovery(state)
-            return reply
-        if peer_number > state.version.number:
-            reply["tier"] = "log-stale"
-            self._settle_stale_recovery(state)
-            return reply
-        # Fresh: reinstall the journaled state as-is.  Muted — the log
-        # already records exactly this state.
-        with self.durability.muted():
-            self.database.seed(state.version)
-            self.join_list.clear()
-            self.join_list.update(state.join_list)
-            self.steward = state.steward
-        self._latest_commit = state.latest_commit
-        self.metrics.fresh_rejoins += 1
-        self.durability.log_note(
-            "recovered", tier="log-fresh", number=state.version.number
+            answer(reply)
+            return
+
+        def vouched(report: Optional[Tuple[int, int]], error) -> None:
+            if self.crashed:
+                answer(None, error)
+                return
+            peer, peer_number = report or (None, None)
+            reply["probe_peer"] = peer
+            reply["peer_version"] = peer_number
+            if peer is None or peer_number > state.version.number:
+                reply["tier"] = "log-unverified" if peer is None else "log-stale"
+                self._settle_stale_recovery(state)
+                answer(reply)
+                return
+            # Fresh: reinstall the journaled state as-is.  Muted — the
+            # log already records exactly this state.
+            with self.durability.muted():
+                self.database.seed(state.version)
+                self.join_list.clear()
+                self.join_list.update(state.join_list)
+                self.steward = state.steward
+            self._latest_commit = state.latest_commit
+            self.metrics.fresh_rejoins += 1
+            self.durability.log_note(
+                "recovered", tier="log-fresh", number=state.version.number
+            )
+            reply["tier"] = "log-fresh"
+            answer(reply)
+
+        # Ask peers in the read-failover order to vouch for the logged
+        # version: a ``VersionInquiry`` out, a ``VersionReport`` back —
+        # the quorum literature's recovery handshake (cf.
+        # :mod:`repro.distsim.protocols.missing_writes`: an empty log is
+        # revalidated at the price of a version check).
+        self._probe_rid += 1
+        rid = self._probe_rid
+        self.ask_in_turn(
+            rid,
+            "p",
+            self.protocol.probe_candidates(),
+            lambda peer: VersionInquiry(self.node_id, peer, request_id=rid),
+            vouched,
         )
-        reply["tier"] = "log-fresh"
-        return reply
 
     def _settle_stale_recovery(self, state) -> None:
         """The log could not prove freshness: stay invalid (``crash()``
@@ -874,40 +901,19 @@ class NodeServer:
         self.durability.log_invalidate()
         self.durability.log_join((), False)
 
-    async def _probe_freshness(self) -> Tuple[Optional[int], Optional[int]]:
-        """Ask peers to vouch for the logged version's freshness.
-
-        Walks the protocol's candidate order (the read-failover order),
-        one control round trip per attempt, each settled by the report,
-        a loss or a crash: a ``VersionInquiry`` out, a ``VersionReport``
-        back —
-        message types the quorum literature's recovery handshake already
-        defines (cf.
-        :mod:`repro.distsim.protocols.missing_writes`: an empty log is
-        revalidated at the price of a version check).  Returns
-        ``(peer, version_number)`` from the first peer that holds a
-        valid copy, or ``(None, None)`` when nobody can vouch."""
-        for peer in self.protocol.probe_candidates():
-            self._probe_rid += 1
-            rid = self._probe_rid
-            inquiry = VersionInquiry(self.node_id, peer, request_id=rid)
-            try:
-                pending = await self._settled(
-                    rid, "p", partial(self.transport.send_protocol, inquiry)
-                )
-            except ClusterError:
-                continue  # the peer is crashed, or a frame was lost
-            number, holds = pending.version
-            if holds:
-                return peer, number
-            # A copyless peer cannot vouch either way: ask the next.
-        return None, None
-
     def reset_metrics(self) -> None:
         """Fresh counters (e.g. after warm-up); shared with transport."""
         self.metrics = NodeMetrics(self.node_id)
         self.transport.metrics = self.metrics
         self.durability.metrics = self.metrics
+
+
+def _stamp(version: Optional[ObjectVersion]) -> Optional[Dict[str, int]]:
+    """A version as admin replies report it: number and writer, never
+    the payload, so a reply stays small whatever the object holds."""
+    if version is None:
+        return None
+    return {"number": version.number, "writer": version.writer}
 
 
 def _send(connection: FrameConnection, payload: Mapping[str, Any]) -> None:

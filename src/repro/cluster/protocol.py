@@ -91,7 +91,8 @@ class LiveProtocol:
 
         A ``VersionInquiry`` is answered from the uncharged version peek
         (the paper prices the probe as the control round trip, not as
-        I/O); a ``VersionReport`` resolves one of our own probes.
+        I/O); a ``VersionReport`` resolves one of our own probes — with
+        no value from a copyless peer, so the probe asks the next one.
         Returns True when the message was consumed here."""
         if isinstance(message, VersionInquiry):
             version = self.node.database.peek_version()
@@ -108,8 +109,10 @@ class LiveProtocol:
             )
             return True
         if isinstance(message, VersionReport):
-            report = (message.version_number, message.holds_copy)
-            self.node.resolve_pending(message.request_id, "p", report)
+            report = (message.sender, message.version_number)
+            self.node.resolve_pending(
+                message.request_id, "p", report if message.holds_copy else None
+            )
             return True
         return False
 
@@ -125,40 +128,18 @@ class LiveProtocol:
     # -- shared building blocks ------------------------------------------
 
     def _remote_read(self, rid: int, then: Then) -> None:
-        """Request the object from the first answering peer.
-
-        Walks :meth:`probe_candidates` in order, moving on when a
-        candidate is crashed, unreachable or copyless.  Failover is only
-        triggered by *settled* failures (a drop or a crash
-        notification), never by slowness, so at most one candidate ever
-        answers — no duplicate-response races.  Fault-free, the first
-        candidate is the paper's serving member, so traffic is the
-        model's message for message.  A crash of this node ends the
-        walk."""
-        servers = self.probe_candidates()
-        remaining = iter(servers)
-
-        def ask(pending=None, error: Optional[Exception] = None) -> None:
-            if pending is not None and error is None:
-                then(pending.version, None)
-                return
-            if isinstance(error, ClusterDegradedError) or self.node.crashed:
-                then(None, error)
-                return
-            server = next(remaining, None)
-            if server is None:
-                error = ClusterError(
-                    f"read {rid} at {self.me}: no reachable copy among "
-                    f"{servers} ({error})"
-                )
-                then(None, error)
-                return
-            self.node.open_pending(rid, "r", 1, ask)
-            self.node.transport.send_protocol(
-                ReadRequest(self.me, server, request_id=rid)
-            )
-
-        ask()
+        """Request the object from the first peer that serves it: one
+        walk of :meth:`probe_candidates` through
+        :meth:`~repro.cluster.node.NodeServer.ask_in_turn`.  Fault-free,
+        the first candidate is the paper's serving member, so traffic is
+        the model's message for message."""
+        self.node.ask_in_turn(
+            rid,
+            "r",
+            self.probe_candidates(),
+            lambda server: ReadRequest(self.me, server, request_id=rid),
+            then,
+        )
 
     def _serve_read(self, message: ReadRequest, save_copy: bool) -> None:
         """Input the object and ship it back to the requester."""

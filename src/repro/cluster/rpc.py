@@ -41,8 +41,9 @@ in dataclass order.
 
 Every connection — node, peer link, client and admin — is a
 :class:`FrameConnection` protocol that serves each frame the moment its
-bytes arrive.  A node serves almost every frame within that callback
-(see :mod:`repro.cluster.node`).
+bytes arrive.  A node serves every frame within that callback; a frame
+that waits on peers leaves a continuation behind (see
+:mod:`repro.cluster.node`).
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class FrameConnection(asyncio.Protocol):
     read pump, no task per frame.  A frame the sink raises on is
     reported to the loop's exception handler and the next frame is
     still served.  An oversize length or a malformed body closes the
-    connection without serving it or anything after it.  ``send``
-    writes straight to the transport: no lock and no ``drain()``.
+    connection without serving it or anything after it.  ``send`` and
+    ``write`` go straight to the transport: no lock and no ``drain()``.
     ``on_close(connection, error)`` runs once when the connection is
     gone; ``error`` is the framing error that closed it, if any."""
 
@@ -134,11 +135,15 @@ class FrameConnection(asyncio.Protocol):
         return self.transport is None or self.transport.is_closing()
 
     def send(self, payload: Mapping[str, Any]) -> None:
-        """Write one frame; ``ConnectionError`` if the connection was
-        closed, or the write found it broken (the frame is lost)."""
+        """Encode and write one frame (see :meth:`write`)."""
+        self.write(encode_frame(payload))
+
+    def write(self, data: bytes) -> None:
+        """Write one encoded frame; ``ConnectionError`` if the connection
+        was closed, or the write found it broken (the frame is lost)."""
         if self.closed:
             raise ConnectionResetError("the connection is closed")
-        self.transport.write(encode_frame(payload))
+        self.transport.write(data)
         if self.transport.is_closing():
             raise ConnectionResetError("the connection broke on write")
 

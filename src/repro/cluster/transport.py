@@ -8,8 +8,10 @@ exactly where the simulated :class:`~repro.distsim.network.Network`
 charges them — so live and simulated totals are comparable unit for
 unit.
 
-Every send is a plain call that returns nothing, and every frame
-leaves through ``PeerTransport._write``.  Delays and retry backoffs are
+Every send is a plain call that returns nothing.  It encodes its frame
+once, up front, so a frame that cannot be encoded raises to the caller
+before anything is charged; every attempt then writes the same bytes
+through ``PeerTransport._write``.  Delays and retry backoffs are
 loop timers; only a link that still has to be dialled costs a task.
 
 Fault injection mirrors the two fault planes of the simulator:
@@ -37,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
-from repro.cluster.rpc import FrameConnection, message_to_wire
+from repro.cluster.rpc import FrameConnection, encode_frame, message_to_wire
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.resilience import RetryPolicy
 from repro.distsim.messages import Message
@@ -266,7 +268,8 @@ class PeerTransport:
         recovery work without perturbing the cost-model accounting.  A
         message lost on every attempt stays charged (the simulated
         network's sender-side accounting for doomed messages) and goes
-        to ``on_lost``."""
+        to ``on_lost``.  A frame too large to encode raises
+        ``ClusterError`` before it is charged."""
         if message.sender != self.node_id:
             raise ClusterError(
                 f"node {self.node_id} cannot send on behalf of "
@@ -277,8 +280,9 @@ class PeerTransport:
                 f"{message.describe()}: a processor does not message itself "
                 "(local work is I/O, not communication)"
             )
+        data = encode_frame(message_to_wire(message))
         self.metrics.charge_message(message)
-        self._ship(message.receiver, message_to_wire(message), 0)
+        self._ship(message.receiver, message.request_id, data, 0)
 
     def send_repair(
         self, peer: int, rid: int, version_wire: Mapping[str, Any]
@@ -288,15 +292,16 @@ class PeerTransport:
         Charged as **one data message** (what the cost model prices a
         copy transfer at) and counted separately in ``repairs_sent``.
         Subject to transport faults and retries like any charged send."""
-        self.metrics.data_sent += 1
-        self.metrics.repairs_sent += 1
         payload = {
             "type": "repair",
             "rid": rid,
             "from": self.node_id,
             "version": dict(version_wire),
         }
-        self._ship(peer, payload, 0)
+        data = encode_frame(payload)
+        self.metrics.data_sent += 1
+        self.metrics.repairs_sent += 1
+        self._ship(peer, rid, data, 0)
 
     def send_done(
         self, peer: int, rid: int, dropped: bool = False, failed: bool = False
@@ -316,28 +321,24 @@ class PeerTransport:
         }
         if failed:
             payload["failed"] = True
-        self._write(peer, payload, None)
+        self._write(peer, rid, encode_frame(payload), None)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _ship(
-        self, receiver: int, payload: Mapping[str, Any], attempt: int
-    ) -> None:
+    def _ship(self, receiver: int, rid: int, data: bytes, attempt: int) -> None:
         """One attempt of a charged frame, with the fault plan applied."""
         plan = self.fault_plan
         if plan is not None:
             if plan.should_drop(self.node_id, receiver):
-                self._lost(receiver, payload, attempt)
+                self._lost(receiver, rid, data, attempt)
                 return
             delay = plan.delay_for(self.node_id, receiver)
             if delay > 0.0:
-                self._later(delay, self._write, receiver, payload, attempt)
+                self._later(delay, self._write, receiver, rid, data, attempt)
                 return
-        self._write(receiver, payload, attempt)
+        self._write(receiver, rid, data, attempt)
 
-    def _lost(
-        self, receiver: int, payload: Mapping[str, Any], attempt: int
-    ) -> None:
+    def _lost(self, receiver: int, rid: int, data: bytes, attempt: int) -> None:
         """A charged attempt was lost: back off and re-ship it, or hand
         the frame to ``on_lost`` once the retry budget is spent."""
         self.metrics.dropped_messages += 1
@@ -346,30 +347,31 @@ class PeerTransport:
             self.metrics.retries_sent += 1
             self._later(
                 policy.backoff(attempt, self._retry_rng),
-                self._ship, receiver, payload, attempt + 1,
+                self._ship, receiver, rid, data, attempt + 1,
             )
         else:
-            self.on_lost(receiver, payload["rid"])
+            self.on_lost(receiver, rid)
 
     def _write(
-        self, peer: int, payload: Mapping[str, Any], attempt: Optional[int]
+        self, peer: int, rid: int, data: bytes, attempt: Optional[int]
     ) -> None:
-        """Write a frame on ``peer``'s link; ``attempt`` is ``None`` for
-        an uncharged ``done``.  A link not dialled yet, closed or broken
-        on this write defers the frame to a task that dials first."""
+        """Write an encoded frame on ``peer``'s link; ``attempt`` is
+        ``None`` for an uncharged ``done``.  A link not dialled yet,
+        closed or broken on this write defers the frame to a task that
+        dials first."""
         link = self._links.get(peer)
         if link is not None and not link.closed:
             try:
-                link.send(payload)
+                link.write(data)
                 return
             except ConnectionError:
                 del self._links[peer]
-        task = asyncio.ensure_future(self._dial(peer, payload, attempt))
+        task = asyncio.ensure_future(self._dial(peer, rid, data, attempt))
         self._scheduled.add(task)
         task.add_done_callback(self._scheduled.discard)
 
     async def _dial(
-        self, peer: int, payload: Mapping[str, Any], attempt: Optional[int]
+        self, peer: int, rid: int, data: bytes, attempt: Optional[int]
     ) -> None:
         try:
             async with self._connect_lock:
@@ -385,11 +387,11 @@ class PeerTransport:
                         address, FrameConnection(lambda link, frame: None)
                     )
                     self._links[peer] = link
-            link.send(payload)
+            link.write(data)
         except (OSError, ClusterError) as error:
             if attempt is not None:
                 # A failed dial or write loses the attempt like a drop.
-                self._lost(peer, payload, attempt)
+                self._lost(peer, rid, data, attempt)
             else:
                 # Nobody waits on a ``done``: report its loss.
                 asyncio.get_running_loop().call_exception_handler(

@@ -34,6 +34,7 @@ from repro.distsim.messages import DataTransfer, ReadRequest
 from repro.storage.versions import ObjectVersion
 from repro.exceptions import ClusterError
 from repro.workloads.uniform import UniformWorkload
+from tests.integration.live_loop import run
 from tests.integration.raw_frames import RawConnection
 
 PROCESSORS = (1, 2, 3)
@@ -42,10 +43,6 @@ PRIMARY = 2
 
 #: "No retries": every lost message is lost for good.
 SINGLE_ATTEMPT = RetryPolicy(attempts=1)
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 async def booted(protocol: str = "DA", resilience: RetryPolicy = RetryPolicy()):
@@ -371,10 +368,14 @@ class TestMalformedExec:
 
         run(scenario())
 
-    def test_a_store_too_large_to_send_rolls_the_write_back(self):
+    @pytest.mark.parametrize("link", ["open", "not dialled", "delayed"])
+    def test_a_store_too_large_to_send_rolls_the_write_back(self, link):
         """The exec frame fits the frame limit but the store it causes
         does not: starting the write raises, the writer's copy rolls
-        back, and the write is answered ``ok: false``."""
+        back, and the write is answered ``ok: false`` — whether the link
+        1 -> 2 is open, not dialled yet or delayed.  ``status`` still
+        answers afterwards: it reports the rolled-back version without
+        its payload."""
         header = {"type": "exec", "rid": 2, "op": "write"}
         bare = {**header, "version": {"number": 2, "writer": 1, "payload": ""}}
         payload = "x" * (MAX_FRAME_BYTES - len(encode_frame(bare)) + 4)
@@ -389,17 +390,25 @@ class TestMalformedExec:
             cluster, client = await booted("SA")
             raw = await RawConnection.open(cluster.addresses[1])
             try:
-                # A first write opens the link 1 -> 2.
-                first = await client.execute(
-                    1, "write", rid=1, version=ObjectVersion(1, 1)
-                )
-                assert first.ok
+                if link == "open":
+                    # A first write opens the link 1 -> 2.
+                    first = await client.execute(
+                        1, "write", rid=1, version=ObjectVersion(1, 1)
+                    )
+                    assert first.ok
+                elif link == "delayed":
+                    await cluster.set_fault_plan(
+                        FaultPlan(link_delays={(1, 2): 0.05}), nodes=[1]
+                    )
                 raw.send(frame)
                 reply = await raw.reply()
                 assert reply["ok"] is False and "exceeds" in reply["error"]
                 node = cluster.nodes[1]
                 assert node._pending == {} and node._exec_inflight == {}
                 assert not node.database.holds_valid_copy
+                status = await asyncio.wait_for(cluster.status(1), 3)
+                assert status["version"] == {"number": 2, "writer": 1}
+                assert status["pending"] == 0
             finally:
                 raw.close()
                 await client.close()
@@ -524,8 +533,9 @@ class TestAdminPlane:
 
     def test_a_reply_to_a_caller_that_hung_up_is_dropped(self):
         """An admin caller that closes its connection before the reply
-        is sent costs the node nothing: no exception escapes the
-        handler, and the node keeps answering."""
+        is sent costs the node nothing: no exception reaches the loop,
+        the entry the frame opened still settles, and the node keeps
+        answering."""
 
         async def scenario():
             reports = []
@@ -541,11 +551,14 @@ class TestAdminPlane:
                 raw.send({"type": "repair_send", "target": 3, "rid": 7, "id": 1})
                 raw.close()
                 await asyncio.sleep(0.05)
-                # The handler is waiting out the delay as a Task.
-                handlers = list(cluster.nodes[1]._tasks)
-                assert len(handlers) == 1
-                await asyncio.wait(handlers, timeout=5.0)
-                assert handlers[0].exception() is None
+                # The copy is waiting out the delay in an open entry.
+                node = cluster.nodes[1]
+                assert list(node._pending) == [7]
+                for _ in range(100):
+                    if not node._pending:
+                        break
+                    await asyncio.sleep(0.05)
+                assert node._pending == {}
                 assert reports == []
                 assert (await cluster.admin(1, {"type": "ping"}))["node"] == 1
             finally:

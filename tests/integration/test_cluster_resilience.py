@@ -30,6 +30,7 @@ from repro.core.dynamic_allocation import DynamicAllocation
 from repro.exceptions import ClusterError
 from repro.storage.versions import ObjectVersion
 from repro.workloads.uniform import UniformWorkload
+from tests.integration.live_loop import run
 from tests.integration.raw_frames import RawConnection
 
 SCHEME = frozenset({1, 2})
@@ -37,10 +38,6 @@ PRIMARY = 2
 
 #: Fast backoff so faulted tests spend milliseconds, not seconds.
 POLICY = RetryPolicy(attempts=4, base_delay=0.005, max_delay=0.05, seed=0)
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 async def booted(protocol: str = "DA", processors=(1, 2, 3)):

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.cluster import (
     ClusterClient,
     ClusterSpec,
+    FaultPlan,
     RetryPolicy,
     SchemeRepairer,
     durability_totals,
@@ -32,18 +35,16 @@ from repro.cluster import (
 )
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
+from repro.exceptions import ClusterError
 from repro.storage.versions import ObjectVersion
 from repro.storage.wal import inject_tail_corruption, inject_torn_tail
 from repro.workloads.uniform import UniformWorkload
+from tests.integration.live_loop import run
 
 SCHEME = frozenset({1, 2})
 PRIMARY = 2
 
 POLICY = RetryPolicy(attempts=4, base_delay=0.005, max_delay=0.05, seed=0)
-
-
-def run(coro):
-    return asyncio.run(coro)
 
 
 async def booted(
@@ -120,6 +121,52 @@ class TestFreshRejoin:
                 assert write.ok
                 read = await client.execute(3, "read", rid=4)
                 assert read.ok and read.version.number == 2
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestCrashDuringProbe:
+    def test_a_crash_mid_probe_fails_the_recovery_and_leaves_nothing_open(
+        self, tmp_path
+    ):
+        """Node 1 crashes again while its freshness probe waits out a
+        delayed link: the probe stops at the dead node instead of asking
+        the next peer, ``recover`` answers with an error, and no entry is
+        left open.  A later recovery and repair round restore the node."""
+
+        async def scenario():
+            cluster, client = await booted(
+                tmp_path, protocol="SA", scheme={1, 2, 3}
+            )
+            repairer = SchemeRepairer(cluster, t=3)
+            try:
+                write = await client.execute(
+                    1, "write", rid=1, version=ObjectVersion(1, 1)
+                )
+                assert write.ok
+                await cluster.crash(1)
+                await cluster.set_fault_plan(
+                    FaultPlan(link_delays={(1, 2): 0.3}), nodes=[1]
+                )
+                recovering = asyncio.ensure_future(cluster.recover(1))
+                await asyncio.sleep(0.05)
+                await cluster.crash(1)
+                with pytest.raises(ClusterError, match="crashed"):
+                    await asyncio.wait_for(recovering, 3)
+                assert (await cluster.status(1))["pending"] == 0
+
+                await cluster.set_fault_plan(None, nodes=[1])
+                reply, _ = await repairer.recover_node(1)
+                assert reply["tier"] == "log-fresh"
+                report = await repairer.repair_round()
+                assert not report.degraded
+                status = await cluster.status(1)
+                assert status["holds_valid_copy"] and status["pending"] == 0
+                read = await client.execute(1, "read", rid=2)
+                assert read.ok and read.version.number == 1
             finally:
                 await client.close()
                 await cluster.stop()
