@@ -743,26 +743,32 @@ class NodeServer:
         candidate.  Only a settled entry moves it, never slowness, so at
         most one candidate answers.  The walk fails once no candidate is
         left, or once this node has crashed."""
-        remaining = iter(candidates)
+        self._ask_next((rid, kind, candidates, iter(candidates), ask, then))
 
-        def ask_next(pending=None, error: Optional[Exception] = None) -> None:
-            if pending is not None and pending.version is not None:
-                then(pending.version, None)
-                return
-            if self.crashed:
-                then(None, error)
-                return
-            peer = next(remaining, None)
-            if peer is None:
-                then(None, ClusterError(
-                    f"request {rid} at {self.node_id}: no reachable copy among "
-                    f"{candidates} ({error or 'none came back'})"
-                ))
-                return
-            self.open_pending(rid, kind, 1, ask_next)
-            self.transport.send_protocol(ask(peer))
-
-        ask_next()
+    def _ask_next(
+        self,
+        walk: tuple,
+        pending: Optional[PendingRequest] = None,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """One step of :meth:`ask_in_turn`; a ``partial`` carries the
+        walk, so a settled walk leaves no cycle for the collector."""
+        rid, kind, candidates, remaining, ask, then = walk
+        if pending is not None and pending.version is not None:
+            then(pending.version, None)
+            return
+        if self.crashed:
+            then(None, error)
+            return
+        peer = next(remaining, None)
+        if peer is None:
+            then(None, ClusterError(
+                f"request {rid} at {self.node_id}: no reachable copy among "
+                f"{candidates} ({error or 'none came back'})"
+            ))
+            return
+        self.open_pending(rid, kind, 1, partial(self._ask_next, walk))
+        self.transport.send_protocol(ask(peer))
 
     def resolve_pending(self, rid: int, kind: str, value: Any) -> bool:
         """Claim an incoming answer as this node's own read (``"r"``,
@@ -855,26 +861,24 @@ class NodeServer:
                 answer(None, error)
                 return
             peer, peer_number = report or (None, None)
-            reply["probe_peer"] = peer
-            reply["peer_version"] = peer_number
+            reply.update(probe_peer=peer, peer_version=peer_number)
             if peer is None or peer_number > state.version.number:
                 reply["tier"] = "log-unverified" if peer is None else "log-stale"
                 self._settle_stale_recovery(state)
-                answer(reply)
-                return
-            # Fresh: reinstall the journaled state as-is.  Muted — the
-            # log already records exactly this state.
-            with self.durability.muted():
-                self.database.seed(state.version)
-                self.join_list.clear()
-                self.join_list.update(state.join_list)
-                self.steward = state.steward
-            self._latest_commit = state.latest_commit
-            self.metrics.fresh_rejoins += 1
-            self.durability.log_note(
-                "recovered", tier="log-fresh", number=state.version.number
-            )
-            reply["tier"] = "log-fresh"
+            else:
+                # Fresh: reinstall the journaled state as-is.  Muted —
+                # the log already records exactly this state.
+                with self.durability.muted():
+                    self.database.seed(state.version)
+                    self.join_list.clear()
+                    self.join_list.update(state.join_list)
+                    self.steward = state.steward
+                self._latest_commit = state.latest_commit
+                self.metrics.fresh_rejoins += 1
+                self.durability.log_note(
+                    "recovered", tier="log-fresh", number=state.version.number
+                )
+                reply["tier"] = "log-fresh"
             answer(reply)
 
         # Ask peers in the read-failover order to vouch for the logged

@@ -355,10 +355,9 @@ class PeerTransport:
     def _write(
         self, peer: int, rid: int, data: bytes, attempt: Optional[int]
     ) -> None:
-        """Write an encoded frame on ``peer``'s link; ``attempt`` is
-        ``None`` for an uncharged ``done``.  A link not dialled yet,
-        closed or broken on this write defers the frame to a task that
-        dials first."""
+        """Write ``data`` on ``peer``'s link; ``attempt`` is ``None`` for
+        an uncharged ``done``.  A link not dialled yet, closed or broken
+        on this write defers the frame to a task that dials first."""
         link = self._links.get(peer)
         if link is not None and not link.closed:
             try:
