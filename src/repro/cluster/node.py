@@ -856,7 +856,7 @@ class NodeServer:
             answer(reply)
             return
 
-        def vouched(report: Optional[Tuple[int, int]], error) -> None:
+        def vouched(report, error: Optional[Exception]) -> None:
             if self.crashed:
                 answer(None, error)
                 return
