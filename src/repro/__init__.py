@@ -35,7 +35,6 @@ from repro.core import (
     CompetitivenessHarness,
     ConvergentAllocation,
     DynamicAllocation,
-    HeterogeneousOfflineOptimal,
     NearestServerDynamic,
     NearestServerStatic,
     ObjectDirectory,
@@ -102,7 +101,6 @@ __all__ = [
     "ExecutedRequest",
     "ExperimentEngine",
     "HeterogeneousCostModel",
-    "HeterogeneousOfflineOptimal",
     "IllegalScheduleError",
     "NearestServerDynamic",
     "NearestServerStatic",

@@ -57,7 +57,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 from typing import get_type_hints
 
 from repro.distsim.messages import (
-    Ack,
     DataTransfer,
     Invalidate,
     Message,
@@ -223,7 +222,6 @@ def version_from_wire(wire: Optional[Mapping[str, Any]]) -> Optional[ObjectVersi
 MESSAGE_TYPES = (
     ReadRequest,
     Invalidate,
-    Ack,
     VersionInquiry,
     VersionReport,
     DataTransfer,
@@ -284,7 +282,7 @@ def wire_to_message(wire: Mapping[str, Any]) -> Message:
     try:
         for index, kind in enumerate(types):
             value = args[index]
-            if type(value) is not kind and kind is not Any:
+            if type(value) is not kind:
                 if kind is not ObjectVersion:
                     raise TypeError(f"{names[index]} {value!r} is not {kind.__name__}")
                 args[index] = version_from_wire(value)

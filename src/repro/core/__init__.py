@@ -28,7 +28,6 @@ from repro.core.competitive import (
 from repro.core.convergent import ConvergentAllocation
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.factory import ALGORITHM_NAMES, algorithm_factory, make_algorithm
-from repro.core.heterogeneous_optimal import HeterogeneousOfflineOptimal
 from repro.core.multi import ObjectDirectory, ObjectRequest, interleave
 from repro.core.nearest import NearestServerDynamic, NearestServerStatic
 from repro.core.offline_bounds import optimal_cost_lower_bound
@@ -48,7 +47,6 @@ __all__ = [
     "optimal_sandwich",
     "ConvergentAllocation",
     "DynamicAllocation",
-    "HeterogeneousOfflineOptimal",
     "NearestServerDynamic",
     "NearestServerStatic",
     "ObjectDirectory",

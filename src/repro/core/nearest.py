@@ -12,8 +12,8 @@ keep the paper's policies but make every server choice price-aware:
 Both degenerate to the originals under constant prices (tested), so the
 competitive guarantees carry over to that special case; under genuinely
 heterogeneous prices they are natural heuristics whose cost the
-heterogeneous offline optimum
-(:mod:`repro.core.heterogeneous_optimal`) can audit.
+offline optimum (:class:`~repro.core.offline_optimal.OfflineOptimal`,
+given the same :class:`HeterogeneousCostModel`) can audit.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from repro.distsim.bus import SharedBusNetwork
 from repro.distsim.events import Event, EventQueue
 from repro.distsim.failures import FailureInjector
 from repro.distsim.messages import (
-    Ack,
     DataTransfer,
     Invalidate,
     Message,
@@ -46,7 +45,6 @@ from repro.distsim.statistics import SimulationStats
 from repro.distsim.tracing import MessageLog, TraceEntry
 
 __all__ = [
-    "Ack",
     "BaseStationDeployment",
     "DataTransfer",
     "DynamicAllocationProtocol",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.storage.versions import ObjectVersion
 from repro.types import ProcessorId
@@ -58,14 +58,6 @@ class Invalidate(Message):
 
     version_number: int = -1
     request_id: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class Ack(Message):
-    """Control: generic acknowledgement (quorum assembly)."""
-
-    request_id: int = 0
-    info: Any = None
 
 
 @dataclass(frozen=True, slots=True)

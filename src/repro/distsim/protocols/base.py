@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.distsim.messages import (
-    Ack,
     DataTransfer,
     Invalidate,
     Message,
@@ -191,8 +190,6 @@ class ProtocolDriver(abc.ABC):
             self.handle_version_inquiry(node, message)
         elif isinstance(message, VersionReport):
             self.handle_version_report(node, message)
-        elif isinstance(message, Ack):
-            self.handle_ack(node, message)
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"unhandled message {message.describe()}")
 
@@ -232,9 +229,6 @@ class ProtocolDriver(abc.ABC):
         raise ProtocolError(f"{self.name} got unexpected {message.describe()}")
 
     def handle_version_report(self, node, message: VersionReport) -> None:
-        raise ProtocolError(f"{self.name} got unexpected {message.describe()}")
-
-    def handle_ack(self, node, message: Ack) -> None:
         raise ProtocolError(f"{self.name} got unexpected {message.describe()}")
 
     # -- shared building blocks ------------------------------------------------------------

@@ -94,8 +94,8 @@ class HeterogeneousCostModel:
                     raise ConfigurationError(
                         f"{kind}{link} must be non-negative"
                     )
-        for link, control in self._control.items():
-            data = self._data.get(link, self.default_c_d)
+        for link in sorted(self._control.keys() | self._data.keys()):
+            control, data = self.control(*link), self.data(*link)
             if control > data:
                 raise ConfigurationError(
                     f"c_c{link}={control} exceeds c_d{link}={data}: a data "

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.model.cost_model import mobile, stationary
+from repro.model.heterogeneous import HeterogeneousCostModel
 from repro.model.request import read, write
 from repro.model.schedule import Schedule
 
@@ -49,3 +50,25 @@ def stationary_models(draw):
 def mobile_models(draw):
     c_c, c_d = draw(feasible_prices())
     return mobile(c_c, c_d)
+
+
+#: Ordered links between two distinct processors.
+LINKS = st.tuples(PROCESSORS, PROCESSORS).filter(
+    lambda link: link[0] != link[1]
+)
+
+
+@st.composite
+def heterogeneous_models(draw):
+    """Per-node I/O and per-link message prices, ``c_c <= c_d`` on every
+    link: an overridden link gets a feasible pair of its own."""
+    c_c, c_d = draw(feasible_prices())
+    links = draw(st.dictionaries(LINKS, feasible_prices(), max_size=12))
+    return HeterogeneousCostModel(
+        default_io=draw(PRICE),
+        default_c_c=c_c,
+        default_c_d=c_d,
+        io_costs=draw(st.dictionaries(PROCESSORS, PRICE)),
+        control_costs={link: pair[0] for link, pair in links.items()},
+        data_costs={link: pair[1] for link, pair in links.items()},
+    )

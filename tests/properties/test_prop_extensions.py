@@ -2,6 +2,9 @@
 
 * Heterogeneous model with constant prices ≡ homogeneous model, on
   arbitrary executed requests and whole allocation schedules.
+* The offline optimum under arbitrary per-node and per-link prices is
+  legal, t-available, prices to its reported cost and is no dearer
+  than SA, DA or their nearest-server variants.
 * Linearization invariance (§3.1's "almost verbatim" claim) on
   arbitrary schedules for SA, DA and the offline optimum.
 * The multi-object directory composes: total cost equals the sum of
@@ -15,14 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynamic_allocation import DynamicAllocation
-from repro.core.heterogeneous_optimal import HeterogeneousOfflineOptimal
 from repro.core.multi import ObjectDirectory, ObjectRequest, interleave
+from repro.core.nearest import NearestServerDynamic, NearestServerStatic
 from repro.core.offline_optimal import OfflineOptimal
 from repro.core.static_allocation import StaticAllocation
 from repro.model.cost_model import stationary
 from repro.model.heterogeneous import homogeneous
 from repro.model.partial_order import PartialSchedule
-from tests.properties.strategies import feasible_prices, schedules
+from tests.properties.strategies import (
+    feasible_prices,
+    heterogeneous_models,
+    schedules,
+)
 
 SCHEME = frozenset({1, 2})
 
@@ -51,13 +58,31 @@ def test_heterogeneous_optimum_equals_homogeneous_for_constant_prices(
     schedule, prices
 ):
     c_c, c_d = prices
-    hetero_cost = HeterogeneousOfflineOptimal(
-        homogeneous(1.0, c_c, c_d)
-    ).optimal_cost(schedule, SCHEME)
+    hetero_cost = OfflineOptimal(homogeneous(1.0, c_c, c_d)).optimal_cost(
+        schedule, SCHEME
+    )
     homo_cost = OfflineOptimal(stationary(c_c, c_d)).optimal_cost(
         schedule, SCHEME
     )
     assert hetero_cost == pytest.approx(homo_cost)
+
+
+@given(schedule=schedules(max_length=10), costs=heterogeneous_models())
+@settings(max_examples=40, deadline=None)
+def test_heterogeneous_optimum_is_a_priced_lower_bound(schedule, costs):
+    result = OfflineOptimal(costs).solve(schedule, SCHEME)
+    result.allocation.check_legal()
+    result.allocation.check_t_available(2)
+    assert result.allocation.corresponds_to(schedule)
+    assert costs.schedule_cost(result.allocation) == pytest.approx(result.cost)
+    for algorithm in (
+        StaticAllocation(SCHEME),
+        DynamicAllocation(SCHEME, primary=2),
+        NearestServerStatic(SCHEME, costs),
+        NearestServerDynamic(SCHEME, costs, primary=2),
+    ):
+        online = costs.schedule_cost(algorithm.run(schedule))
+        assert result.cost <= online + 1e-9
 
 
 @given(schedule=schedules(), prices=feasible_prices(), seed=st.integers(0, 1000))

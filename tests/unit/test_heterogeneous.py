@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dynamic_allocation import DynamicAllocation
-from repro.core.heterogeneous_optimal import HeterogeneousOfflineOptimal
 from repro.core.nearest import NearestServerDynamic, NearestServerStatic
 from repro.core.offline_optimal import OfflineOptimal
 from repro.core.static_allocation import StaticAllocation
@@ -42,6 +41,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             HeterogeneousCostModel(
                 default_c_d=1.0, control_costs={(1, 2): 5.0}
+            )
+
+    def test_per_link_data_below_default_control_rejected(self):
+        # Only the data price of the link is overridden: its resolved
+        # control price (the default) still exceeds it.
+        with pytest.raises(ConfigurationError):
+            HeterogeneousCostModel(
+                default_c_c=0.2, default_c_d=1.0, data_costs={(1, 5): 0.1}
             )
 
     def test_nearest_server_needs_candidates(self):
@@ -94,9 +101,7 @@ class TestHomogeneousEquivalence:
     )
     def test_optimum_matches_homogeneous_solver(self, text):
         schedule = Schedule.parse(text)
-        hetero = HeterogeneousOfflineOptimal(HOMOGENEOUS).optimal_cost(
-            schedule, SCHEME
-        )
+        hetero = OfflineOptimal(HOMOGENEOUS).optimal_cost(schedule, SCHEME)
         homo = OfflineOptimal(REFERENCE).optimal_cost(schedule, SCHEME)
         assert hetero == pytest.approx(homo)
 
@@ -142,18 +147,14 @@ class TestHeterogeneousBehaviour:
         # Writer 3 writes; 9 never reads: the optimum should never pay
         # the wireless data price by putting 9 in an execution set.
         schedule = Schedule.parse("w3 r4 r4 w3 r4")
-        result = HeterogeneousOfflineOptimal(costs).solve(
-            schedule, frozenset({1, 2})
-        )
+        result = OfflineOptimal(costs).solve(schedule, frozenset({1, 2}))
         for step in result.allocation:
             assert 9 not in step.execution_set
 
     def test_wireless_reader_still_served_correctly(self):
         costs = self.wireless_model()
         schedule = Schedule.parse("r9 r9 r9")
-        result = HeterogeneousOfflineOptimal(costs).solve(
-            schedule, frozenset({1, 2})
-        )
+        result = OfflineOptimal(costs).solve(schedule, frozenset({1, 2}))
         result.allocation.check_legal()
         # Three wireless fetches cost more than save-once-then-local:
         # the optimum saves at 9 despite the expensive first transfer.
