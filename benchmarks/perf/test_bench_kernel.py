@@ -5,9 +5,10 @@ The acceptance bar for the vectorized kernel: on the 10k-request x
 faster than the stepped object path while returning *exactly* equal
 costs, and the rewritten offline DP must solve a 14-processor universe
 within the benchmark timeout.  The machine-readable report is
-persisted as ``benchmarks/results/BENCH_kernel.json`` (the CI
+persisted as ``benchmarks/results/BENCH_kernel.json``.  The CI
 perf-smoke job runs the same harness via ``repro bench --smoke
---check``; this full run is minutes, not seconds).
+--check``; the paper-benchmarks job runs this full-size test, about
+ten seconds on a 2-vCPU machine, most of it the stepped path.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ the kernel is ever *slower* than stepping; the full-size run lives in
 
 Each algorithm's entry splits the kernel path by layer:
 ``generate_seconds`` (drawing the batch from the seed, which both paths
-need), ``compile_seconds`` (:func:`compile_batch`) and
+need; it builds no ``Request``, since a generated schedule holds only
+its columns until read, so the stepped timing pays for materializing
+the request tuples), ``compile_seconds`` (:func:`compile_batch`) and
 ``evaluate_seconds`` (per-request costs plus per-trace totals).
 ``kernel_seconds`` is compile plus evaluate, so the speedups reported
 here include compilation and are not eval-only.

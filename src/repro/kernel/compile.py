@@ -33,8 +33,10 @@ than there are ids, a bool table marks the ids present, and its
 running count gives the universe and every request's bit index in
 O(N).  Wider, sparse ids fall back to one ``np.unique`` sort.  A
 masked copy then lays the indices out row by row.  A generator may
-fill the columns in as it draws the trace; other schedules compute
-them once, on first compile, so the SA and DA compiles of one batch
+build its schedules from their columns
+(:meth:`~repro.model.schedule.Schedule.from_columns`), and compiling
+one then builds no ``Request`` at all; other schedules compute their
+columns once, on first compile, so the SA and DA compiles of one batch
 walk the requests at most once between them.
 
 The compiled form is immutable and picklable, so engine workers can

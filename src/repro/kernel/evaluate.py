@@ -351,8 +351,9 @@ def schedule_totals(
     floats with Neumaier compensation.  Calling the same builtin keeps
     the totals bit-identical on every interpreter (CI's perf-smoke job
     gates 3.11 to 3.13), where a numpy emulation would have to follow
-    each version's rule.  The fold is not free: about 7-10 ms per call
-    at 32 traces of 10k requests, ~7% of a ``kernel-batch`` iteration.
+    each version's rule.  The fold is not free: about 9 ms per call
+    at 32 traces of 10k requests, ~9% of a ``kernel-batch`` iteration
+    (which makes two calls).
     """
     return [
         sum(costs[row, : int(lengths[row])].tolist())

@@ -9,18 +9,21 @@ benchmark harnesses.
 
 A schedule also has a *columnar form*, :attr:`Schedule.columns`: the
 issuers as an int64 array and the kinds as a bool array, which the
-kernel compiles from (:mod:`repro.kernel.compile`).  It is computed at
-most once per schedule — lazily on first use, or up front by a
-generator that already holds the arrays (:meth:`Schedule.with_columns`).
-It is a cache, not a field: ``==``, ``hash``, ``repr``, pickling and
-the engine's cache keys see only ``requests``.
+kernel compiles from (:mod:`repro.kernel.compile`).  A schedule built
+from requests computes it at most once, lazily on first use.  A
+generator that already holds the arrays builds the schedule from them
+instead (:meth:`Schedule.from_columns`): its ``requests`` tuple is then
+materialized only when first read, so a trace that is only compiled
+never builds one ``Request``.  Either way the columns are a cache, not
+a field: ``==``, ``hash``, ``repr``, pickling and the engine's cache
+keys see only ``requests``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,30 +95,46 @@ class Schedule:
         return cls(tuple(requests))
 
     @classmethod
-    def with_columns(
+    def from_columns(
         cls,
-        requests: tuple[Request, ...],
         processors: np.ndarray,
         is_write: np.ndarray,
+        build: Callable[[], tuple[Request, ...]],
     ) -> "Schedule":
-        """A schedule whose columnar form the caller already holds.
+        """A schedule held as its columnar form alone.
 
-        The arrays must describe ``requests`` position by position (the
-        kernel's compile-oracle tests check this for every generator
-        that uses it); they are taken as int64/bool and made read-only.
+        The arrays are taken as int64/bool and made read-only.
+        ``build()`` returns the matching request tuple; it is called on
+        the first read of ``requests`` and must describe the columns
+        position by position (the kernel's compile-oracle tests check
+        this for every generator that uses it).  Its items are not
+        checked again: the caller builds them with
+        :func:`~repro.model.request.read` and
+        :func:`~repro.model.request.write`.
         """
-        schedule = cls(requests)
         processors = np.asarray(processors, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
-        if processors.shape != (len(schedule),) or is_write.shape != (
-            len(schedule),
-        ):
+        if processors.ndim != 1 or processors.shape != is_write.shape:
             raise ConfigurationError(
                 f"columns of shape {processors.shape}/{is_write.shape} do not "
-                f"fit a {len(schedule)}-request schedule"
+                f"describe one schedule"
             )
+        schedule = cls.__new__(cls)
         schedule._cache_columns(processors, is_write)
+        object.__setattr__(schedule, "_build", build)
         return schedule
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set on the instance, so
+        # ``requests`` lands here once per columns-first schedule.
+        build = self.__dict__.get("_build") if name == "requests" else None
+        if build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        requests = build()
+        object.__setattr__(self, "requests", requests)
+        return requests
 
     @classmethod
     def parse(cls, text: str) -> "Schedule":
@@ -129,6 +148,9 @@ class Schedule:
     # -- sequence protocol ----------------------------------------------
 
     def __len__(self) -> int:
+        columns = self.__dict__.get("_columns")
+        if columns is not None:
+            return len(columns.processors)
         return len(self.requests)
 
     def __iter__(self) -> Iterator[Request]:

@@ -21,7 +21,10 @@ relies on how CPython's ``random.Random`` (3.11 to 3.13) spends its
   first word least significant.
 
 The decoder draws words in bulk with ``getrandbits`` and replays the
-first two rules over whole arrays of them.
+first two rules over whole arrays of them.  The schedule it returns is
+held as its two columns (:meth:`Schedule.from_columns`); its
+``Request`` tuple is built from an interned table only if something
+reads it, which the kernel never does.
 """
 
 from __future__ import annotations
@@ -74,12 +77,12 @@ class UniformWorkload(WorkloadGenerator):
 
     def _schedule(self, index: np.ndarray, is_write: np.ndarray) -> Schedule:
         """The schedule of processor positions ``index`` and kinds."""
-        rows = 2 * index.astype(np.intp) + is_write
-        return Schedule.with_columns(
-            tuple(self._requests[rows].tolist()),
-            self._processor_ids[index],
-            is_write,
-        )
+
+        def build() -> tuple:
+            rows = 2 * index.astype(np.intp) + is_write
+            return tuple(self._requests[rows].tolist())
+
+        return Schedule.from_columns(self._processor_ids[index], is_write, build)
 
 
 def generate_stepwise(workload: UniformWorkload, seed: SeedLike) -> Schedule:
@@ -108,6 +111,7 @@ def generate_decoded(workload: UniformWorkload, seed: SeedLike) -> Schedule:
     loop leaves it in.
     """
     rng = rng_from(seed)
+    owned = isinstance(seed, random.Random)
     n = len(workload.processors)
     shift = 32 - n.bit_length()
     # Expected words per request: 2**k / n per choice, two per random().
@@ -120,12 +124,13 @@ def generate_decoded(workload: UniformWorkload, seed: SeedLike) -> Schedule:
     done = 0
     while done < workload.length:
         remaining = workload.length - done
-        before = rng.getstate()
+        if owned:
+            before = rng.getstate()
         count = min(CHUNK_WORDS, math.ceil(remaining * words_per_request * 1.01) + 64)
         fresh = np.frombuffer(
             rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4"
         )
-        words = np.concatenate((tail, fresh))
+        words = np.concatenate((tail, fresh)) if tail.size else fresh
         chosen = _choice_words((words >> shift) < n, remaining)
         filled = slice(done, done + chosen.size)
         index[filled] = words[chosen] >> shift
@@ -134,7 +139,7 @@ def generate_decoded(workload: UniformWorkload, seed: SeedLike) -> Schedule:
         is_write[filled] = floats < workload.write_fraction
         done += chosen.size
         tail = words[chosen[-1] + 3 :] if chosen.size else words
-    if isinstance(seed, random.Random) and workload.length:
+    if owned and workload.length:
         # Replay the last draw only up to the last word a request used.
         rng.setstate(before)
         rng.getrandbits(32 * (fresh.size - tail.size))
@@ -147,26 +152,73 @@ def _choice_words(accepted: np.ndarray, limit: int) -> np.ndarray:
 
     ``accepted`` marks the words a ``choice`` would keep.  A request
     starting at word s chooses at the first accepted word c >= s and
-    the next request starts at c + 3, after the two ``random()`` words.
-    The chain is followed by pointer doubling: ``jump`` maps a
-    candidate to its 2**m-th successor, and each round appends the
-    images of the chain so far, doubling it.
+    the next request starts at c + 3, after the two ``random()`` words:
+    a three-state automaton (:data:`_SEEK`, then two skips) that
+    chooses only on an accepted word in :data:`_SEEK`.  The words are
+    packed eight to a byte; each byte's transition map comes from a
+    table, a parallel prefix composes the maps to give every byte its
+    entry state, and a second table gives the words each byte chooses.
     """
-    # A choice word is usable only with both random() words after it.
-    candidates = np.flatnonzero(accepted[: accepted.size - 2])
-    end = candidates.size
-    if not end:
-        return candidates
-    # Candidates are distinct words, so the first one at least 3 words
-    # on is one of the next three.
-    ahead = np.append(candidates, (candidates[-1] + 3, candidates[-1] + 3))
-    jump = np.arange(1, end + 2)
-    jump[:end] += ahead[1:-1] - candidates < 3
-    jump[:end] += ahead[2:] - candidates < 3
-    jump[end] = end
-    chain = np.zeros(1, dtype=np.intp)
-    while chain.size < limit and chain[-1] != end:
-        chain = np.concatenate((chain, jump[chain]))
-        jump = jump[jump]
-    chain = chain[:limit]
-    return candidates[chain[chain != end]]
+    # A choice word is usable only with both random() words after it;
+    # the zero bits that pad the last byte choose nothing.
+    packed = np.packbits(accepted[: max(accepted.size - 2, 0)], bitorder="little")
+    if not packed.size:
+        return np.empty(0, dtype=np.intp)
+    maps = _BYTE_MAP.take(packed)
+    entry = np.zeros(packed.size, dtype=np.uint16)
+    # A map's image of _SEEK is its low base-3 digit.
+    entry[1:] = _prefix(maps[:-1]) % 3
+    chosen = _BYTE_CHOSEN.take(entry * 256 + packed)
+    return np.flatnonzero(np.unpackbits(chosen, bitorder="little").view(bool))[:limit]
+
+
+def _prefix(maps: np.ndarray) -> np.ndarray:
+    """Inclusive prefix compositions of the map codes ``maps``: entry i
+    is ``maps[i]`` after ... after ``maps[0]``.  Work-efficient: each
+    level composes neighbouring pairs, recurses on the half as long
+    array of pairs, then fills in the even positions."""
+    if maps.size < 2:
+        return maps
+    pairs = _COMPOSE.take(maps[0 : maps.size - 1 : 2] * np.uint16(27) + maps[1::2])
+    odd = _prefix(pairs)
+    out = np.empty_like(maps)
+    out[0] = maps[0]
+    out[1::2] = odd
+    out[2::2] = _COMPOSE.take(odd[: (maps.size - 1) // 2] * np.uint16(27) + maps[2::2])
+    return out
+
+
+#: The automaton's states: seek a choice word, skip the first
+#: ``random()`` word, skip the second.
+_SEEK, _SKIP_FIRST, _SKIP_SECOND = range(3)
+
+
+def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan's three tables, built once at import (1.7 kB).
+
+    A map on the three states is coded as its images in base 3, the
+    image of :data:`_SEEK` lowest, so there are 27 codes.
+    """
+    # Every (entry state, byte) pair at once, eight words in turn,
+    # least significant bit first.
+    state = np.repeat(np.arange(3), 256)
+    byte = np.tile(np.arange(256), 3)
+    chosen = np.zeros(3 * 256, dtype=np.uint8)
+    for bit in range(8):
+        choose = (state == _SEEK) & (byte >> bit & 1 == 1)
+        chosen |= choose.astype(np.uint8) << bit
+        state = np.where(state == _SEEK, choose * _SKIP_FIRST, (state + 1) % 3)
+    byte_map = (state.reshape(3, 256).T @ [1, 3, 9]).astype(np.uint8)
+    # images[code, s]: where the map ``code`` sends state s.
+    images = np.arange(27)[:, None] // 3 ** np.arange(3) % 3
+    # then after first: images[then, images[first, s]].
+    composed = images[np.arange(27)[None, :, None], images[:, None, :]]
+    compose = (composed @ [1, 3, 9]).astype(np.uint8).reshape(-1)
+    return byte_map, chosen, compose
+
+
+#: ``_BYTE_MAP[byte]``: the byte's transition map, as a code in 0..26.
+#: ``_BYTE_CHOSEN[256 * state + byte]``: the words the byte chooses
+#: when entered in ``state``, as a bit mask.
+#: ``_COMPOSE[27 * first + then]``: the code of ``then`` after ``first``.
+_BYTE_MAP, _BYTE_CHOSEN, _COMPOSE = _byte_tables()

@@ -27,9 +27,12 @@ from repro.workloads.uniform import (
 )
 
 #: 1 to 70 processors, with the rejection edge cases 1, 2, 2**m and
-#: 2**m + 1 drawn often.
+#: 2**m + 1 drawn often.  At 2**m - 1 nearly every word is accepted,
+#: so the choice chain runs long stretches without resynchronizing.
 PROCESSOR_COUNTS = st.one_of(
-    st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65]),
+    st.sampled_from(
+        [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 1023, 1024, 1025]
+    ),
     st.integers(min_value=1, max_value=70),
 )
 WRITE_FRACTIONS = st.one_of(
@@ -123,13 +126,19 @@ def reference_choice_words(accepted, limit):
 def choice_buffers(draw):
     """``(accepted, limit)``: runs of words, each with its own acceptance
     density from 0 to 1, so long clusters with gaps of 1 and 2 occur
-    next to sparse stretches."""
+    next to sparse stretches.  Short runs sit around the edges of the
+    8-word bytes the scan packs the words into."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     runs = draw(
         st.lists(
             st.tuples(
                 st.floats(min_value=0.0, max_value=1.0),
-                st.one_of(st.integers(0, 3), st.integers(0, 400)),
+                st.one_of(
+                    st.integers(0, 3),
+                    st.integers(6, 10),
+                    st.integers(14, 18),
+                    st.integers(0, 400),
+                ),
             ),
             max_size=4,
         )
@@ -148,3 +157,44 @@ def test_choice_words_match_the_word_loop(buffer):
     chosen = uniform._choice_words(accepted, limit)
     assert chosen.tolist() == reference_choice_words(accepted, limit)
 
+
+#: Leading words that enter the next word in each automaton state: a
+#: chosen word is followed by its two ``random()`` words.
+ENTRY_PREFIXES = {
+    uniform._SEEK: [],
+    uniform._SKIP_FIRST: [True],
+    uniform._SKIP_SECOND: [True, False],
+}
+
+
+def test_byte_tables_match_the_word_loop():
+    """For every entry state and byte, the scan's tables agree with
+    :func:`reference_choice_words` run over the byte's eight words."""
+    for state, prefix in ENTRY_PREFIXES.items():
+        for byte in range(256):
+            bits = [bool(byte >> bit & 1) for bit in range(8)]
+            # Two trailing words let a choice at the byte's last word count.
+            accepted = np.array(prefix + bits + [False, False], dtype=bool)
+            chosen = reference_choice_words(accepted, accepted.size)
+            if prefix:
+                assert chosen[0] == 0
+            mask = sum(
+                1 << word - len(prefix) for word in chosen if word >= len(prefix)
+            )
+            assert uniform._BYTE_CHOSEN[256 * state + byte] == mask
+            # The state entering the word after the byte.
+            last = chosen[-1] - len(prefix) if chosen else -3
+            after = 8 - last if 8 - last < 3 else uniform._SEEK
+            code = int(uniform._BYTE_MAP[byte])
+            assert code // 3**state % 3 == after
+
+
+def test_compose_table_composes():
+    def image(code, state):
+        return code // 3**state % 3
+
+    for first in range(27):
+        for then in range(27):
+            code = int(uniform._COMPOSE[27 * first + then])
+            for state in range(3):
+                assert image(code, state) == image(then, image(first, state))

@@ -272,6 +272,14 @@ class TestDispatch:
         with pytest.raises(ConfigurationError):
             kernel.request_costs(TweakedSA(small_scheme), batch, sc_model)
 
+    def test_batch_costs_never_build_requests(self, sc_model, small_scheme):
+        schedules = UniformWorkload(range(1, 9), 500, 0.3).batch_independent(
+            4, root_seed=2
+        )
+        for algorithm in (StaticAllocation, DynamicAllocation):
+            kernel.batch_costs(algorithm(small_scheme), schedules, sc_model)
+        assert all("requests" not in vars(schedule) for schedule in schedules)
+
     def test_schedule_cost_matches_stepped(
         self, sc_model, paper_schedule, small_scheme
     ):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.engine.keys import stable_key
 from repro.exceptions import ConfigurationError
 from repro.model.request import RequestKind, read, write
 from repro.model.schedule import Schedule, concat
@@ -123,7 +127,9 @@ class TestColumns:
     def test_columns_are_read_only(self):
         for schedule in (
             Schedule.parse("r1 w2"),
-            Schedule.with_columns((read(1), write(2)), [1, 2], [False, True]),
+            Schedule.from_columns(
+                [1, 2], [False, True], lambda: (read(1), write(2))
+            ),
         ):
             with pytest.raises(ValueError):
                 schedule.columns.processors[0] = 7
@@ -131,8 +137,6 @@ class TestColumns:
                 schedule.columns.is_write[0] = True
 
     def test_identity_ignores_the_cache(self):
-        from repro.engine.keys import stable_key
-
         schedule = Schedule.parse("w2 r4 w3 r1 r2")
         before = (stable_key(schedule), hash(schedule), repr(schedule))
         schedule.columns
@@ -140,15 +144,15 @@ class TestColumns:
 
     def test_prefilled_schedule_is_the_same_value(self):
         requests = (write(2), read(4), write(3))
-        filled = Schedule.with_columns(requests, [2, 4, 3], [True, False, True])
+        filled = Schedule.from_columns(
+            [2, 4, 3], [True, False, True], lambda: requests
+        )
         plain = Schedule(requests)
         assert filled == plain
         assert hash(filled) == hash(plain)
         assert repr(filled) == repr(plain)
 
     def test_pickle_round_trip_keeps_equality(self):
-        import pickle
-
         schedule = Schedule.parse("w2 r4 w3 r1 r2")
         schedule.columns
         clone = pickle.loads(pickle.dumps(schedule))
@@ -156,6 +160,72 @@ class TestColumns:
         assert "_columns" not in vars(clone)  # the cache is not shipped
         assert clone.columns.processors.tolist() == [2, 4, 3, 1, 2]
 
-    def test_with_columns_rejects_mismatched_lengths(self):
+    def test_from_columns_rejects_mismatched_lengths(self):
         with pytest.raises(ConfigurationError):
-            Schedule.with_columns((read(1),), [1, 2], [False, False])
+            Schedule.from_columns([1, 2], [False], lambda: (read(1),))
+        with pytest.raises(ConfigurationError):
+            Schedule.from_columns([[1, 2]], [[False, True]], lambda: ())
+
+
+#: What a columns-first schedule and its eager twin must agree on; each
+#: is the first read of ``requests`` on a fresh columns-first schedule.
+OBSERVERS = {
+    "eq": lambda schedule, twin: schedule == twin and twin == schedule,
+    "hash": lambda schedule, twin: hash(schedule) == hash(twin),
+    "repr": lambda schedule, twin: repr(schedule) == repr(twin),
+    "str": lambda schedule, twin: str(schedule) == str(twin),
+    "stable_key": lambda schedule, twin: (
+        stable_key(schedule) == stable_key(twin)
+    ),
+    "pickle": lambda schedule, twin: (
+        pickle.loads(pickle.dumps(schedule)) == twin
+    ),
+    "copy": lambda schedule, twin: copy.deepcopy(schedule) == twin,
+    "slice": lambda schedule, twin: schedule[1:3] == twin[1:3],
+    "index": lambda schedule, twin: schedule[-1] == twin[-1],
+    "add": lambda schedule, twin: schedule + twin == twin + twin,
+    "mul": lambda schedule, twin: schedule * 2 == twin * 2 == 2 * schedule,
+    "iter": lambda schedule, twin: list(schedule) == list(twin),
+}
+
+
+class TestColumnsFirst:
+    REQUESTS = (write(2), read(4), write(3), read(1), read(2))
+
+    def columns_first(self):
+        calls = []
+
+        def build():
+            calls.append(None)
+            return self.REQUESTS
+
+        schedule = Schedule.from_columns(
+            [2, 4, 3, 1, 2], [True, False, True, False, False], build
+        )
+        return schedule, calls
+
+    @pytest.mark.parametrize("observer", sorted(OBSERVERS))
+    def test_observers_see_the_eager_twin(self, observer):
+        schedule, calls = self.columns_first()
+        assert "requests" not in vars(schedule)
+        assert OBSERVERS[observer](schedule, Schedule(self.REQUESTS))
+        assert vars(schedule)["requests"] == self.REQUESTS
+        assert len(calls) == 1
+
+    def test_requests_are_built_once(self):
+        schedule, calls = self.columns_first()
+        assert schedule.requests is schedule.requests
+        assert len(calls) == 1
+
+    def test_length_and_columns_do_not_build(self):
+        schedule, calls = self.columns_first()
+        assert len(schedule) == 5
+        assert schedule.columns.processors.tolist() == [2, 4, 3, 1, 2]
+        assert "requests" not in vars(schedule)
+        assert calls == []
+
+    def test_other_missing_attributes_still_raise(self):
+        schedule, calls = self.columns_first()
+        assert not hasattr(schedule, "missing")
+        assert not hasattr(Schedule(), "missing")
+        assert calls == []
