@@ -9,7 +9,7 @@ optimum, and returns the worst ratio together with the schedule that
 achieves it.
 
 Because every prefix of an enumerated schedule is itself a schedule,
-the search evaluates all prefixes too (the offline DP is carried
+the search evaluates all prefixes too (the exact offline DP is carried
 incrementally through the DFS), so the result is the true worst
 cost-ratio over *all* schedules up to the given length on that
 universe.
@@ -26,9 +26,12 @@ to turn a worst prefix into a factor lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.base import OnlineDOM
+from repro.core.offline_optimal import OfflineOptimal
 from repro.exceptions import ConfigurationError
 from repro.model.cost_model import CostModel
 from repro.model.request import Request, read, write
@@ -49,11 +52,12 @@ class WorstCase:
 class ExhaustiveSearch:
     """Enumerate all schedules up to ``max_length`` over ``processors``.
 
-    The offline optimum is maintained incrementally as a DP table
-    (scheme-mask -> cost) pushed and popped along the DFS, so each node
-    costs ``O(states)`` for a read and ``O(states * targets)`` for a
-    write.  Keep ``len(processors) <= 5`` and ``max_length <= 7`` —
-    the schedule space is ``(2k)^L``.
+    The offline optimum is carried along the DFS as the exact solver's
+    own DP table (:class:`~repro.core.offline_optimal.Transitions` over
+    the whole processor set): each node costs ``O(2^n)`` for a read and
+    ``O(n·2^n)`` for a write, and pricing the algorithm's run of the
+    prefix costs ``O(L)``.  Keep ``len(processors) <= 5`` and
+    ``max_length <= 7`` — the schedule space is ``(2k)^L``.
     """
 
     def __init__(
@@ -66,8 +70,6 @@ class ExhaustiveSearch:
         self.cost_model = cost_model
         self.initial_scheme = processor_set(initial_scheme)
         self.processors = tuple(sorted(set(processors) | self.initial_scheme))
-        if threshold < 2:
-            raise ConfigurationError("t must be at least 2")
         if len(self.initial_scheme) < threshold:
             raise ConfigurationError("initial scheme smaller than t")
         if len(self.processors) > 6:
@@ -75,60 +77,10 @@ class ExhaustiveSearch:
                 "exhaustive search is limited to 6 processors"
             )
         self.threshold = threshold
-        self._index = {p: i for i, p in enumerate(self.processors)}
-        n = len(self.processors)
-        self._targets = [
-            mask for mask in range(1 << n) if mask.bit_count() >= threshold
-        ]
-
-    # -- incremental offline-optimal transitions --------------------------
-
-    def _initial_dp(self) -> Dict[int, float]:
-        mask = 0
-        for member in self.initial_scheme:
-            mask |= 1 << self._index[member]
-        return {mask: 0.0}
-
-    def _advance(self, dp: Dict[int, float], request: Request) -> Dict[int, float]:
-        c_io = self.cost_model.c_io
-        c_c = self.cost_model.c_c
-        c_d = self.cost_model.c_d
-        bit = 1 << self._index[request.processor]
-        new_dp: Dict[int, float] = {}
-        if request.is_read:
-            fetch = c_c + c_io + c_d
-            for mask, cost in dp.items():
-                if mask & bit:
-                    candidate = cost + c_io
-                    if candidate < new_dp.get(mask, float("inf")):
-                        new_dp[mask] = candidate
-                else:
-                    candidate = cost + fetch
-                    if candidate < new_dp.get(mask, float("inf")):
-                        new_dp[mask] = candidate
-                    saved = mask | bit
-                    candidate = cost + fetch + c_io
-                    if candidate < new_dp.get(saved, float("inf")):
-                        new_dp[saved] = candidate
-            return new_dp
-        for mask, cost in dp.items():
-            for target in self._targets:
-                stale = mask & ~target
-                if target & bit:
-                    step = (
-                        stale.bit_count() * c_c
-                        + (target.bit_count() - 1) * c_d
-                        + target.bit_count() * c_io
-                    )
-                else:
-                    step = (
-                        (stale & ~bit).bit_count() * c_c
-                        + target.bit_count() * (c_d + c_io)
-                    )
-                candidate = cost + step
-                if candidate < new_dp.get(target, float("inf")):
-                    new_dp[target] = candidate
-        return new_dp
+        # OfflineOptimal also rejects t < 2.
+        self.transitions = OfflineOptimal(cost_model, threshold).transitions(
+            self.processors
+        )
 
     # -- the search ----------------------------------------------------------
 
@@ -152,10 +104,12 @@ class ExhaustiveSearch:
             allocation = algorithm.run(Schedule(tuple(prefix)))
             return self.cost_model.schedule_cost(allocation)
 
-        def dfs(dp: Dict[int, float], depth: int) -> None:
+        steps = self.transitions
+
+        def dfs(dp: np.ndarray, depth: int) -> None:
             nonlocal best
             if depth >= min_length:
-                optimal = min(dp.values())
+                optimal = float(dp.min())
                 cost = algorithm_cost()
                 if optimal > 0:
                     ratio = cost / optimal
@@ -171,10 +125,10 @@ class ExhaustiveSearch:
                 return
             for request in candidates:
                 prefix.append(request)
-                dfs(self._advance(dp, request), depth + 1)
+                dfs(steps.advance(dp, request), depth + 1)
                 prefix.pop()
 
-        dfs(self._initial_dp(), 0)
+        dfs(steps.start(self.initial_scheme), 0)
         assert best is not None  # min_length >= 1 guarantees a visit
         return best
 

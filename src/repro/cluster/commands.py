@@ -21,14 +21,16 @@ Three leaves:
 
 from __future__ import annotations
 
+import argparse
 import asyncio
+import math
 import sys
 import time
 from typing import Dict, List
 
 from repro.analysis.report import format_mapping, format_table
 from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
-from repro.cluster.launcher import ClusterSpec, start_cluster
+from repro.cluster.launcher import LISTENING_BANNER, ClusterSpec, start_cluster
 from repro.cluster.loadgen import (
     ClusterClient,
     poisson_load,
@@ -53,10 +55,6 @@ from repro.model.schedule import Schedule
 from repro.viz.ascii_plot import render_series
 from repro.workloads import trace
 from repro.workloads.uniform import UniformWorkload
-
-#: Matches repro.cluster.launcher.LISTENING_BANNER (re-declared here so
-#: `serve` does not import the launcher it is a child of).
-LISTENING_BANNER = "CLUSTER-LISTENING"
 
 
 def cmd_cluster_serve(args) -> int:
@@ -295,6 +293,19 @@ def cmd_cluster_bench(args) -> int:
     return 0
 
 
+def _non_negative_float(text: str) -> float:
+    """An argparse type: a finite number no less than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}"
+        )
+    return value
+
+
 def add_cluster_parser(subparsers, scheme_type) -> None:
     """Register the ``cluster`` subcommand tree on the root parser."""
     cluster = subparsers.add_parser(
@@ -338,7 +349,7 @@ def add_cluster_parser(subparsers, scheme_type) -> None:
                 help="one OS process per node instead of in-process",
             )
             parser.add_argument(
-                "--delay-ms", type=float, default=0.0,
+                "--delay-ms", type=_non_negative_float, default=0.0,
                 help="inject this per-message delay on every link",
             )
             parser.add_argument(
@@ -386,7 +397,7 @@ def add_cluster_parser(subparsers, scheme_type) -> None:
     _common(bench)
     bench.add_argument("--count", type=int, default=200,
                        help="number of requests")
-    bench.add_argument("--rate", type=float, default=200.0,
+    bench.add_argument("--rate", type=_non_negative_float, default=200.0,
                        help="Poisson arrival rate, requests/second")
     bench.add_argument("--write-fraction", type=float, default=0.2)
     bench.add_argument("--seed", type=int, default=0)

@@ -241,7 +241,7 @@ class NodeServer:
         scheme = self.protocol.scheme
         if self.node_id in scheme:
             version = ObjectVersion(0, min(scheme))
-            self.database.seed(version)
+            self.database.output_object(version)
             self.durability.log_seed(version)
 
     def _restore_durable(self, state) -> None:
@@ -258,7 +258,7 @@ class NodeServer:
         with self.durability.muted():
             self.protocol = make_live_protocol(self.config.protocol, self)
             if state.version is not None:
-                self.database.seed(state.version)
+                self.database.output_object(state.version)
                 self.database.invalidate()
             if state.scheme and set(state.scheme) != set(self.protocol.scheme):
                 # Only SA ever journals scheme growth; DA's static
@@ -869,7 +869,7 @@ class NodeServer:
                 # Fresh: reinstall the journaled state as-is.  Muted —
                 # the log already records exactly this state.
                 with self.durability.muted():
-                    self.database.seed(state.version)
+                    self.database.output_object(state.version)
                     self.join_list.clear()
                     self.join_list.update(state.join_list)
                     self.steward = state.steward

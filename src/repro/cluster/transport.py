@@ -35,6 +35,7 @@ simulator's omniscient event loop — and always get through.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Set, Tuple
@@ -141,10 +142,9 @@ class FaultPlan:
     partitions: Tuple[FrozenSet[int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.default_delay < 0 or any(
-            delay < 0 for delay in self.link_delays.values()
-        ):
-            raise ClusterError("delays must be non-negative")
+        delays = (self.default_delay, *self.link_delays.values())
+        if not all(math.isfinite(delay) and delay >= 0 for delay in delays):
+            raise ClusterError("delays must be finite and non-negative")
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ClusterError("drop_probability must be within [0, 1]")
         self._rng = random.Random(self.seed)

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -238,6 +238,82 @@ class _HeterogeneousTables:
         return _WriteTables(np.array(ctrl), base, _subset_sums(ctrl))
 
 
+class Transitions:
+    """One universe's DP: its masks, its memoized price tables, and the
+    step from one DP table (scheme mask -> least prefix cost) to the
+    next.  :meth:`OfflineOptimal.transitions` builds one; the exact
+    solve and :class:`repro.analysis.worst_case.ExhaustiveSearch` both
+    step it."""
+
+    def __init__(
+        self, cost_model: Prices, threshold: int, universe: Sequence[ProcessorId]
+    ) -> None:
+        self.universe = list(universe)
+        #: Processor id -> its bit index in this universe's masks.
+        self.position = {p: i for i, p in enumerate(self.universe)}
+        self.masks = np.arange(1 << len(self.universe), dtype=np.int64)
+        pop = popcount(self.masks)
+        self.invalid_target = pop < threshold
+        if isinstance(cost_model, HeterogeneousCostModel):
+            prices = _HeterogeneousTables(cost_model, self.universe)
+        else:
+            prices = _HomogeneousTables(cost_model, self.universe, self.masks, pop)
+        self.reads = functools.cache(prices.reads)
+        self.writes = functools.cache(prices.writes)
+
+    def start(self, initial: Iterable[ProcessorId]) -> np.ndarray:
+        """The table before any request: cost 0 at the initial scheme."""
+        dp = np.full(self.masks.shape, np.inf)
+        dp[mask_of(initial, self.universe)] = 0.0
+        return dp
+
+    def advance(self, dp: np.ndarray, request: Request) -> np.ndarray:
+        """The table after ``request`` (``dp`` is left untouched)."""
+        position = self.position[request.processor]
+        if request.is_read:
+            return self._read_step(dp, 1 << position, self.reads(position))
+        return self._write_step(dp, self.writes(position))
+
+    def _read_step(
+        self, dp: np.ndarray, bit: int, tables: _ReadTables
+    ) -> np.ndarray:
+        masks = self.masks
+        has_reader = (masks & bit) != 0
+        # Member: local read.  Non-member: on-demand non-saving fetch.
+        fetched = dp + tables.fetch
+        new_dp = np.where(has_reader, dp + tables.io, fetched)
+        # Saving-read: mask -> mask | bit at one extra I/O.  Sources
+        # map injectively onto targets, so a plain minimum suffices.
+        sources = ~has_reader
+        targets = masks[sources] | bit
+        saving = fetched[sources] + tables.io
+        new_dp[targets] = np.minimum(new_dp[targets], saving)
+        return new_dp
+
+    def _write_step(self, dp: np.ndarray, tables: _WriteTables) -> np.ndarray:
+        """All write transitions at once via the O(n·2^n) min-transform.
+
+        ``transform[T] = min over M of dp[M] + ctrl·(M ∖ T)`` — bits of
+        the predecessor outside the target each cost one invalidation.
+        Processing one bit position at a time: a target containing bit
+        ``b`` absorbs predecessors with or without ``b`` for free; a
+        target without it pays ``ctrl[b]`` to absorb predecessors with
+        it.  The writer's ``ctrl`` is 0: it is never invalidated.
+        """
+        transform = dp.copy()
+        for position, ctrl in enumerate(tables.ctrl):
+            shaped = transform.reshape(-1, 2, 1 << position)
+            low = shaped[:, 0, :]
+            high = shaped[:, 1, :]
+            # In place: the new low half reads the old high half.
+            new_low = np.minimum(low, high + ctrl)
+            np.minimum(high, low, out=high)
+            low[...] = new_low
+        new_dp = transform + tables.base
+        new_dp[self.invalid_target] = np.inf
+        return new_dp
+
+
 class OfflineOptimal:
     """Exact minimum-cost offline DOM algorithm (the paper's OPT).
 
@@ -317,6 +393,11 @@ class OfflineOptimal:
 
     # -- dynamic programming ---------------------------------------------------
 
+    def transitions(self, universe: Sequence[ProcessorId]) -> Transitions:
+        """The DP steps over schemes drawn from ``universe`` (sorted
+        ids), priced by this solver's cost model and threshold."""
+        return Transitions(self.cost_model, self.threshold, universe)
+
     def _solve(
         self,
         schedule: Schedule,
@@ -324,31 +405,15 @@ class OfflineOptimal:
         universe: list[int],
         want_witness: bool,
     ) -> tuple[float, Optional[AllocationSchedule]]:
-        size = 1 << len(universe)
-        masks = np.arange(size, dtype=np.int64)
-        pop = popcount(masks)
-        invalid_target = pop < self.threshold
-        if isinstance(self.cost_model, HeterogeneousCostModel):
-            prices = _HeterogeneousTables(self.cost_model, universe)
-        else:
-            prices = _HomogeneousTables(self.cost_model, universe, masks, pop)
-        reads = functools.cache(prices.reads)
-        writes = functools.cache(prices.writes)
-
+        steps = self.transitions(universe)
         bounds = self._prune_bounds(schedule, initial)
-
-        dp = np.full(size, np.inf)
-        dp[mask_of(initial, universe)] = 0.0
+        dp = steps.start(initial)
         history: List[np.ndarray] = []
 
         for step, request in enumerate(schedule):
             if want_witness:
                 history.append(dp)
-            position = universe.index(request.processor)
-            if request.is_read:
-                dp = self._read_step(dp, masks, 1 << position, reads(position))
-            else:
-                dp = self._write_step(dp, writes(position), invalid_target)
+            dp = steps.advance(dp, request)
             if bounds is not None:
                 suffix_bound, upper_bound = bounds
                 hopeless = (
@@ -360,10 +425,8 @@ class OfflineOptimal:
         best_cost = float(dp[best_mask])
         if not want_witness:
             return best_cost, None
-        steps = self._reconstruct(
-            schedule, history, best_mask, universe, masks, reads, writes
-        )
-        allocation = AllocationSchedule(initial, tuple(steps))
+        executed = self._reconstruct(schedule, history, best_mask, steps)
+        allocation = AllocationSchedule(initial, tuple(executed))
         return best_cost, allocation
 
     def _prune_bounds(
@@ -395,48 +458,6 @@ class OfflineOptimal:
         costs = sa_request_costs(batch, initial, model, t)
         return suffix, float(costs.sum())
 
-    @staticmethod
-    def _read_step(
-        dp: np.ndarray, masks: np.ndarray, bit: int, tables: _ReadTables
-    ) -> np.ndarray:
-        has_reader = (masks & bit) != 0
-        # Member: local read.  Non-member: on-demand non-saving fetch.
-        fetched = dp + tables.fetch
-        new_dp = np.where(has_reader, dp + tables.io, fetched)
-        # Saving-read: mask -> mask | bit at one extra I/O.  Sources
-        # map injectively onto targets, so a plain minimum suffices.
-        sources = ~has_reader
-        targets = masks[sources] | bit
-        saving = fetched[sources] + tables.io
-        new_dp[targets] = np.minimum(new_dp[targets], saving)
-        return new_dp
-
-    @staticmethod
-    def _write_step(
-        dp: np.ndarray, tables: _WriteTables, invalid_target: np.ndarray
-    ) -> np.ndarray:
-        """All write transitions at once via the O(n·2^n) min-transform.
-
-        ``transform[T] = min over M of dp[M] + ctrl·(M ∖ T)`` — bits of
-        the predecessor outside the target each cost one invalidation.
-        Processing one bit position at a time: a target containing bit
-        ``b`` absorbs predecessors with or without ``b`` for free; a
-        target without it pays ``ctrl[b]`` to absorb predecessors with
-        it.  The writer's ``ctrl`` is 0: it is never invalidated.
-        """
-        transform = dp.copy()
-        for position, ctrl in enumerate(tables.ctrl):
-            shaped = transform.reshape(-1, 2, 1 << position)
-            low = shaped[:, 0, :]
-            high = shaped[:, 1, :]
-            # In place: the new low half reads the old high half.
-            new_low = np.minimum(low, high + ctrl)
-            np.minimum(high, low, out=high)
-            low[...] = new_low
-        new_dp = transform + tables.base
-        new_dp[invalid_target] = np.inf
-        return new_dp
-
     # -- witness reconstruction ------------------------------------------------
 
     def _reconstruct(
@@ -444,39 +465,27 @@ class OfflineOptimal:
         schedule: Schedule,
         history: List[np.ndarray],
         final_mask: int,
-        universe: list[int],
-        masks: np.ndarray,
-        reads: Callable[[int], _ReadTables],
-        writes: Callable[[int], _WriteTables],
+        steps: Transitions,
     ) -> List[ExecutedRequest]:
         """Walk backward from the best final mask, recomputing each
         step's candidate costs and taking deterministic argmins
         (smallest predecessor mask on ties)."""
-        steps: List[ExecutedRequest] = []
+        executed: List[ExecutedRequest] = []
         mask = final_mask
-        for step in range(len(schedule) - 1, -1, -1):
-            request = schedule[step]
-            position = universe.index(request.processor)
-            tables = (reads if request.is_read else writes)(position)
-            mask, executed = self._reconstruct_step(
-                request, history[step], mask, 1 << position,
-                universe, masks, tables,
-            )
-            steps.append(executed)
-        steps.reverse()
-        return steps
+        for request, dp_prev in zip(reversed(schedule), reversed(history)):
+            mask, done = self._reconstruct_step(request, dp_prev, mask, steps)
+            executed.append(done)
+        executed.reverse()
+        return executed
 
     @staticmethod
     def _reconstruct_step(
-        request: Request,
-        dp_prev: np.ndarray,
-        mask: int,
-        bit: int,
-        universe: list[int],
-        masks: np.ndarray,
-        tables: Union[_ReadTables, _WriteTables],
+        request: Request, dp_prev: np.ndarray, mask: int, steps: Transitions
     ) -> tuple[int, ExecutedRequest]:
+        position = steps.position[request.processor]
         if request.is_read:
+            tables = steps.reads(position)
+            bit = 1 << position
             if mask & bit:
                 saving_pred = mask & ~bit
                 saving_value = (
@@ -499,9 +508,12 @@ class OfflineOptimal:
             return mask, ExecutedRequest(request, frozenset({server}))
         # Write: the scheme after the request IS the execution set; any
         # predecessor is possible, priced by its invalidations.
-        candidates = dp_prev + (tables.base[mask] + tables.stale[masks & ~mask])
+        tables = steps.writes(position)
+        candidates = dp_prev + (
+            tables.base[mask] + tables.stale[steps.masks & ~mask]
+        )
         predecessor = int(np.argmin(candidates))  # smallest mask on ties
-        executed = ExecutedRequest(request, set_of_mask(mask, universe))
+        executed = ExecutedRequest(request, set_of_mask(mask, steps.universe))
         return predecessor, executed
 
 

@@ -60,6 +60,13 @@ class Node:
         self.network.stats.io_reads += 1
         return version
 
+    def input_any_object(self) -> ObjectVersion:
+        """Read whatever version is stored, valid or not (charged I/O;
+        quorum reads judge freshness by version number)."""
+        version = self.database.input_any_version()
+        self.network.stats.io_reads += 1
+        return version
+
     def output_object(self, version: ObjectVersion) -> None:
         """Write the object to the local database (charged I/O)."""
         self.database.output_object(version)
@@ -73,7 +80,7 @@ class Node:
     def seed_copy(self, version: ObjectVersion) -> None:
         """Install an initial copy without charging I/O (pre-schedule
         setup; the paper's costs start at the first request)."""
-        self.database.seed(version)
+        self.database.output_object(version)
 
     @property
     def holds_valid_copy(self) -> bool:

@@ -248,8 +248,7 @@ class QuorumMachinery:
         poll.decided = True
         holder = poll.best_holder()
         if holder == reader:
-            version = self.network.node(reader).database.input_any_version()
-            self.network.stats.io_reads += 1
+            version = self.network.node(reader).input_any_object()
             self.network.perform_io(
                 lambda: self._finish_quorum_read(context, version),
                 label=f"read-io@{reader}",
@@ -267,8 +266,7 @@ class QuorumMachinery:
         context.finish_work(self.simulator.now)
 
     def quorum_serve_read(self, node, message: ReadRequest) -> None:
-        version = node.database.input_any_version()
-        self.network.stats.io_reads += 1
+        version = node.input_any_object()
 
         def respond() -> None:
             self.network.send(

@@ -8,7 +8,6 @@ append-only :class:`~repro.storage.wal.WriteAheadLog` and an atomic
 
 from repro.storage.local_db import LocalDatabase
 from repro.storage.snapshot import SnapshotStore
-from repro.storage.stable_storage import StableStorage
 from repro.storage.versions import ObjectVersion, VersionCounter
 from repro.storage.wal import (
     ReplayResult,
@@ -23,7 +22,6 @@ __all__ = [
     "ObjectVersion",
     "ReplayResult",
     "SnapshotStore",
-    "StableStorage",
     "VersionCounter",
     "WalRecord",
     "WriteAheadLog",

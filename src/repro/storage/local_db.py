@@ -1,11 +1,13 @@
 """The per-processor local database of the paper's model.
 
 A :class:`LocalDatabase` stores (at most) one version of the replicated
-object on :class:`~repro.storage.stable_storage.StableStorage`.  A copy
-can be *invalidated* — marked obsolete by a write elsewhere — without
-being physically removed; reading an invalidated copy is a protocol
-error, which is exactly the bug class the legality checks exist to
-catch.
+object on the processor's stable storage (paper §3.1).  A copy can be
+*invalidated* — marked obsolete by a write elsewhere — without being
+physically removed; reading an invalidated copy is a protocol error,
+which is exactly the bug class the legality checks exist to catch.
+
+The database charges nothing: the node that owns it counts each input
+and output into its run's I/O total (the paper's ``c_io``).
 """
 
 from __future__ import annotations
@@ -13,11 +15,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.exceptions import StorageError
-from repro.storage.stable_storage import StableStorage
 from repro.storage.versions import ObjectVersion
 from repro.types import ProcessorId
-
-_OBJECT_KEY = "the-object"
 
 
 class LocalDatabase:
@@ -25,7 +24,9 @@ class LocalDatabase:
 
     def __init__(self, owner: ProcessorId) -> None:
         self.owner = owner
-        self.storage = StableStorage()
+        #: The stored version (survives a crash); ``None`` until the
+        #: first output.
+        self._version: Optional[ObjectVersion] = None
         self._valid = False
 
     # -- state inspection -------------------------------------------------
@@ -33,18 +34,16 @@ class LocalDatabase:
     @property
     def holds_valid_copy(self) -> bool:
         """True iff this database holds a non-invalidated copy."""
-        return self._valid and self.storage.contains(_OBJECT_KEY)
+        return self._valid
 
     def peek_version(self) -> Optional[ObjectVersion]:
-        """The stored version (valid or not) without charging an I/O."""
-        if not self.storage.contains(_OBJECT_KEY):
-            return None
-        return self.storage.peek(_OBJECT_KEY)
+        """The stored version, valid or not."""
+        return self._version
 
-    # -- the charged operations ----------------------------------------------
+    # -- input and output ----------------------------------------------------
 
     def input_object(self) -> ObjectVersion:
-        """Input (read) the object from the local database — one I/O.
+        """Input (read) the object from the local database.
 
         Raises :class:`StorageError` if there is no valid copy: a legal
         allocation schedule never reads an obsolete or absent copy.
@@ -53,34 +52,28 @@ class LocalDatabase:
             raise StorageError(
                 f"processor {self.owner} has no valid copy to input"
             )
-        return self.storage.read(_OBJECT_KEY)
+        return self._version
 
     def input_any_version(self) -> ObjectVersion:
-        """Input whatever version is on stable storage — one I/O.
+        """Input whatever version is on stable storage.
 
         Quorum consensus determines freshness by comparing version
         timestamps across a quorum, not by DA's validity flag, so it
         may legitimately read a copy that DA-style bookkeeping marked
         suspect (e.g. after a crash).  Raises only when no copy exists.
         """
-        return self.storage.read(_OBJECT_KEY)
+        if self._version is None:
+            raise StorageError(
+                f"processor {self.owner} has no copy on stable storage"
+            )
+        return self._version
 
     def output_object(self, version: ObjectVersion) -> None:
-        """Output (write) the object to the local database — one I/O."""
-        self.storage.write(_OBJECT_KEY, version)
+        """Output (write) the object to the local database."""
+        self._version = version
         self._valid = True
 
-    # -- uncharged bookkeeping -----------------------------------------------
-
-    def seed(self, version: ObjectVersion) -> None:
-        """Install a copy without charging an I/O.
-
-        Used to set up the initial allocation scheme: the paper's cost
-        accounting starts at the first request of the schedule.
-        """
-        self.storage.write(_OBJECT_KEY, version)
-        self.storage.write_ops -= 1
-        self._valid = True
+    # -- validity ------------------------------------------------------------
 
     def invalidate(self) -> None:
         """Mark the local copy obsolete (costs only the control message
@@ -93,23 +86,10 @@ class LocalDatabase:
         Used by recovery when the missing-writes handshake established
         that the stable copy is still the latest version; the handshake
         messages are charged by the caller."""
-        if self.storage.contains(_OBJECT_KEY):
+        if self._version is not None:
             self._valid = True
 
     def crash(self) -> None:
-        """Volatile state is lost; stable storage survives, but the copy
-        must be treated as suspect until recovery revalidates it."""
-        self.storage = self.storage.survive_crash()
+        """Volatile state is lost; the stored version survives, but the
+        copy must be treated as suspect until recovery revalidates it."""
         self._valid = False
-
-    @property
-    def io_reads(self) -> int:
-        return self.storage.read_ops
-
-    @property
-    def io_writes(self) -> int:
-        return self.storage.write_ops
-
-    @property
-    def io_ops(self) -> int:
-        return self.storage.io_ops

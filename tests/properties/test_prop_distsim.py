@@ -2,8 +2,7 @@
 
 For arbitrary schedules, the discrete-event SA and DA protocols must
 produce per-request (I/O, control, data) counts identical to the
-analytic model's breakdowns — and per-node I/O counters must sum to the
-global statistics.
+analytic model's breakdowns.
 """
 
 from __future__ import annotations
@@ -43,22 +42,6 @@ def test_da_protocol_matches_model_per_request(schedule):
         protocol, DynamicAllocation(SCHEME, primary=2), schedule
     )
     assert mismatches(comparisons) == []
-
-
-@given(schedule=schedules())
-@settings(max_examples=30, deadline=None)
-def test_per_node_io_sums_to_global_stats(schedule):
-    network = build_network(ALL_NODES)
-    protocol = DynamicAllocationProtocol(network, SCHEME, primary=2)
-    protocol.execute(schedule)
-    node_reads = sum(
-        network.node(node_id).database.io_reads for node_id in ALL_NODES
-    )
-    node_writes = sum(
-        network.node(node_id).database.io_writes for node_id in ALL_NODES
-    )
-    assert node_reads == network.stats.io_reads
-    assert node_writes == network.stats.io_writes
 
 
 @given(schedule=schedules())

@@ -159,6 +159,20 @@ class TestClusterCLI:
         assert "req/s" in out
         assert "p95" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "x"])
+    def test_delay_ms_must_be_finite_and_non_negative(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "run", "--length", "5", "--delay-ms", value])
+        assert excinfo.value.code == 2
+        assert "expected a finite non-negative number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rate_must_be_finite(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "bench", "--count", "5", "--rate", value])
+        assert excinfo.value.code == 2
+        assert "expected a finite non-negative number" in capsys.readouterr().err
+
 
 class TestWorkload:
     def test_stdout_trace(self, capsys):

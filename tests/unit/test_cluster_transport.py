@@ -38,6 +38,13 @@ class TestFaultPlan:
         with pytest.raises(ClusterError):
             FaultPlan(link_delays={(1, 2): -0.1})
 
+    @pytest.mark.parametrize("delay", ["nan", "inf", "-inf"])
+    def test_non_finite_delay_rejected_from_the_wire(self, delay):
+        with pytest.raises(ClusterError):
+            FaultPlan.from_wire({"default_delay": delay})
+        with pytest.raises(ClusterError):
+            FaultPlan.from_wire({"link_delays": [[1, 2, delay]]})
+
     def test_drop_next_consumes_budget(self):
         plan = FaultPlan(drop_next={(1, 2): 2})
         assert plan.should_drop(1, 2)

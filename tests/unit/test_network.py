@@ -149,6 +149,14 @@ class TestNode:
         assert network.stats.io_writes == 1
         assert network.stats.io_reads == 1
 
+    def test_input_any_object_reads_an_invalid_copy_charged(self):
+        network, _ = make_network()
+        node = network.node(1)
+        node.output_object(ObjectVersion(1, writer=1))
+        node.invalidate_copy()
+        assert node.input_any_object() == ObjectVersion(1, writer=1)
+        assert network.stats.io_reads == 1
+
     def test_seed_copy_uncharged(self):
         network, _ = make_network()
         network.node(1).seed_copy(ObjectVersion(0, writer=1))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError, StorageError
 from repro.storage.local_db import LocalDatabase
-from repro.storage.stable_storage import StableStorage
 from repro.storage.versions import ObjectVersion, VersionCounter
 
 
@@ -37,82 +36,11 @@ class TestVersions:
         assert str(ObjectVersion(3, writer=7)) == "v3@7"
 
 
-class TestStableStorage:
-    def test_write_then_read(self):
-        storage = StableStorage()
-        storage.write("k", 42)
-        assert storage.read("k") == 42
-        assert storage.read_ops == 1
-        assert storage.write_ops == 1
-        assert storage.io_ops == 2
-
-    def test_missing_key_raises(self):
-        with pytest.raises(StorageError):
-            StableStorage().read("nope")
-
-    def test_peek_is_uncharged(self):
-        storage = StableStorage()
-        storage.write("k", 42)
-        assert storage.peek("k") == 42
-        assert storage.read_ops == 0
-
-    def test_peek_missing_raises(self):
-        with pytest.raises(StorageError):
-            StableStorage().peek("nope")
-
-    def test_delete_is_uncharged(self):
-        storage = StableStorage()
-        storage.write("k", 1)
-        storage.delete("k")
-        assert not storage.contains("k")
-        assert storage.io_ops == 1
-
-    def test_survive_crash_preserves_content(self):
-        storage = StableStorage()
-        storage.write("k", 1)
-        assert storage.survive_crash().peek("k") == 1
-
-    def test_survive_crash_carries_counters_over(self):
-        # The paper's c_io charges accumulate across crashes: a crash
-        # loses volatile state, never the I/O history of the disk.
-        storage = StableStorage()
-        storage.write("k", 1)
-        storage.read("k")
-        storage.read("k")
-        survivor = storage.survive_crash()
-        assert survivor.read_ops == 2
-        assert survivor.write_ops == 1
-        assert survivor.io_ops == 3
-        survivor.write("k", 2)
-        assert storage.io_ops == 4  # same disk, same ledger
-
-    def test_survive_crash_is_identity(self):
-        storage = StableStorage()
-        assert storage.survive_crash() is storage
-
-    def test_volatile_stable_split_matches_database_crash(self):
-        # LocalDatabase.crash() must be exactly "stable storage
-        # survives, validity is volatile": the version block stays on
-        # the surviving StableStorage, only the valid flag drops.
-        db = LocalDatabase(owner=1)
-        version = ObjectVersion(7, writer=1)
-        db.output_object(version)
-        reads_before = db.storage.read_ops
-        writes_before = db.storage.write_ops
-        db.crash()
-        assert db.storage is db.storage.survive_crash()
-        assert db.storage.read_ops == reads_before
-        assert db.storage.write_ops == writes_before
-        assert not db.holds_valid_copy  # the volatile half is gone
-        assert db.peek_version() == version  # the stable half is not
-        with pytest.raises(StorageError):
-            db.input_object()  # a charged read refuses the invalid copy
-
-
 class TestLocalDatabase:
     def test_fresh_database_has_no_copy(self):
         db = LocalDatabase(owner=1)
         assert not db.holds_valid_copy
+        assert db.peek_version() is None
         with pytest.raises(StorageError):
             db.input_object()
 
@@ -122,8 +50,6 @@ class TestLocalDatabase:
         db.output_object(version)
         assert db.holds_valid_copy
         assert db.input_object() == version
-        assert db.io_reads == 1
-        assert db.io_writes == 1
 
     def test_invalidate_blocks_reads(self):
         db = LocalDatabase(owner=1)
@@ -147,21 +73,20 @@ class TestLocalDatabase:
         db.output_object(version)
         db.invalidate()
         assert db.input_any_version() == version
-        assert db.io_reads == 1
 
-    def test_seed_is_uncharged(self):
-        db = LocalDatabase(owner=1)
-        db.seed(ObjectVersion(0, writer=1))
-        assert db.holds_valid_copy
-        assert db.io_ops == 0
+    def test_input_any_version_without_copy_raises(self):
+        with pytest.raises(StorageError):
+            LocalDatabase(owner=1).input_any_version()
 
     def test_crash_keeps_storage_but_invalidates(self):
         db = LocalDatabase(owner=1)
         version = ObjectVersion(3, writer=1)
         db.output_object(version)
         db.crash()
-        assert not db.holds_valid_copy
-        assert db.peek_version() == version
+        assert not db.holds_valid_copy  # the volatile half is gone
+        assert db.peek_version() == version  # the stored half is not
+        with pytest.raises(StorageError):
+            db.input_object()  # a checked input refuses the suspect copy
 
     def test_revalidate_after_crash(self):
         db = LocalDatabase(owner=1)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analysis.worst_case import ExhaustiveSearch, certified_worst_case
 from repro.core.dynamic_allocation import DynamicAllocation
-from repro.core.offline_optimal import optimal_cost
+from repro.core.offline_optimal import OfflineOptimal, optimal_cost
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
 from repro.model.cost_model import stationary
+from repro.model.request import read, write
+from repro.model.schedule import Schedule
 
 MODEL = stationary(0.1, 0.2)
 SCHEME = frozenset({1, 2})
@@ -32,19 +36,26 @@ class TestValidation:
 
 class TestIncrementalDPConsistency:
     def test_advance_agrees_with_full_solver(self):
-        # The carried DP must price any particular schedule exactly as
-        # the standalone OfflineOptimal does.
-        search = ExhaustiveSearch(MODEL, SCHEME, (5, 6))
-        from repro.model.request import read, write
-
-        dp = search._initial_dp()
-        requests = [read(5), write(6), read(5), read(6)]
-        for request in requests:
-            dp = search._advance(dp, request)
-        from repro.model.schedule import Schedule
-
-        expected = optimal_cost(Schedule(tuple(requests)), SCHEME, MODEL)
-        assert min(dp.values()) == pytest.approx(expected)
+        # The carried DP must price every prefix of seeded random
+        # schedules exactly as the standalone OfflineOptimal does, on
+        # 3 to 5 processors and for t in {2, 3}.
+        scheme = frozenset({1, 2, 3})
+        rng = random.Random(20)
+        for threshold in (2, 3):
+            solver = OfflineOptimal(MODEL, threshold)
+            for extra in ((), (5,), (5, 6)):
+                search = ExhaustiveSearch(MODEL, scheme, extra, threshold)
+                steps = search.transitions
+                for _ in range(5):
+                    requests = [
+                        rng.choice((read, write))(rng.choice(search.processors))
+                        for _ in range(rng.randint(1, 7))
+                    ]
+                    dp = steps.start(scheme)
+                    for length, request in enumerate(requests, start=1):
+                        dp = steps.advance(dp, request)
+                        prefix = Schedule(tuple(requests[:length]))
+                        assert dp.min() == solver.optimal_cost(prefix, scheme)
 
 
 class TestSearchResults:
