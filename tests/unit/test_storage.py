@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.distsim.network import Network
+from repro.distsim.simulator import Simulator
 from repro.exceptions import ConfigurationError, StorageError
 from repro.storage.local_db import LocalDatabase
 from repro.storage.versions import ObjectVersion, VersionCounter
@@ -34,6 +36,86 @@ class TestVersions:
 
     def test_str(self):
         assert str(ObjectVersion(3, writer=7)) == "v3@7"
+
+
+def make_node(node_id=1):
+    network = Network(Simulator(), control_latency=1.0, data_latency=3.0)
+    (node,) = network.add_nodes([node_id])
+    return network, node
+
+
+class TestStableStorage:
+    """The stored half of a LocalDatabase: the one version kept on the
+    processor's stable storage (paper §3.1), apart from the volatile
+    validity flag."""
+
+    def test_write_then_read(self):
+        db = LocalDatabase(owner=1)
+        first = ObjectVersion(1, writer=1)
+        second = ObjectVersion(2, writer=2)
+        db.output_object(first)
+        assert db.input_any_version() == first
+        db.output_object(second)  # one slot: the newer output replaces it
+        assert db.input_any_version() == second
+        assert db.peek_version() == second
+
+    def test_peek_missing_raises(self):
+        # A crash on an empty database stores nothing: the peek still
+        # reports no copy, and an input of the stored copy raises.
+        db = LocalDatabase(owner=1)
+        db.crash()
+        assert db.peek_version() is None
+        with pytest.raises(StorageError):
+            db.input_any_version()
+
+    def test_peek_is_uncharged(self):
+        network, node = make_node()
+        version = ObjectVersion(1, writer=1)
+        node.output_object(version)
+        assert node.database.peek_version() == version
+        assert network.stats.io_reads == 0
+        assert network.stats.io_writes == 1
+
+    def test_survive_crash_preserves_content(self):
+        db = LocalDatabase(owner=1)
+        version = ObjectVersion(4, writer=2)
+        db.output_object(version)
+        db.crash()
+        assert db.input_any_version() == version
+        db.revalidate()
+        assert db.input_object() == version
+
+    def test_survive_crash_carries_counters_over(self):
+        # The paper's c_io charges accumulate across crashes: a crash
+        # loses volatile state, never the I/O already charged.
+        network, node = make_node()
+        node.output_object(ObjectVersion(1, writer=1))
+        node.input_object()
+        node.input_object()
+        node.crash()
+        node.recover()
+        assert network.stats.io_reads == 2
+        assert network.stats.io_writes == 1
+        node.output_object(ObjectVersion(2, writer=1))
+        assert network.stats.io_writes == 2
+
+    def test_volatile_stable_split_matches_database_crash(self):
+        # LocalDatabase.crash() must be exactly "the stored version
+        # survives, validity is volatile": a crashed database and an
+        # invalidated one hold the same state.
+        crashed = LocalDatabase(owner=1)
+        invalidated = LocalDatabase(owner=1)
+        version = ObjectVersion(7, writer=1)
+        for db in (crashed, invalidated):
+            db.output_object(version)
+        crashed.crash()
+        invalidated.invalidate()
+        for db in (crashed, invalidated):
+            assert not db.holds_valid_copy  # the volatile half is gone
+            assert db.peek_version() == version  # the stable half is not
+            assert db.input_any_version() == version
+            with pytest.raises(StorageError):
+                db.input_object()  # a checked input refuses the copy
 
 
 class TestLocalDatabase:
@@ -73,6 +155,20 @@ class TestLocalDatabase:
         db.output_object(version)
         db.invalidate()
         assert db.input_any_version() == version
+
+    def test_seed_is_uncharged(self):
+        # The database charges nothing; seeding through the node
+        # installs the initial copy without an I/O charge, and the
+        # first input after it is charged as usual.
+        network, node = make_node()
+        version = ObjectVersion(0, writer=1)
+        node.seed_copy(version)
+        assert node.database.holds_valid_copy
+        assert node.database.peek_version() == version
+        assert network.stats.io_reads == 0
+        assert network.stats.io_writes == 0
+        assert node.input_object() == version
+        assert network.stats.io_reads == 1
 
     def test_input_any_version_without_copy_raises(self):
         with pytest.raises(StorageError):
