@@ -22,9 +22,8 @@ import copy
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from repro import kernel
 from repro.core.base import OnlineDOM
-from repro.core.competitive import CompetitivenessHarness
+from repro.core.competitive import CompetitivenessHarness, costs_of
 from repro.engine.keys import stable_key
 from repro.engine.runner import ExperimentEngine, Task
 from repro.exceptions import ConfigurationError
@@ -104,28 +103,13 @@ def _cost_point(
 ) -> SweepRow:
     """The reference-free flavor: raw mean costs only.
 
-    Kernel-supported algorithms (SA, DA) share one compiled batch per
-    point — the suite is lowered to arrays once and each algorithm is
-    evaluated in a single vectorized pass, bit-identical to stepping.
-    Other algorithms run the stepped path on fresh deep copies.
+    Each algorithm prices the whole suite through
+    :func:`~repro.core.competitive.costs_of` on fresh deep copies: one
+    vectorized kernel pass for SA and DA, bit-identical to stepping.
     """
-    supported = [p for p in prototypes.values() if kernel.supports(p)]
-    batch = None
-    if supported and schedules:
-        extra: set[int] = set()
-        for prototype in supported:
-            extra |= prototype.initial_scheme
-        batch = kernel.compile_batch(list(schedules), extra)
     mean_costs: dict[str, float] = {}
     for name, prototype in prototypes.items():
-        if batch is not None and kernel.supports(prototype):
-            costs = kernel.batch_costs(prototype, schedules, model, batch=batch)
-        else:
-            costs = []
-            for schedule in schedules:
-                algorithm = copy.deepcopy(prototype)
-                allocation = algorithm.run(schedule)
-                costs.append(model.schedule_cost(allocation))
+        costs = costs_of(lambda: copy.deepcopy(prototype), schedules, model)
         mean_costs[name] = sum(costs) / len(costs)
     return SweepRow(value, dict(mean_costs), dict(mean_costs), mean_costs)
 

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.base import OnlineDOM
+from repro.core.competitive import costs_of
 from repro.core.offline_optimal import OfflineOptimal
 from repro.exceptions import ConfigurationError
 from repro.model.cost_model import CostModel
@@ -54,9 +55,9 @@ class ExhaustiveSearch:
 
     The offline optimum is carried along the DFS as the exact solver's
     own DP table (:class:`~repro.core.offline_optimal.Transitions` over
-    the whole processor set): each node costs ``O(2^n)`` for a read and
-    ``O(n·2^n)`` for a write, and pricing the algorithm's run of the
-    prefix costs ``O(L)``.  Keep ``len(processors) <= 5`` and
+    the whole processor set): each node steps to all ``2n`` children's
+    tables at once in ``O(n²·2^n)``, and prices the algorithm on all
+    children at once too, ``O(n·L)``.  Keep ``len(processors) <= 5`` and
     ``max_length <= 7`` — the schedule space is ``(2k)^L``.
     """
 
@@ -99,18 +100,12 @@ class ExhaustiveSearch:
         best: Optional[WorstCase] = None
         prefix: list[Request] = []
 
-        def algorithm_cost() -> float:
-            algorithm = algorithm_factory()
-            allocation = algorithm.run(Schedule(tuple(prefix)))
-            return self.cost_model.schedule_cost(allocation)
-
         steps = self.transitions
 
-        def dfs(dp: np.ndarray, depth: int) -> None:
+        def dfs(dp: np.ndarray, depth: int, cost: float) -> None:
             nonlocal best
             if depth >= min_length:
                 optimal = float(dp.min())
-                cost = algorithm_cost()
                 if optimal > 0:
                     ratio = cost / optimal
                 elif cost > 0:
@@ -123,12 +118,16 @@ class ExhaustiveSearch:
                     )
             if depth == max_length:
                 return
-            for request in candidates:
+            extensions = [Schedule((*prefix, request)) for request in candidates]
+            costs = costs_of(algorithm_factory, extensions, self.cost_model)
+            for request, child, child_cost in zip(
+                candidates, steps.successors(dp), costs
+            ):
                 prefix.append(request)
-                dfs(steps.advance(dp, request), depth + 1)
+                dfs(child, depth + 1, child_cost)
                 prefix.pop()
 
-        dfs(steps.start(self.initial_scheme), 0)
+        dfs(steps.start(self.initial_scheme), 0, 0.0)
         assert best is not None  # min_length >= 1 guarantees a visit
         return best
 

@@ -43,13 +43,27 @@ def cost_of(
     """COST_A(I, psi): the online algorithm's cost on the schedule.
 
     Kernel-supported algorithms (SA, DA) are evaluated in closed form
-    without stepping; everything else runs the stepped reference path.
-    Both paths return bit-identical costs.
+    without stepping; everything else runs the stepped reference path
+    (see :func:`costs_of`).
     """
-    if kernel.supports(algorithm):
-        return kernel.schedule_cost(algorithm, schedule, cost_model)
-    allocation = algorithm.run(schedule)
-    return cost_model.schedule_cost(allocation)
+    return costs_of(lambda: algorithm, [schedule], cost_model)[0]
+
+
+def costs_of(
+    make_algorithm: Callable[[], OnlineDOM],
+    schedules: Sequence[Schedule],
+    cost_model: CostModel,
+) -> list[float]:
+    """COST_A on every schedule, each from a fresh algorithm instance:
+    one kernel batch for SA and DA under homogeneous prices, else
+    stepped.  Both paths return bit-identical costs."""
+    probe = make_algorithm()
+    if kernel.supports(probe) and isinstance(cost_model, CostModel):
+        return kernel.batch_costs(probe, list(schedules), cost_model)
+    return [
+        cost_model.schedule_cost(make_algorithm().run(schedule))
+        for schedule in schedules
+    ]
 
 
 @dataclass(frozen=True)
@@ -207,25 +221,17 @@ class CompetitivenessHarness:
 
         When the factory produces a kernel-supported algorithm, the
         whole suite compiles into one batch and every algorithm cost is
-        evaluated in a single vectorized pass (bit-identical to
-        stepping each schedule through a fresh instance).
+        evaluated in a single vectorized pass (:func:`costs_of`).
         """
         if not schedules:
             raise ConfigurationError("no schedules to measure")
         probe = make_algorithm()
-        name = probe.name
-        if kernel.supports(probe):
-            costs = kernel.batch_costs(probe, list(schedules), self.cost_model)
-            observations = [
-                self._record(schedule, cost, probe.initial_scheme)
-                for schedule, cost in zip(schedules, costs)
-            ]
-        else:
-            observations = [
-                self.observe(make_algorithm(), schedule)
-                for schedule in schedules
-            ]
-        return RatioReport(name or "unknown", tuple(observations))
+        costs = costs_of(make_algorithm, schedules, self.cost_model)
+        observations = [
+            self._record(schedule, cost, probe.initial_scheme)
+            for schedule, cost in zip(schedules, costs)
+        ]
+        return RatioReport(probe.name or "unknown", tuple(observations))
 
 
 def measure_ratios(

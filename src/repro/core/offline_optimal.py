@@ -54,9 +54,9 @@ closed forms keep the homogeneous optimum in its exact last bits.
 
 Two further devices keep the DP honest and fast:
 
-* **Lower-bound prune** (homogeneous prices only) — SA's cost
-  (evaluated in closed form by the vectorized kernel,
-  :mod:`repro.kernel`, which prices homogeneously) is a sound upper
+* **Lower-bound prune** (homogeneous prices only) — SA's cost (its
+  closed-form counts from the vectorized kernel, :mod:`repro.kernel`,
+  summed and priced once) is a sound upper
   bound on OPT, and every remaining request costs at least ``c_io``
   (read) or ``t·c_io + (t-1)·c_d`` (write); states whose prefix cost
   plus the remaining lower bound exceed the upper bound can never
@@ -91,7 +91,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.kernel.compile import compile_schedule, popcount
-from repro.kernel.evaluate import sa_request_costs
+from repro.kernel.evaluate import sa_request_counts
 from repro.model.allocation import AllocationSchedule
 from repro.model.cost_model import CostModel
 from repro.model.heterogeneous import HeterogeneousCostModel
@@ -238,6 +238,33 @@ class _HeterogeneousTables:
         return _WriteTables(np.array(ctrl), base, _subset_sums(ctrl))
 
 
+def _read_rows(reads, masks: np.ndarray, positions):
+    """A read step's tables for ``positions``: one bit position (tables
+    shaped like a DP table) or a tuple of them (one row each).  They
+    are the masks holding the reader, each mask's saving-read source
+    (the mask without the reader's bit, as a flat index), the reader's
+    I/O price and its fetch table."""
+    if isinstance(positions, int):
+        table, bit = reads(positions), 1 << positions
+        return (masks & bit) != 0, masks ^ bit, table.io, table.fetch
+    rows = [_read_rows(reads, masks, position) for position in positions]
+    has_reader, source, io, fetch = (np.array(field) for field in zip(*rows))
+    flat = np.arange(0, source.size, len(masks)).reshape(-1, 1)
+    return has_reader, source + flat, io.reshape(-1, 1), fetch
+
+
+def _write_rows(writes, positions):
+    """A write step's tables for ``positions`` (as for
+    :func:`_read_rows`): the control price of each bit, bit-major and
+    shaped to broadcast over the rows, and the base costs."""
+    if isinstance(positions, int):
+        table = writes(positions)
+        return table.ctrl, table.base
+    rows = [_write_rows(writes, position) for position in positions]
+    ctrl, base = (np.array(field) for field in zip(*rows))
+    return ctrl.T[:, :, None, None], base
+
+
 class Transitions:
     """One universe's DP: its masks, its memoized price tables, and the
     step from one DP table (scheme mask -> least prefix cost) to the
@@ -260,6 +287,14 @@ class Transitions:
             prices = _HomogeneousTables(cost_model, self.universe, self.masks, pop)
         self.reads = functools.cache(prices.reads)
         self.writes = functools.cache(prices.writes)
+        # Partials, not bound methods: a cache must not hold self in a
+        # reference cycle.
+        self._read_rows = functools.cache(
+            functools.partial(_read_rows, self.reads, self.masks)
+        )
+        self._write_rows = functools.cache(
+            functools.partial(_write_rows, self.writes)
+        )
 
     def start(self, initial: Iterable[ProcessorId]) -> np.ndarray:
         """The table before any request: cost 0 at the initial scheme."""
@@ -270,28 +305,34 @@ class Transitions:
     def advance(self, dp: np.ndarray, request: Request) -> np.ndarray:
         """The table after ``request`` (``dp`` is left untouched)."""
         position = self.position[request.processor]
-        if request.is_read:
-            return self._read_step(dp, 1 << position, self.reads(position))
-        return self._write_step(dp, self.writes(position))
+        step = self._read_steps if request.is_read else self._write_steps
+        return step(dp, position)
 
-    def _read_step(
-        self, dp: np.ndarray, bit: int, tables: _ReadTables
-    ) -> np.ndarray:
-        masks = self.masks
-        has_reader = (masks & bit) != 0
-        # Member: local read.  Non-member: on-demand non-saving fetch.
-        fetched = dp + tables.fetch
-        new_dp = np.where(has_reader, dp + tables.io, fetched)
-        # Saving-read: mask -> mask | bit at one extra I/O.  Sources
-        # map injectively onto targets, so a plain minimum suffices.
-        sources = ~has_reader
-        targets = masks[sources] | bit
-        saving = fetched[sources] + tables.io
-        new_dp[targets] = np.minimum(new_dp[targets], saving)
-        return new_dp
+    def successors(self, dp: np.ndarray) -> np.ndarray:
+        """The ``(2n, 2^n)`` tables after every possible next request:
+        row ``i`` is :meth:`advance` on a read by ``universe[i]``, row
+        ``n + i`` on a write by it."""
+        everyone = tuple(range(len(self.universe)))
+        return np.concatenate(
+            [self._read_steps(dp, everyone), self._write_steps(dp, everyone)]
+        )
 
-    def _write_step(self, dp: np.ndarray, tables: _WriteTables) -> np.ndarray:
-        """All write transitions at once via the O(n·2^n) min-transform.
+    def _read_steps(self, dp: np.ndarray, positions) -> np.ndarray:
+        """A read by each of ``positions`` (see :func:`_read_rows`): a
+        member reads locally, or takes a saving-read from the same mask
+        without its bit at one extra I/O; a non-member fetches without
+        saving."""
+        has_reader, source, io, fetch = self._read_rows(positions)
+        fetched = dp + fetch
+        saving = fetched.take(source)
+        saving += io
+        np.minimum(dp + io, saving, out=saving)
+        np.copyto(fetched, saving, where=has_reader)
+        return fetched
+
+    def _write_steps(self, dp: np.ndarray, positions) -> np.ndarray:
+        """A write by each of ``positions``, all write transitions at
+        once via the O(n·2^n) min-transform.
 
         ``transform[T] = min over M of dp[M] + ctrl·(M ∖ T)`` — bits of
         the predecessor outside the target each cost one invalidation.
@@ -300,18 +341,21 @@ class Transitions:
         target without it pays ``ctrl[b]`` to absorb predecessors with
         it.  The writer's ``ctrl`` is 0: it is never invalidated.
         """
-        transform = dp.copy()
-        for position, ctrl in enumerate(tables.ctrl):
-            shaped = transform.reshape(-1, 2, 1 << position)
-            low = shaped[:, 0, :]
-            high = shaped[:, 1, :]
+        ctrl, base = self._write_rows(positions)
+        transform = np.empty_like(base)
+        transform[...] = dp
+        leading = base.shape[:-1]  # () for one writer, (k,) for k
+        for position, column in enumerate(ctrl):
+            shaped = transform.reshape(leading + (-1, 2, 1 << position))
+            low = shaped[..., 0, :]
+            high = shaped[..., 1, :]
             # In place: the new low half reads the old high half.
-            new_low = np.minimum(low, high + ctrl)
+            new_low = np.minimum(low, high + column)
             np.minimum(high, low, out=high)
             low[...] = new_low
-        new_dp = transform + tables.base
-        new_dp[self.invalid_target] = np.inf
-        return new_dp
+        transform += base
+        np.copyto(transform, np.inf, where=self.invalid_target)
+        return transform
 
 
 class OfflineOptimal:
@@ -439,7 +483,8 @@ class OfflineOptimal:
         least one local I/O and a write at least ``t`` I/Os plus
         ``t - 1`` data messages (execution sets have size >= t).  SA
         over the full initial scheme is legal and t-available, so its
-        closed-form kernel cost bounds OPT from above.  ``None`` when
+        closed-form kernel counts, summed and priced once, bound OPT
+        from above.  ``None`` when
         nothing is pruned: the prune is off, the schedule is empty, or
         the prices are heterogeneous.
         """
@@ -455,8 +500,8 @@ class OfflineOptimal:
             running += lb_write if schedule[position].is_write else lb_read
             suffix[position] = running
         batch = compile_schedule(schedule, initial)
-        costs = sa_request_costs(batch, initial, model, t)
-        return suffix, float(costs.sum())
+        counts = sa_request_counts(batch, initial, t)
+        return suffix, float(model.price(counts.breakdown(0)))
 
     # -- witness reconstruction ------------------------------------------------
 

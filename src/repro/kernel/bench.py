@@ -14,7 +14,7 @@ Each algorithm's entry splits the kernel path by layer:
 need; it builds no ``Request``, since a generated schedule holds only
 its columns until read, so the stepped timing pays for materializing
 the request tuples), ``compile_seconds`` (:func:`compile_batch`) and
-``evaluate_seconds`` (per-request costs plus per-trace totals).
+``evaluate_seconds`` (per-request counts plus per-trace totals).
 ``kernel_seconds`` is compile plus evaluate, so the speedups reported
 here include compilation and are not eval-only.
 """
@@ -31,8 +31,7 @@ from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.offline_optimal import OfflineOptimal
 from repro.core.static_allocation import StaticAllocation
 from repro.kernel.compile import compile_batch
-from repro.kernel.dispatch import request_costs
-from repro.kernel.evaluate import schedule_totals
+from repro.kernel.dispatch import batch_costs
 from repro.model.cost_model import CostModel, stationary
 from repro.model.request import read, write
 from repro.model.schedule import Schedule
@@ -87,7 +86,7 @@ def _time_kernel(
     start = time.perf_counter()
     batch = compile_batch(schedules, algorithm.initial_scheme)
     compiled = time.perf_counter()
-    costs = schedule_totals(request_costs(algorithm, batch, model), batch.lengths)
+    costs = batch_costs(algorithm, schedules, model, batch)
     return compiled - start, time.perf_counter() - compiled, costs
 
 

@@ -15,7 +15,7 @@ without perturbing cached or published results.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -35,36 +35,21 @@ def supports(algorithm: OnlineDOM) -> bool:
     return type(algorithm) in (StaticAllocation, DynamicAllocation)
 
 
-def _evaluate(
-    algorithm: OnlineDOM,
-    batch: CompiledBatch,
-    sa: Callable,
-    da: Callable,
-    *args,
-):
-    """Call the SA or DA evaluator with the algorithm's configuration."""
-    scheme, threshold = algorithm.initial_scheme, algorithm.threshold
-    if type(algorithm) is StaticAllocation:
-        return sa(batch, scheme, *args, threshold=threshold)
-    if type(algorithm) is DynamicAllocation:
-        primary = algorithm.primary
-        return da(batch, scheme, *args, primary=primary, threshold=threshold)
-    raise ConfigurationError(
-        f"the kernel does not support {type(algorithm).__name__}; "
-        "use the stepped OnlineDOM path"
-    )
-
-
 def request_counts(
     algorithm: OnlineDOM, batch: CompiledBatch
 ) -> evaluate.RequestCounts:
     """Per-request ``(io, control, data)`` counts of a supported
     algorithm over a compiled batch."""
-    return _evaluate(
-        algorithm,
-        batch,
-        evaluate.sa_request_counts,
-        evaluate.da_request_counts,
+    scheme, threshold = algorithm.initial_scheme, algorithm.threshold
+    if type(algorithm) is StaticAllocation:
+        return evaluate.sa_request_counts(batch, scheme, threshold=threshold)
+    if type(algorithm) is DynamicAllocation:
+        return evaluate.da_request_counts(
+            batch, scheme, primary=algorithm.primary, threshold=threshold
+        )
+    raise ConfigurationError(
+        f"the kernel does not support {type(algorithm).__name__}; "
+        "use the stepped OnlineDOM path"
     )
 
 
@@ -72,15 +57,7 @@ def request_costs(
     algorithm: OnlineDOM, batch: CompiledBatch, model: CostModel
 ) -> np.ndarray:
     """Per-request costs of a supported algorithm over a compiled batch."""
-    # Through the *_request_costs entry points, not request_counts(...)
-    # .priced(model): the benchmark's tracer times them by name.
-    return _evaluate(
-        algorithm,
-        batch,
-        evaluate.sa_request_costs,
-        evaluate.da_request_costs,
-        model,
-    )
+    return request_counts(algorithm, batch).priced(model)
 
 
 def batch_costs(
@@ -93,13 +70,12 @@ def batch_costs(
 
     Compiles the batch (universe widened with the algorithm's initial
     scheme) unless the caller hands in a pre-compiled one, evaluates
-    the whole batch in one pass, and reduces per-trace totals exactly
-    like the stepped path.
+    the whole batch's counts in one pass, and prices each trace's
+    summed counts once, exactly like the stepped path.
     """
     if batch is None:
         batch = compile_batch(schedules, algorithm.initial_scheme)
-    costs = request_costs(algorithm, batch, model)
-    return evaluate.schedule_totals(costs, batch.lengths)
+    return evaluate.schedule_totals(request_counts(algorithm, batch), model)
 
 
 def schedule_cost(

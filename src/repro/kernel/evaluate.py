@@ -12,7 +12,9 @@ like ``CostBreakdown.priced``, so the ``(B, T)`` float64 costs are
 algorithm's allocation schedule with
 :meth:`repro.model.cost_model.CostModel.request_costs` — the property
 suite in ``tests/properties/test_prop_kernel.py`` asserts exact
-(``==``) equality, not approximate.
+(``==``) equality, not approximate.  :func:`schedule_totals` prices
+each trace's summed counts once, exactly as
+:meth:`CostModel.schedule_cost` prices ``total_breakdown()``.
 
 **SA** is a pure closed form: the scheme ``Q`` never moves, so each
 request's counts depend only on (kind, issuer-in-``Q``).
@@ -62,7 +64,8 @@ COUNT = np.int32
 class RequestCounts(NamedTuple):
     """Per-request ``(io, control, data)`` counts over a compiled batch.
 
-    Each field is a ``(B, T)`` :data:`COUNT` array, zero at padding.
+    Each field is a ``(B, T)`` :data:`COUNT` array, zero at padding
+    (:func:`schedule_totals` also prices per-trace ``(B,)`` sums).
     """
 
     io: np.ndarray
@@ -80,11 +83,7 @@ class RequestCounts(NamedTuple):
 
     def breakdown(self, row: int) -> CostBreakdown:
         """The summed counts of one trace."""
-        return CostBreakdown(
-            io_ops=int(self.io[row].sum()),
-            control_messages=int(self.control[row].sum()),
-            data_messages=int(self.data[row].sum()),
-        )
+        return CostBreakdown(*(int(field[row].sum()) for field in self))
 
 
 def _check_scheme(
@@ -338,24 +337,10 @@ def da_final_schemes(
     return schemes
 
 
-def schedule_totals(
-    costs: np.ndarray, lengths: np.ndarray
-) -> List[float]:
-    """Sum per-request costs into per-trace totals, bit-identically to
-    the stepped path.
-
-    :meth:`CostModel.schedule_cost` folds with python's builtin
-    ``sum``, so this folds each materialized row with it too.  numpy's
-    pairwise ``sum`` associates differently, and the builtin is not a
-    plain left-to-right fold everywhere: from Python 3.12 it adds
-    floats with Neumaier compensation.  Calling the same builtin keeps
-    the totals bit-identical on every interpreter (CI's perf-smoke job
-    gates 3.11 to 3.13), where a numpy emulation would have to follow
-    each version's rule.  The fold is not free: about 9 ms per call
-    at 32 traces of 10k requests, ~9% of a ``kernel-batch`` iteration
-    (which makes two calls).
-    """
-    return [
-        sum(costs[row, : int(lengths[row])].tolist())
-        for row in range(costs.shape[0])
-    ]
+def schedule_totals(counts: RequestCounts, model: CostModel) -> List[float]:
+    """Per-trace totals: each row's counts summed as int64, then priced
+    once by :meth:`RequestCounts.priced` — exactly what
+    :meth:`CostModel.schedule_cost` does with ``total_breakdown()``, as
+    a request's cost is linear in its counts.  No float is folded."""
+    sums = RequestCounts(*(field.sum(axis=1, dtype=np.int64) for field in counts))
+    return sums.priced(model).tolist()

@@ -61,11 +61,9 @@ class CostModel:
         return self.price(request_breakdown(executed, scheme))
 
     def schedule_cost(self, allocation: AllocationSchedule) -> float:
-        """COST(I, tau): the sum of the request costs along ``allocation``."""
-        return sum(
-            self.price(request_breakdown(step, scheme))
-            for scheme, step in allocation.schemes()
-        )
+        """COST(I, tau): the sum of the request costs along ``allocation``,
+        which is their summed counts priced once (cost is linear in them)."""
+        return self.price(allocation.total_breakdown())
 
     def request_costs(self, allocation: AllocationSchedule) -> list[float]:
         """Per-request costs in schedule order."""

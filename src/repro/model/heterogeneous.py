@@ -148,6 +148,9 @@ class HeterogeneousCostModel:
         return cost
 
     def schedule_cost(self, allocation: AllocationSchedule) -> float:
+        """COST(I, tau), priced request by request: a message's price
+        depends on its link (writer -> member, reader -> server) and an
+        I/O's on its node, which summed counts do not record."""
         return sum(
             self.request_cost(step, scheme)
             for scheme, step in allocation.schemes()

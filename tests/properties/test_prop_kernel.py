@@ -10,11 +10,15 @@ a single request, fails loudly.
 Covered: both cost models (SC and MC), thresholds t in {2, 3, 4},
 non-contiguous initial schemes, explicit primaries, batches of mixed
 lengths (batch evaluation == one-trace evaluation), DA's final
-allocation scheme, and the unpriced per-request ``(io, control, data)``
-counts behind every price.
+allocation scheme, the unpriced per-request ``(io, control, data)``
+counts behind every price, and the one pricing rule for totals (summed
+counts, priced once).
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +27,7 @@ from repro import kernel
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.model.accounting import CostBreakdown
+from repro.model.cost_model import mobile, stationary
 from repro.model.costs import request_breakdown
 from repro.model.schedule import Schedule
 
@@ -65,7 +70,8 @@ def test_sa_costs_bit_identical(schedule, scheme, model):
         StaticAllocation(scheme), schedule, model
     )
     assert costs[0].tolist() == per_request
-    assert kernel.schedule_totals(costs, batch.lengths) == [total]
+    counts = kernel.sa_request_counts(batch, scheme)
+    assert kernel.schedule_totals(counts, model) == [total]
 
 
 @settings(max_examples=150)
@@ -78,7 +84,46 @@ def test_da_costs_bit_identical(schedule, pair, model):
         DynamicAllocation(scheme, primary=primary), schedule, model
     )
     assert costs[0].tolist() == per_request
-    assert kernel.schedule_totals(costs, batch.lengths) == [total]
+    counts = kernel.da_request_counts(batch, scheme, primary=primary)
+    assert kernel.schedule_totals(counts, model) == [total]
+
+
+@st.composite
+def inexact_models(draw):
+    """SC or MC prices in tenths, which binary floats hold only
+    approximately, so the ulp bound below is not met merely because
+    every sum is exact."""
+    tenths = st.integers(min_value=0, max_value=40).map(lambda n: n / 10)
+    c_c, c_d = sorted(draw(st.lists(tenths, min_size=2, max_size=2)))
+    return draw(st.sampled_from((stationary, mobile)))(c_c, c_d)
+
+
+@settings(max_examples=150)
+@given(
+    schedule=schedules(max_length=60),
+    pair=scheme_and_primary(),
+    model=inexact_models(),
+)
+def test_totals_price_the_summed_counts_once(schedule, pair, model):
+    # One pricing rule on every path: the kernel's total, the stepped
+    # schedule_cost and the summed counts priced once are the same
+    # float, within 4 ulps of the exact value of counts x prices.
+    scheme, primary = pair
+    for make in (
+        lambda: StaticAllocation(scheme),
+        lambda: DynamicAllocation(scheme, primary=primary),
+    ):
+        allocation = make().run(schedule)
+        counts = allocation.total_breakdown()
+        priced = model.price(counts)
+        assert kernel.batch_costs(make(), [schedule], model) == [priced]
+        assert model.schedule_cost(allocation) == priced
+        exact = (
+            counts.io_ops * Fraction(model.c_io)
+            + counts.control_messages * Fraction(model.c_c)
+            + counts.data_messages * Fraction(model.c_d)
+        )
+        assert abs(Fraction(priced) - exact) <= 4 * Fraction(math.ulp(priced))
 
 
 @settings(max_examples=100)

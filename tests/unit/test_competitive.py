@@ -12,12 +12,14 @@ from repro.core.competitive import (
     RatioReport,
     compare_algorithms,
     cost_of,
+    costs_of,
     measure_ratios,
 )
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
 from repro.model.cost_model import mobile, stationary
+from repro.model.heterogeneous import HeterogeneousCostModel
 from repro.model.schedule import Schedule
 
 
@@ -69,6 +71,19 @@ class TestHarness:
         assert cost_of(sa, schedule, sc_model) == pytest.approx(
             2 * (1 + sc_model.c_c + sc_model.c_d)
         )
+
+    def test_costs_of_steps_sa_under_heterogeneous_prices(self):
+        # The kernel prices homogeneously only; per-link prices take
+        # the stepped path, for a whole suite and for one schedule.
+        prices = HeterogeneousCostModel(data_costs={(1, 5): 9.0})
+        schedules = [Schedule.parse("r5 w1 r5"), Schedule.parse("w5 r2")]
+
+        def make():
+            return StaticAllocation({1, 2})
+
+        expected = [prices.schedule_cost(make().run(s)) for s in schedules]
+        assert costs_of(make, schedules, prices) == expected
+        assert cost_of(make(), schedules[0], prices) == expected[0]
 
     def test_exact_reference_small_instances(self, sc_model):
         harness = CompetitivenessHarness(sc_model)

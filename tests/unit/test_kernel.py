@@ -15,6 +15,7 @@ from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
 from repro.kernel.compile import compile_batch, compile_schedule
+from repro.model.cost_model import CostModel
 from repro.model.request import read, write
 from repro.model.schedule import Schedule
 from repro.types import processor_universe
@@ -362,8 +363,15 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             kernel.da_final_schemes(batch, {1})
 
-    def test_schedule_totals_fold_like_builtin_sum(self):
-        costs = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.0]])
-        lengths = np.array([3, 1])
-        totals = kernel.schedule_totals(costs, lengths)
-        assert totals == [sum([0.1, 0.2, 0.3]), 1.0]
+    def test_schedule_totals_price_summed_counts(self):
+        counts = kernel.RequestCounts(
+            io=np.array([[1, 2, 1], [3, 0, 0]], dtype=np.int32),
+            control=np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int32),
+            data=np.array([[1, 1, 1], [2, 0, 0]], dtype=np.int32),
+        )
+        model = CostModel(1.0, 0.1, 0.3)
+        totals = kernel.schedule_totals(counts, model)
+        # Summed counts (4, 2, 3) and (3, 0, 2), each priced once; a
+        # fold of the first row's request costs gives 5.1000000000000005.
+        assert totals == [4 * 1.0 + 2 * 0.1 + 3 * 0.3, 3 * 1.0 + 0 * 0.1 + 2 * 0.3]
+        assert totals[0] == 5.1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.worst_case import ExhaustiveSearch, certified_worst_case
@@ -12,6 +13,7 @@ from repro.core.offline_optimal import OfflineOptimal, optimal_cost
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
 from repro.model.cost_model import stationary
+from repro.model.heterogeneous import HeterogeneousCostModel
 from repro.model.request import read, write
 from repro.model.schedule import Schedule
 
@@ -56,6 +58,29 @@ class TestIncrementalDPConsistency:
                         dp = steps.advance(dp, request)
                         prefix = Schedule(tuple(requests[:length]))
                         assert dp.min() == solver.optimal_cost(prefix, scheme)
+
+
+    def test_successors_are_every_advance(self):
+        # One (2n, 2^n) step equals advancing by each candidate request
+        # alone, bit for bit, under homogeneous and per-link prices.
+        rng = random.Random(21)
+        universe = [1, 2, 3, 5]
+        candidates = [read(p) for p in universe] + [write(p) for p in universe]
+        per_link = HeterogeneousCostModel(
+            io_costs={5: 3.0},
+            data_costs={(1, 5): 0.7},
+            control_costs={(2, 3): 0.05},
+        )
+        for prices in (MODEL, per_link):
+            for threshold in (2, 3):
+                steps = OfflineOptimal(prices, threshold).transitions(universe)
+                dp = steps.start({1, 2, 3})
+                for _ in range(5):
+                    rows = steps.successors(dp)
+                    assert rows.shape == (len(candidates), 1 << len(universe))
+                    for request, row in zip(candidates, rows):
+                        assert np.array_equal(row, steps.advance(dp, request))
+                    dp = rows[rng.randrange(len(candidates))]
 
 
 class TestSearchResults:
