@@ -22,6 +22,7 @@ import copy
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+from repro import kernel
 from repro.core.base import OnlineDOM
 from repro.core.competitive import CompetitivenessHarness, costs_of
 from repro.engine.keys import stable_key
@@ -39,9 +40,6 @@ class SweepRow:
     max_ratios: Mapping[str, float]
     mean_ratios: Mapping[str, float]
     mean_costs: Mapping[str, float]
-
-    def ratio_of(self, name: str) -> float:
-        return self.max_ratios[name]
 
 
 @dataclass(frozen=True)
@@ -104,12 +102,18 @@ def _cost_point(
     """The reference-free flavor: raw mean costs only.
 
     Each algorithm prices the whole suite through
-    :func:`~repro.core.competitive.costs_of` on fresh deep copies: one
-    vectorized kernel pass for SA and DA, bit-identical to stepping.
+    :func:`~repro.core.competitive.costs_of` on fresh deep copies.
+    Kernel-supported algorithms (SA, DA) share one compiled batch per
+    point, each evaluated in one vectorized pass, bit-identical to
+    stepping.
     """
+    supported = [p.initial_scheme for p in prototypes.values() if kernel.supports(p)]
+    batch = None
+    if supported and schedules:
+        batch = kernel.compile_batch(list(schedules), frozenset().union(*supported))
     mean_costs: dict[str, float] = {}
     for name, prototype in prototypes.items():
-        costs = costs_of(lambda: copy.deepcopy(prototype), schedules, model)
+        costs = costs_of(lambda: copy.deepcopy(prototype), schedules, model, batch)
         mean_costs[name] = sum(costs) / len(costs)
     return SweepRow(value, dict(mean_costs), dict(mean_costs), mean_costs)
 

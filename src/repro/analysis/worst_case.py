@@ -35,7 +35,7 @@ from repro.core.competitive import costs_of
 from repro.core.offline_optimal import OfflineOptimal
 from repro.exceptions import ConfigurationError
 from repro.model.cost_model import CostModel
-from repro.model.request import Request, read, write
+from repro.model.request import read, write
 from repro.model.schedule import Schedule
 from repro.types import ProcessorId, processor_set
 
@@ -98,13 +98,11 @@ class ExhaustiveSearch:
         candidates = [read(p) for p in self.processors]
         candidates += [write(p) for p in self.processors]
         best: Optional[WorstCase] = None
-        prefix: list[Request] = []
-
         steps = self.transitions
 
-        def dfs(dp: np.ndarray, depth: int, cost: float) -> None:
+        def dfs(dp: np.ndarray, schedule: Schedule, cost: float) -> None:
             nonlocal best
-            if depth >= min_length:
+            if len(schedule) >= min_length:
                 optimal = float(dp.min())
                 if optimal > 0:
                     ratio = cost / optimal
@@ -113,21 +111,17 @@ class ExhaustiveSearch:
                 else:
                     ratio = 1.0
                 if best is None or ratio > best.ratio:
-                    best = WorstCase(
-                        ratio, Schedule(tuple(prefix)), cost, optimal
-                    )
-            if depth == max_length:
+                    best = WorstCase(ratio, schedule, cost, optimal)
+            if len(schedule) == max_length:
                 return
-            extensions = [Schedule((*prefix, request)) for request in candidates]
+            extensions = [Schedule((*schedule.requests, r)) for r in candidates]
             costs = costs_of(algorithm_factory, extensions, self.cost_model)
-            for request, child, child_cost in zip(
-                candidates, steps.successors(dp), costs
+            for child, extension, child_cost in zip(
+                steps.successors(dp), extensions, costs
             ):
-                prefix.append(request)
-                dfs(child, depth + 1, child_cost)
-                prefix.pop()
+                dfs(child, extension, child_cost)
 
-        dfs(steps.start(self.initial_scheme), 0, 0.0)
+        dfs(steps.start(self.initial_scheme), Schedule(), 0.0)
         assert best is not None  # min_length >= 1 guarantees a visit
         return best
 

@@ -53,13 +53,15 @@ def costs_of(
     make_algorithm: Callable[[], OnlineDOM],
     schedules: Sequence[Schedule],
     cost_model: CostModel,
+    batch: kernel.CompiledBatch | None = None,
 ) -> list[float]:
     """COST_A on every schedule, each from a fresh algorithm instance:
-    one kernel batch for SA and DA under homogeneous prices, else
-    stepped.  Both paths return bit-identical costs."""
+    one kernel batch for SA and DA under homogeneous prices (``batch``
+    if the caller compiled one), else stepped.  Both paths return
+    bit-identical costs."""
     probe = make_algorithm()
     if kernel.supports(probe) and isinstance(cost_model, CostModel):
-        return kernel.batch_costs(probe, list(schedules), cost_model)
+        return kernel.batch_costs(probe, list(schedules), cost_model, batch)
     return [
         cost_model.schedule_cost(make_algorithm().run(schedule))
         for schedule in schedules

@@ -238,33 +238,6 @@ class _HeterogeneousTables:
         return _WriteTables(np.array(ctrl), base, _subset_sums(ctrl))
 
 
-def _read_rows(reads, masks: np.ndarray, positions):
-    """A read step's tables for ``positions``: one bit position (tables
-    shaped like a DP table) or a tuple of them (one row each).  They
-    are the masks holding the reader, each mask's saving-read source
-    (the mask without the reader's bit, as a flat index), the reader's
-    I/O price and its fetch table."""
-    if isinstance(positions, int):
-        table, bit = reads(positions), 1 << positions
-        return (masks & bit) != 0, masks ^ bit, table.io, table.fetch
-    rows = [_read_rows(reads, masks, position) for position in positions]
-    has_reader, source, io, fetch = (np.array(field) for field in zip(*rows))
-    flat = np.arange(0, source.size, len(masks)).reshape(-1, 1)
-    return has_reader, source + flat, io.reshape(-1, 1), fetch
-
-
-def _write_rows(writes, positions):
-    """A write step's tables for ``positions`` (as for
-    :func:`_read_rows`): the control price of each bit, bit-major and
-    shaped to broadcast over the rows, and the base costs."""
-    if isinstance(positions, int):
-        table = writes(positions)
-        return table.ctrl, table.base
-    rows = [_write_rows(writes, position) for position in positions]
-    ctrl, base = (np.array(field) for field in zip(*rows))
-    return ctrl.T[:, :, None, None], base
-
-
 class Transitions:
     """One universe's DP: its masks, its memoized price tables, and the
     step from one DP table (scheme mask -> least prefix cost) to the
@@ -287,14 +260,6 @@ class Transitions:
             prices = _HomogeneousTables(cost_model, self.universe, self.masks, pop)
         self.reads = functools.cache(prices.reads)
         self.writes = functools.cache(prices.writes)
-        # Partials, not bound methods: a cache must not hold self in a
-        # reference cycle.
-        self._read_rows = functools.cache(
-            functools.partial(_read_rows, self.reads, self.masks)
-        )
-        self._write_rows = functools.cache(
-            functools.partial(_write_rows, self.writes)
-        )
 
     def start(self, initial: Iterable[ProcessorId]) -> np.ndarray:
         """The table before any request: cost 0 at the initial scheme."""
@@ -312,27 +277,53 @@ class Transitions:
         """The ``(2n, 2^n)`` tables after every possible next request:
         row ``i`` is :meth:`advance` on a read by ``universe[i]``, row
         ``n + i`` on a write by it."""
-        everyone = tuple(range(len(self.universe)))
+        every = slice(None)
         return np.concatenate(
-            [self._read_steps(dp, everyone), self._write_steps(dp, everyone)]
+            [self._read_steps(dp, every), self._write_steps(dp, every)]
         )
 
-    def _read_steps(self, dp: np.ndarray, positions) -> np.ndarray:
-        """A read by each of ``positions`` (see :func:`_read_rows`): a
-        member reads locally, or takes a saving-read from the same mask
-        without its bit at one extra I/O; a non-member fetches without
-        saving."""
-        has_reader, source, io, fetch = self._read_rows(positions)
+    @functools.cached_property
+    def _read_rows(self) -> tuple:
+        """Every bit position's read tables, one row each: the masks
+        holding the reader, each mask's saving-read source (the mask
+        without the reader's bit), the reader's I/O price, its fetch
+        table, and that table at each mask's source."""
+        tables = [self.reads(position) for position in range(len(self.universe))]
+        bits = np.left_shift(1, np.arange(len(tables), dtype=np.int64))[:, None]
+        source = self.masks ^ bits
+        io = np.array([table.io for table in tables])[:, None]
+        fetch = np.array([table.fetch for table in tables])
+        at_source = np.take_along_axis(fetch, source, axis=1)
+        return (self.masks & bits) != 0, source, io, fetch, at_source
+
+    @functools.cached_property
+    def _write_rows(self) -> tuple:
+        """Every bit position's write tables, one row each: the control
+        price of each bit (bit-major, shaped to broadcast over the rows)
+        and the base costs."""
+        tables = [self.writes(position) for position in range(len(self.universe))]
+        ctrl = np.array([table.ctrl for table in tables])
+        return ctrl.T[:, :, None, None], np.array([table.base for table in tables])
+
+    def _read_steps(self, dp: np.ndarray, rows: int | slice) -> np.ndarray:
+        """A read by the bit position ``rows`` (one table) or by each
+        position in a slice (one row each): a member reads locally, or
+        takes a saving-read from the same mask without its bit at one
+        extra I/O; a non-member fetches without saving."""
+        has_reader, source, io, fetch, at_source = (
+            table[rows] for table in self._read_rows
+        )
         fetched = dp + fetch
-        saving = fetched.take(source)
+        saving = dp.take(source)
+        saving += at_source
         saving += io
         np.minimum(dp + io, saving, out=saving)
         np.copyto(fetched, saving, where=has_reader)
         return fetched
 
-    def _write_steps(self, dp: np.ndarray, positions) -> np.ndarray:
-        """A write by each of ``positions``, all write transitions at
-        once via the O(n·2^n) min-transform.
+    def _write_steps(self, dp: np.ndarray, rows: int | slice) -> np.ndarray:
+        """A write by ``rows`` (as for :meth:`_read_steps`), all write
+        transitions at once via the O(n·2^n) min-transform.
 
         ``transform[T] = min over M of dp[M] + ctrl·(M ∖ T)`` — bits of
         the predecessor outside the target each cost one invalidation.
@@ -341,7 +332,8 @@ class Transitions:
         target without it pays ``ctrl[b]`` to absorb predecessors with
         it.  The writer's ``ctrl`` is 0: it is never invalidated.
         """
-        ctrl, base = self._write_rows(positions)
+        ctrl, base = self._write_rows
+        ctrl, base = ctrl[:, rows], base[rows]
         transform = np.empty_like(base)
         transform[...] = dp
         leading = base.shape[:-1]  # () for one writer, (k,) for k

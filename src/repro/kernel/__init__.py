@@ -15,10 +15,8 @@ from repro.kernel.compile import (
 )
 from repro.kernel.dispatch import (
     batch_costs,
-    request_costs,
     request_counts,
     schedule_breakdown,
-    schedule_cost,
     supports,
 )
 from repro.kernel.evaluate import (
@@ -41,12 +39,10 @@ __all__ = [
     "da_request_costs",
     "da_request_counts",
     "popcount",
-    "request_costs",
     "request_counts",
     "sa_request_costs",
     "sa_request_counts",
     "schedule_breakdown",
-    "schedule_cost",
     "schedule_totals",
     "supports",
 ]

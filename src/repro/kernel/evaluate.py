@@ -4,17 +4,18 @@ Each algorithm has a *counts* evaluator and a *costs* evaluator.  The
 counts evaluator returns :class:`RequestCounts`: three ``(B, T)`` int32
 arrays holding every request's I/O operations, control messages and
 data messages (zero at padding) — the kernel's form of
-:func:`repro.model.costs.request_breakdown`.  The costs evaluator
-prices them with :meth:`RequestCounts.priced`, one expression
-``io*c_io + control*c_c + data*c_d`` evaluated left to right exactly
-like ``CostBreakdown.priced``, so the ``(B, T)`` float64 costs are
-*bit-identical*, element for element, to pricing the stepped
+:func:`repro.model.costs.request_breakdown`.
+:meth:`RequestCounts.priced` prices them per request with one
+expression ``io*c_io + control*c_c + data*c_d`` evaluated left to right
+exactly like ``CostBreakdown.priced``, so the ``(B, T)`` float64 costs
+are *bit-identical*, element for element, to pricing the stepped
 algorithm's allocation schedule with
 :meth:`repro.model.cost_model.CostModel.request_costs` — the property
 suite in ``tests/properties/test_prop_kernel.py`` asserts exact
-(``==``) equality, not approximate.  :func:`schedule_totals` prices
-each trace's summed counts once, exactly as
-:meth:`CostModel.schedule_cost` prices ``total_breakdown()``.
+(``==``) equality, not approximate.  The costs evaluator returns each
+trace's total, :func:`schedule_totals`: its summed counts priced once,
+exactly as :meth:`CostModel.schedule_cost` prices
+``total_breakdown()``.
 
 **SA** is a pure closed form: the scheme ``Q`` never moves, so each
 request's counts depend only on (kind, issuer-in-``Q``).
@@ -64,8 +65,7 @@ COUNT = np.int32
 class RequestCounts(NamedTuple):
     """Per-request ``(io, control, data)`` counts over a compiled batch.
 
-    Each field is a ``(B, T)`` :data:`COUNT` array, zero at padding
-    (:func:`schedule_totals` also prices per-trace ``(B,)`` sums).
+    Each field is a ``(B, T)`` :data:`COUNT` array, zero at padding.
     """
 
     io: np.ndarray
@@ -83,7 +83,11 @@ class RequestCounts(NamedTuple):
 
     def breakdown(self, row: int) -> CostBreakdown:
         """The summed counts of one trace."""
-        return CostBreakdown(*(int(field[row].sum()) for field in self))
+        return CostBreakdown(
+            io_ops=int(self.io[row].sum()),
+            control_messages=int(self.control[row].sum()),
+            data_messages=int(self.data[row].sum()),
+        )
 
 
 def _check_scheme(
@@ -163,8 +167,10 @@ def sa_request_costs(
     model: CostModel,
     threshold: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-request SA costs: :func:`sa_request_counts`, priced."""
-    return sa_request_counts(batch, initial_scheme, threshold).priced(model)
+    """SA's ``(B,)`` cost of each trace: :func:`sa_request_counts`,
+    summed per trace and priced once."""
+    counts = sa_request_counts(batch, initial_scheme, threshold)
+    return schedule_totals(counts, model)
 
 
 def _previous_same_processor(
@@ -300,10 +306,10 @@ def da_request_costs(
     primary: Optional[ProcessorId] = None,
     threshold: Optional[int] = None,
 ) -> np.ndarray:
-    """Per-request DA costs: :func:`da_request_counts`, priced."""
-    return da_request_counts(batch, initial_scheme, primary, threshold).priced(
-        model
-    )
+    """DA's ``(B,)`` cost of each trace: :func:`da_request_counts`,
+    summed per trace and priced once."""
+    counts = da_request_counts(batch, initial_scheme, primary, threshold)
+    return schedule_totals(counts, model)
 
 
 def da_final_schemes(
@@ -337,10 +343,10 @@ def da_final_schemes(
     return schemes
 
 
-def schedule_totals(counts: RequestCounts, model: CostModel) -> List[float]:
-    """Per-trace totals: each row's counts summed as int64, then priced
-    once by :meth:`RequestCounts.priced` — exactly what
+def schedule_totals(counts: RequestCounts, model: CostModel) -> np.ndarray:
+    """Per-trace ``(B,)`` totals: each row's counts summed as int64, then
+    priced once by :meth:`RequestCounts.priced` — exactly what
     :meth:`CostModel.schedule_cost` does with ``total_breakdown()``, as
     a request's cost is linear in its counts.  No float is folded."""
     sums = RequestCounts(*(field.sum(axis=1, dtype=np.int64) for field in counts))
-    return sums.priced(model).tolist()
+    return sums.priced(model)

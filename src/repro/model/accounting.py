@@ -72,10 +72,8 @@ ZERO = CostBreakdown()
 
 
 def total(breakdowns) -> CostBreakdown:
-    """Sum an iterable of breakdowns, field by field as ints."""
-    io = control = data = 0
+    """Sum an iterable of breakdowns."""
+    result = ZERO
     for item in breakdowns:
-        io += item.io_ops
-        control += item.control_messages
-        data += item.data_messages
-    return CostBreakdown(io, control, data)
+        result = result + item
+    return result

@@ -15,7 +15,7 @@ along the schedule, and the two validity notions of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.exceptions import (
     AvailabilityViolationError,
@@ -167,12 +167,6 @@ class AllocationSchedule:
         """A new allocation schedule with ``step`` appended (the paper's
         *online step* produces exactly this)."""
         return AllocationSchedule(self.initial_scheme, self.steps + (step,))
-
-    @classmethod
-    def from_steps(
-        cls, initial_scheme, steps: Iterable[ExecutedRequest]
-    ) -> "AllocationSchedule":
-        return cls(processor_set(initial_scheme), tuple(steps))
 
 
 def data_processors(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class Schedule:
         return columns
 
     # -- construction --------------------------------------------------
-
-    @classmethod
-    def from_requests(cls, requests: Iterable[Request]) -> "Schedule":
-        return cls(tuple(requests))
 
     @classmethod
     def from_columns(

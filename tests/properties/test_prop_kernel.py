@@ -65,13 +65,12 @@ def stepped_request_costs(algorithm, schedule, model):
 @given(schedule=schedules(), scheme=SCHEMES, model=MODELS)
 def test_sa_costs_bit_identical(schedule, scheme, model):
     batch = kernel.compile_schedule(schedule, scheme)
-    costs = kernel.sa_request_costs(batch, scheme, model)
+    costs = kernel.sa_request_counts(batch, scheme).priced(model)
     per_request, total = stepped_request_costs(
         StaticAllocation(scheme), schedule, model
     )
     assert costs[0].tolist() == per_request
-    counts = kernel.sa_request_counts(batch, scheme)
-    assert kernel.schedule_totals(counts, model) == [total]
+    assert kernel.sa_request_costs(batch, scheme, model).tolist() == [total]
 
 
 @settings(max_examples=150)
@@ -79,13 +78,13 @@ def test_sa_costs_bit_identical(schedule, scheme, model):
 def test_da_costs_bit_identical(schedule, pair, model):
     scheme, primary = pair
     batch = kernel.compile_schedule(schedule, scheme)
-    costs = kernel.da_request_costs(batch, scheme, model, primary=primary)
+    costs = kernel.da_request_counts(batch, scheme, primary=primary).priced(model)
     per_request, total = stepped_request_costs(
         DynamicAllocation(scheme, primary=primary), schedule, model
     )
     assert costs[0].tolist() == per_request
-    counts = kernel.da_request_counts(batch, scheme, primary=primary)
-    assert kernel.schedule_totals(counts, model) == [total]
+    totals = kernel.da_request_costs(batch, scheme, model, primary=primary)
+    assert totals.tolist() == [total]
 
 
 @st.composite
@@ -154,7 +153,7 @@ def test_batch_equals_per_trace(batch_schedules, pair, model):
     ):
         batched = kernel.batch_costs(make(), batch_schedules, model)
         single = [
-            kernel.schedule_cost(make(), schedule, model)
+            kernel.batch_costs(make(), [schedule], model)[0]
             for schedule in batch_schedules
         ]
         stepped = [
@@ -188,7 +187,7 @@ def test_empty_schedule_is_free(model, pair):
         lambda: StaticAllocation(scheme),
         lambda: DynamicAllocation(scheme, primary=primary),
     ):
-        assert kernel.schedule_cost(make(), empty, model) == 0.0
+        assert kernel.batch_costs(make(), [empty], model)[0] == 0.0
 
 
 #: Batches of mixed lengths (some traces empty), or of empty traces

@@ -154,13 +154,12 @@ class TestCompile:
         sa_stepped = sc_model.request_costs(
             StaticAllocation(scheme).run(schedule)
         )
-        assert kernel.sa_request_costs(batch, scheme, sc_model)[0].tolist() == (
-            sa_stepped
-        )
+        sa_counts = kernel.sa_request_counts(batch, scheme)
+        assert sa_counts.priced(sc_model)[0].tolist() == sa_stepped
         algorithm = DynamicAllocation(scheme, primary=500)
         da_stepped = sc_model.request_costs(algorithm.run(schedule))
-        da_costs = kernel.da_request_costs(batch, scheme, sc_model, primary=500)
-        assert da_costs[0].tolist() == da_stepped
+        da_counts = kernel.da_request_counts(batch, scheme, primary=500)
+        assert da_counts.priced(sc_model)[0].tolist() == da_stepped
         assert kernel.da_final_schemes(batch, scheme, primary=500) == [
             algorithm.current_scheme
         ]
@@ -269,9 +268,10 @@ class TestDispatch:
         class TweakedSA(StaticAllocation):
             pass
 
-        batch = compile_schedule(Schedule.parse("r1"), small_scheme)
         with pytest.raises(ConfigurationError):
-            kernel.request_costs(TweakedSA(small_scheme), batch, sc_model)
+            kernel.batch_costs(
+                TweakedSA(small_scheme), [Schedule.parse("r1")], sc_model
+            )
 
     def test_batch_costs_never_build_requests(self, sc_model, small_scheme):
         schedules = UniformWorkload(range(1, 9), 500, 0.3).batch_independent(
@@ -290,7 +290,7 @@ class TestDispatch:
         ):
             stepped = sc_model.schedule_cost(make().run(paper_schedule))
             assert (
-                kernel.schedule_cost(make(), paper_schedule, sc_model)
+                kernel.batch_costs(make(), [paper_schedule], sc_model)[0]
                 == stepped
             )
 
@@ -311,18 +311,22 @@ class TestEvaluate:
     def test_sa_paper_example(self, sc_model, paper_schedule, small_scheme):
         # w2 r4 w3 r1 r2 under SA over {1, 2}: per-request parity.
         batch = compile_schedule(paper_schedule, small_scheme)
-        costs = kernel.sa_request_costs(batch, small_scheme, sc_model)
+        counts = kernel.sa_request_counts(batch, small_scheme)
         allocation = StaticAllocation(small_scheme).run(paper_schedule)
         stepped = sc_model.request_costs(allocation)
-        assert costs[0].tolist() == stepped
+        assert counts.priced(sc_model)[0].tolist() == stepped
+        total = kernel.sa_request_costs(batch, small_scheme, sc_model)
+        assert total.tolist() == [sc_model.schedule_cost(allocation)]
 
     def test_da_paper_example(self, sc_model, paper_schedule, small_scheme):
         batch = compile_schedule(paper_schedule, small_scheme)
-        costs = kernel.da_request_costs(batch, small_scheme, sc_model)
+        counts = kernel.da_request_counts(batch, small_scheme)
         algorithm = DynamicAllocation(small_scheme)
         allocation = algorithm.run(paper_schedule)
         stepped = sc_model.request_costs(allocation)
-        assert costs[0].tolist() == stepped
+        assert counts.priced(sc_model)[0].tolist() == stepped
+        total = kernel.da_request_costs(batch, small_scheme, sc_model)
+        assert total.tolist() == [sc_model.schedule_cost(allocation)]
 
     def test_da_final_scheme_matches_stepped(self, paper_schedule):
         scheme = frozenset({2, 5, 7, 9})
@@ -340,8 +344,10 @@ class TestEvaluate:
         batch = compile_batch(
             [Schedule.parse("w1 w1 w1"), Schedule.parse("r1")], small_scheme
         )
-        costs = kernel.sa_request_costs(batch, small_scheme, sc_model)
-        assert costs[1, 1:].tolist() == [0.0, 0.0]
+        counts = kernel.sa_request_counts(batch, small_scheme)
+        assert counts.priced(sc_model)[1, 1:].tolist() == [0.0, 0.0]
+        totals = kernel.sa_request_costs(batch, small_scheme, sc_model)
+        assert totals[1] == sc_model.price(counts.breakdown(1))
 
     def test_scheme_validation_mirrors_stepped(self, sc_model):
         batch = compile_schedule(Schedule.parse("r1"), [1, 2])
@@ -370,7 +376,7 @@ class TestEvaluate:
             data=np.array([[1, 1, 1], [2, 0, 0]], dtype=np.int32),
         )
         model = CostModel(1.0, 0.1, 0.3)
-        totals = kernel.schedule_totals(counts, model)
+        totals = kernel.schedule_totals(counts, model).tolist()
         # Summed counts (4, 2, 3) and (3, 0, 2), each priced once; a
         # fold of the first row's request costs gives 5.1000000000000005.
         assert totals == [4 * 1.0 + 2 * 0.1 + 3 * 0.3, 3 * 1.0 + 0 * 0.1 + 2 * 0.3]
