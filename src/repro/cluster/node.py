@@ -59,12 +59,7 @@ from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY, NodeDurability
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.protocol import make_live_protocol
 from repro.cluster.resilience import DedupCache, RetryPolicy
-from repro.cluster.rpc import (
-    FrameConnection,
-    version_from_wire,
-    version_to_wire,
-    wire_to_message,
-)
+from repro.cluster.rpc import FrameConnection, version_from_wire, version_to_wire
 from repro.cluster.transport import Address, FaultPlan, PeerTransport, start_server
 from repro.exceptions import (
     ClusterDegradedError,
@@ -385,9 +380,12 @@ class NodeServer:
     def _decode_exec(
         frame: Mapping[str, Any],
     ) -> Tuple[int, str, Optional[ObjectVersion]]:
-        """Parse an exec frame; a malformed one is a ClusterError."""
+        """Parse an exec frame; a malformed one is a ClusterError.  The
+        rid must be an int as sent: its reply is matched by it."""
+        rid = frame.get("rid")
+        if type(rid) is not int:
+            raise ClusterError(f"malformed exec frame: rid {rid!r} is not an int")
         try:
-            rid = int(frame.get("rid", 0))
             version = version_from_wire(frame.get("version"))
         except (TypeError, ValueError, KeyError, ConfigurationError) as error:
             raise ClusterError(f"malformed exec frame: {error!r}") from error
@@ -440,7 +438,7 @@ class NodeServer:
     # -- the peer plane ----------------------------------------------------
 
     def _handle_msg(self, frame: Mapping[str, Any]) -> None:
-        message = wire_to_message(frame)
+        message = frame["message"]
         if message.receiver != self.node_id:
             raise ClusterError(
                 f"node {self.node_id} received {message.describe()} "

@@ -1,11 +1,24 @@
-"""Wire format of the live cluster: length-prefixed JSON frames.
+"""Wire format of the live cluster: length-prefixed binary or JSON frames.
 
 Every frame on a cluster connection — client requests, peer protocol
-messages, completion notifications, admin commands — is one JSON object
-encoded as UTF-8 and prefixed with a 4-byte big-endian length.  The
-framing is deliberately tiny: it can be reimplemented in a dozen lines
-of any language, and a captured byte stream is human-decodable with
-``struct`` + ``json`` alone.
+messages, completion notifications, admin commands — is a body
+prefixed with a 4-byte big-endian length.  The body's first byte
+selects its layout.  ``{`` opens a UTF-8 JSON object with sorted keys:
+the admin plane, ``repair``, and any ``exec``, ``result`` or ``done``
+frame whose fields its binary layout cannot carry exactly (a string
+``rid``, an int beyond int64, a key with no slot).  Any other byte is
+a tag naming one fixed big-endian :mod:`struct` layout, ``q`` for an
+int and ``?`` for a bool: a read and a write ``exec``, an answered and
+a failed ``result``, ``done``, and one per class in
+:data:`MESSAGE_TYPES`, derived from its dataclass fields.  A version's
+payload (as JSON), or a failure's error text, follows as a tail.
+
+Decoding a binary body gives the mapping that decoding its JSON form
+would.  A ``msg`` frame is binary only: its mapping is ``{"type":
+"msg", "rid": R, "message": M}``, and a message with a field its
+layout cannot carry raises ``ClusterError`` at encode.  A truncated
+binary body, an unknown tag, trailing bytes and a JSON ``msg`` are
+malformed.  A captured stream decodes with ``struct`` + ``json`` alone.
 
 Frame families (the ``type`` field):
 
@@ -32,13 +45,6 @@ Frame families (the ``type`` field):
     CLI.  A request carries an ``id`` that every reply, ``error``
     included, echoes.
 
-The ``msg`` codec is derived from the fields of the
-:class:`~repro.distsim.messages.Message` classes in
-:data:`MESSAGE_TYPES`, so the live transport ships the *same* protocol
-vocabulary the discrete-event simulator uses: ``{"type": "msg", "rid":
-R, "m": [tag, sender, receiver, ...]}``, the remaining fields following
-in dataclass order.
-
 Every connection — node, peer link, client and admin — is a
 :class:`FrameConnection` protocol that serves each frame the moment its
 bytes arrive.  A node serves every frame within that callback; a frame
@@ -50,10 +56,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import re
 import struct
 from dataclasses import fields
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from typing import get_type_hints
 
 from repro.distsim.messages import (
@@ -83,8 +89,21 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
-    """Serialize one frame: 4-byte length prefix + UTF-8 JSON."""
-    data = _ENCODER.encode(payload).encode("utf-8")
+    """Serialize one frame: 4-byte length prefix + body.  A payload its
+    type's binary layout carries exactly packs to that layout; any other
+    is JSON.  One that neither can carry raises ``ClusterError``."""
+    pack = _PACKERS.get(payload.get("type"))
+    try:
+        data = None if pack is None else pack(payload)
+    except (_Misfit, struct.error, UnicodeEncodeError):
+        data = None  # JSON carries what the layout cannot
+    if data is None:
+        try:
+            data = _ENCODER.encode(payload).encode("utf-8")
+        except TypeError as error:
+            raise ClusterError(
+                f"no wire encoding for a {payload.get('type')!r} frame: {error}"
+            ) from error
     if len(data) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
@@ -93,13 +112,26 @@ def encode_frame(payload: Mapping[str, Any]) -> bytes:
 
 
 def _decode_body(body: bytes) -> Dict[str, Any]:
-    """Parse one frame body; a malformed or non-object body raises."""
+    """Parse one frame body; a malformed one raises ``ClusterError``."""
+    if body[:1] != b"{":
+        unpack = _UNPACKERS.get(body[0]) if body else None
+        if unpack is None:
+            raise ClusterError(
+                "every frame must be a JSON object with a 'type' or a "
+                f"binary body with a known tag, not {bytes(body[:1])!r}"
+            )
+        try:
+            return unpack(body)
+        except (struct.error, ValueError, ConfigurationError) as error:
+            raise ClusterError(f"malformed binary frame body: {error}") from error
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ClusterError(f"malformed frame body: {error}") from error
     if not isinstance(payload, dict) or "type" not in payload:
         raise ClusterError("every frame must be a JSON object with a 'type'")
+    if payload["type"] == "msg":
+        raise ClusterError("a msg frame has no JSON form")
     return payload
 
 
@@ -215,10 +247,11 @@ def version_from_wire(wire: Optional[Mapping[str, Any]]) -> Optional[ObjectVersi
     )
 
 
-# -- protocol-message codec -------------------------------------------------
+# -- binary layouts --------------------------------------------------------
 
-#: Every protocol message the cluster ships.  The codec is derived from
-#: their dataclass fields; a message class missing here has no wire form.
+#: Every protocol message the cluster ships.  Each has a binary layout
+#: derived from its dataclass fields; a message class missing here has
+#: no wire form.
 MESSAGE_TYPES = (
     ReadRequest,
     Invalidate,
@@ -227,65 +260,180 @@ MESSAGE_TYPES = (
     DataTransfer,
 )
 
+#: The fixed fields of the client plane and of ``done``, tag first.
+#: ``exec``: a read's rid, or a write's rid and version number and
+#: writer.  ``result``: an answer's rid and optional version, or a
+#: failure's rid and degraded flag.  ``done``: rid, from, dropped, failed.
+_READ, _WRITE = struct.Struct(">Bq"), struct.Struct(">Bqqq")
+_OK, _FAILED = struct.Struct(">Bq?qq"), struct.Struct(">Bq?")
+_DONE = struct.Struct(">Bqq??")
+_READ_TAG, _WRITE_TAG, _OK_TAG, _FAILED_TAG, _DONE_TAG = range(1, 6)
+#: A message field's code by its type.  An optional version is a
+#: presence flag, number and writer, with its payload as a JSON tail.
+_FIELD_CODES = {int: "q", bool: "?", Optional[ObjectVersion]: "?qq"}
 
-def _layout(cls: type) -> tuple:
-    """A class's wire tag (its name in snake case), the names and types
-    of its fields in dataclass order (an optional version's type is
-    ``ObjectVersion``), and where ``request_id`` sits among them: it
-    travels as the frame's ``rid``."""
+
+class _Misfit(Exception):
+    """A payload its type's binary layout cannot carry exactly."""
+
+
+def _fit(fits: bool) -> None:
+    if not fits:
+        raise _Misfit
+
+
+def _split(layout: struct.Struct, body: bytes) -> Tuple[tuple, bytes]:
+    """A binary body's fixed fields and the tail after them."""
+    return layout.unpack_from(body), body[layout.size :]
+
+
+def _no_tail(tail: bytes) -> None:
+    if tail:
+        raise ClusterError(f"{len(tail)} trailing bytes after a binary frame")
+
+
+def _pack_version(wire: Any) -> tuple:
+    """A version mapping as ``(present, number, writer, payload tail)``."""
+    if wire is None:
+        return False, 0, 0, b""
+    _fit(type(wire) is dict and len(wire) == 2 + ("payload" in wire))
+    number, writer = wire.get("number"), wire.get("writer")
+    _fit(type(number) is int and type(writer) is int)
+    tail = _ENCODER.encode(wire["payload"]).encode() if "payload" in wire else b""
+    return True, number, writer, tail
+
+
+def _unpack_version(present: bool, number: int, writer: int, tail: bytes) -> Any:
+    if not present:
+        _no_tail(tail)
+        return None
+    wire: Dict[str, Any] = {"number": number, "writer": writer}
+    if tail:
+        wire["payload"] = json.loads(tail)
+    return wire
+
+
+def _pack_exec(frame: Mapping[str, Any]) -> bytes:
+    rid, op, version = frame.get("rid"), frame.get("op"), frame.get("version")
+    _fit(type(rid) is int and len(frame) == 3 + (version is not None))
+    if op == "read" and version is None:
+        return _READ.pack(_READ_TAG, rid)
+    present, number, writer, tail = _pack_version(version)
+    _fit(op == "write" and present)
+    return _WRITE.pack(_WRITE_TAG, rid, number, writer) + tail
+
+
+def _unpack_read(body: bytes) -> Dict[str, Any]:
+    (_, rid), tail = _split(_READ, body)
+    _no_tail(tail)
+    return {"type": "exec", "rid": rid, "op": "read"}
+
+
+def _unpack_write(body: bytes) -> Dict[str, Any]:
+    (_, rid, number, writer), tail = _split(_WRITE, body)
+    version = _unpack_version(True, number, writer, tail)
+    return {"type": "exec", "rid": rid, "op": "write", "version": version}
+
+
+def _pack_result(frame: Mapping[str, Any]) -> bytes:
+    rid, ok, error = frame.get("rid"), frame.get("ok"), frame.get("error")
+    _fit(type(rid) is int)
+    if ok is True:
+        _fit(len(frame) == 4 and "version" in frame)
+        *fixed, tail = _pack_version(frame["version"])
+        return _OK.pack(_OK_TAG, rid, *fixed) + tail
+    degraded = "degraded" in frame
+    _fit(ok is False and type(error) is str and len(frame) == 4 + degraded)
+    _fit(frame.get("degraded", True) is True)
+    return _FAILED.pack(_FAILED_TAG, rid, degraded) + error.encode()
+
+
+def _unpack_ok(body: bytes) -> Dict[str, Any]:
+    (_, rid, *fixed), tail = _split(_OK, body)
+    version = _unpack_version(*fixed, tail)
+    return {"type": "result", "rid": rid, "ok": True, "version": version}
+
+
+def _unpack_failed(body: bytes) -> Dict[str, Any]:
+    (_, rid, degraded), tail = _split(_FAILED, body)
+    frame = {"type": "result", "rid": rid, "ok": False, "error": tail.decode()}
+    if degraded:
+        frame["degraded"] = True
+    return frame
+
+
+def _pack_done(frame: Mapping[str, Any]) -> bytes:
+    rid, source, dropped = frame.get("rid"), frame.get("from"), frame.get("dropped")
+    failed = "failed" in frame
+    _fit(type(rid) is int and type(source) is int and type(dropped) is bool)
+    _fit(frame.get("failed", True) is True and len(frame) == 4 + failed)
+    return _DONE.pack(_DONE_TAG, rid, source, dropped, failed)
+
+
+def _unpack_done(body: bytes) -> Dict[str, Any]:
+    (_, rid, source, dropped, failed), tail = _split(_DONE, body)
+    _no_tail(tail)
+    frame = {"type": "done", "rid": rid, "from": source, "dropped": dropped}
+    if failed:
+        frame["failed"] = True
+    return frame
+
+
+def _message_codec(tag: int, cls: type) -> Tuple[Callable, Callable]:
+    """The packer and unpacker of one message class: its tag, then its
+    dataclass fields in order, each by :data:`_FIELD_CODES`."""
     hints = get_type_hints(cls)
-    names = tuple(f.name for f in fields(cls))
-    types = tuple(
-        ObjectVersion if hints[name] == Optional[ObjectVersion] else hints[name]
-        for name in names
-    )
-    tag = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).lower()
-    return tag, names, types, names.index("request_id")
+    names = [f.name for f in fields(cls)]
+    layout = struct.Struct(">B" + "".join(_FIELD_CODES[hints[n]] for n in names))
+    values_of = attrgetter(*names)
+    versions = [hints[name] == Optional[ObjectVersion] for name in names]
+    at = versions.index(True) if any(versions) else None
+
+    def pack(message: Message) -> bytes:
+        values = values_of(message)
+        if at is None:
+            return layout.pack(tag, *values)
+        *fixed, tail = _pack_version(version_to_wire(values[at]))
+        return layout.pack(tag, *values[:at], *fixed, *values[at + 1 :]) + tail
+
+    def unpack(body: bytes) -> Dict[str, Any]:
+        values, tail = _split(layout, body)
+        args = list(values[1:])
+        if at is None:
+            _no_tail(tail)
+        else:
+            wire = _unpack_version(*args[at : at + 3], tail)
+            args[at : at + 3] = [version_from_wire(wire)]
+        message = cls(*args)
+        return {"type": "msg", "rid": message.request_id, "message": message}
+
+    return pack, unpack
 
 
-_LAYOUTS = {cls: _layout(cls) for cls in MESSAGE_TYPES}
-_BY_TAG = {layout[0]: (cls, *layout[1:]) for cls, layout in _LAYOUTS.items()}
-
-
-def message_to_wire(message: Message) -> Dict[str, Any]:
-    """Encode a protocol message as a ``msg`` frame payload:
-    ``{"type": "msg", "rid": R, "m": [tag, sender, receiver, ...]}``."""
-    layout = _LAYOUTS.get(type(message))
-    if layout is None:
-        raise ClusterError(
-            f"no wire encoding for message type {type(message).__name__}"
-        )
-    tag, names, types, rid_at = layout
-    body: List[Any] = [tag]
-    for name, kind in zip(names, types):
-        value = getattr(message, name)
-        body.append(version_to_wire(value) if kind is ObjectVersion else value)
-    rid = body.pop(rid_at + 1)
-    return {"type": "msg", "rid": rid, "m": body}
-
-
-def wire_to_message(wire: Mapping[str, Any]) -> Message:
-    """Decode a ``msg`` frame payload back into a protocol message.  An
-    unknown tag, a wrong field count, a field of the wrong type or a
-    bad version raises :class:`ClusterError`."""
-    body = wire.get("m")
+def _pack_msg(frame: Mapping[str, Any]) -> bytes:
+    message = frame.get("message")
+    pack = _MESSAGE_PACKERS.get(type(message))
+    _fit(pack is not None and len(frame) == 3)
+    _fit(frame.get("rid") == message.request_id)
     try:
-        cls, names, types, rid_at = _BY_TAG[body[0]]
-    except (KeyError, TypeError, IndexError):
-        raise ClusterError(f"unknown protocol message {body!r}") from None
-    args = body[1:]
-    if len(args) != len(names) - 1:
-        raise ClusterError(
-            f"a {body[0]} message has {len(names) - 1} fields, got {len(args)}"
-        )
-    args.insert(rid_at, wire.get("rid"))
-    try:
-        for index, kind in enumerate(types):
-            value = args[index]
-            if type(value) is not kind:
-                if kind is not ObjectVersion:
-                    raise TypeError(f"{names[index]} {value!r} is not {kind.__name__}")
-                args[index] = version_from_wire(value)
-    except (KeyError, TypeError, ValueError, ConfigurationError) as error:
-        raise ClusterError(f"malformed {body[0]} message: {error}") from error
-    return cls(*args)
+        return pack(message)
+    except struct.error as error:
+        raise ClusterError(f"no wire encoding for {message.describe()}: {error}")
+
+
+_PACKERS = {
+    "exec": _pack_exec,
+    "result": _pack_result,
+    "done": _pack_done,
+    "msg": _pack_msg,
+}
+_UNPACKERS = {
+    _READ_TAG: _unpack_read,
+    _WRITE_TAG: _unpack_write,
+    _OK_TAG: _unpack_ok,
+    _FAILED_TAG: _unpack_failed,
+    _DONE_TAG: _unpack_done,
+}
+_MESSAGE_PACKERS = {}
+for _tag, _cls in enumerate(MESSAGE_TYPES, start=_DONE_TAG + 1):
+    _MESSAGE_PACKERS[_cls], _UNPACKERS[_tag] = _message_codec(_tag, _cls)

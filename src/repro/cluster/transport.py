@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
-from repro.cluster.rpc import FrameConnection, encode_frame, message_to_wire
+from repro.cluster.rpc import FrameConnection, encode_frame
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.resilience import RetryPolicy
 from repro.distsim.messages import Message
@@ -268,8 +268,9 @@ class PeerTransport:
         recovery work without perturbing the cost-model accounting.  A
         message lost on every attempt stays charged (the simulated
         network's sender-side accounting for doomed messages) and goes
-        to ``on_lost``.  A frame too large to encode raises
-        ``ClusterError`` before it is charged."""
+        to ``on_lost``.  A frame too large to encode, or with a field
+        out of its layout's range, raises ``ClusterError`` before it is
+        charged."""
         if message.sender != self.node_id:
             raise ClusterError(
                 f"node {self.node_id} cannot send on behalf of "
@@ -280,9 +281,10 @@ class PeerTransport:
                 f"{message.describe()}: a processor does not message itself "
                 "(local work is I/O, not communication)"
             )
-        data = encode_frame(message_to_wire(message))
+        rid = message.request_id
+        data = encode_frame({"type": "msg", "rid": rid, "message": message})
         self.metrics.charge_message(message)
-        self._ship(message.receiver, message.request_id, data, 0)
+        self._ship(message.receiver, rid, data, 0)
 
     def send_repair(
         self, peer: int, rid: int, version_wire: Mapping[str, Any]

@@ -7,9 +7,10 @@ write-ahead log.  Every record is one length-prefixed frame::
     [4-byte big-endian length][4-byte big-endian CRC32 of body][body]
 
 where the body is a sorted-key UTF-8 JSON object carrying a monotonic
-sequence number, a typed ``kind`` and a small payload — the same
-"decodable with ``struct`` + ``json`` alone" discipline as the cluster
-wire format (:mod:`repro.cluster.rpc`).
+sequence number, a typed ``kind`` and a small payload — decodable with
+``struct`` + ``json`` alone, like the cluster wire format
+(:mod:`repro.cluster.rpc`).  The log stays JSON; only the wire's four
+hot frame types use fixed binary layouts.
 
 Replay is deterministic and damage-tolerant: records are folded in
 sequence order until the first sign of damage — a torn tail (fewer

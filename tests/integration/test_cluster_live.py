@@ -23,12 +23,7 @@ from repro.cluster import (
     start_cluster,
     start_local_cluster,
 )
-from repro.cluster.rpc import (
-    MAX_FRAME_BYTES,
-    encode_frame,
-    message_to_wire,
-    version_to_wire,
-)
+from repro.cluster.rpc import MAX_FRAME_BYTES, encode_frame, version_to_wire
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.distsim.messages import DataTransfer, ReadRequest
 from repro.storage.versions import ObjectVersion
@@ -368,6 +363,44 @@ class TestMalformedExec:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "rid", ["7", 7.9, True, None], ids=["string", "float", "bool", "missing"]
+    )
+    def test_a_rid_that_is_not_an_int_is_refused(self, rid):
+        """A reply is matched to its request by the rid as sent, so an
+        exec whose rid is not an int is refused: it neither reads
+        request 7's cached reply nor runs as some other request."""
+
+        async def scenario():
+            cluster, client = await booted("SA")
+            raw = await RawConnection.open(cluster.addresses[1])
+            try:
+                first = await client.execute(
+                    1, "write", rid=7, version=ObjectVersion(1, 1)
+                )
+                assert first.ok
+                frame = {
+                    "type": "exec",
+                    "op": "write",
+                    "version": {"number": 2, "writer": 1},
+                }
+                if rid is not None:
+                    frame["rid"] = rid
+                raw.send(frame)
+                reply = await raw.reply()
+                assert reply["ok"] is False
+                assert "malformed exec frame" in reply["error"]
+                assert type(reply["rid"]) is type(rid) and reply["rid"] == rid
+                status = await cluster.status(1)
+                assert status["version"] == {"number": 1, "writer": 1}
+                assert (await cluster.metrics())[1].io_writes == 1
+            finally:
+                raw.close()
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
     @pytest.mark.parametrize("link", ["open", "not dialled", "delayed"])
     def test_a_store_too_large_to_send_rolls_the_write_back(self, link):
         """The exec frame fits the frame limit but the store it causes
@@ -384,7 +417,7 @@ class TestMalformedExec:
         store = DataTransfer(1, 2, version=version, request_id=2, save_copy=True)
         assert len(encode_frame(frame)) - 4 == MAX_FRAME_BYTES
         with pytest.raises(ClusterError, match="exceeds"):
-            encode_frame(message_to_wire(store))
+            encode_frame({"type": "msg", "rid": 2, "message": store})
 
         async def scenario():
             cluster, client = await booted("SA")
@@ -479,8 +512,8 @@ class TestInlineServing:
             cluster, client = await booted()
             raw = await RawConnection.open(cluster.addresses[1])
             try:
-                misrouted = message_to_wire(ReadRequest(3, 2, request_id=9))
-                raw.send(misrouted)
+                misrouted = ReadRequest(3, 2, request_id=9)
+                raw.send({"type": "msg", "rid": 9, "message": misrouted})
                 raw.send({"type": "ping"})
                 reply = await raw.reply()
                 assert reply["type"] == "pong" and reply["node"] == 1

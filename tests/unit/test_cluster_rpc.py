@@ -1,4 +1,4 @@
-"""Unit: the live cluster's wire format (framing + message codec)."""
+"""Unit: the live cluster's wire format (framing + binary layouts)."""
 
 from __future__ import annotations
 
@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.rpc import (
     MAX_FRAME_BYTES,
+    MESSAGE_TYPES,
     FrameConnection,
     encode_frame,
-    message_to_wire,
     version_from_wire,
     version_to_wire,
-    wire_to_message,
 )
-from repro.cluster.transport import Address
+from repro.cluster.transport import Address, PeerTransport
 from repro.distsim import messages
 from repro.distsim.messages import (
     DataTransfer,
@@ -122,6 +121,13 @@ class TestFraming:
 FRAMES = [{"type": "ping", "n": n, "pad": "x" * n} for n in range(4)]
 STREAM = b"".join(encode_frame(frame) for frame in FRAMES)
 
+#: A binary ``exec`` read: tag 1, then its rid as an int64.
+READ_BODY = struct.pack(">Bq", 1, 4)
+
+
+def framed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
 
 class TestFrameConnection:
     def test_one_byte_at_a_time(self):
@@ -151,8 +157,21 @@ class TestFrameConnection:
             struct.pack(">I", 9) + b"{not json",
             struct.pack(">I", 7) + b"[1,2,3]",
             struct.pack(">I", 7) + b'{"a":1}',
+            framed(READ_BODY[:-1]),
+            framed(b"\xee" + READ_BODY[1:]),
+            framed(READ_BODY + b"\x00"),
+            framed(b'{"m":["read_request",4,1],"rid":9,"type":"msg"}'),
         ],
-        ids=["oversize", "malformed", "non-object", "typeless"],
+        ids=[
+            "oversize",
+            "malformed",
+            "non-object",
+            "typeless",
+            "truncated-layout",
+            "unknown-tag",
+            "trailing-bytes",
+            "json-msg",
+        ],
     )
     def test_bad_frame_closes_without_serving(self, data):
         closed = []
@@ -165,6 +184,17 @@ class TestFrameConnection:
         assert connection.closed
         connection.connection_lost(None)
         assert len(closed) == 1 and isinstance(closed[0], ClusterError)
+
+    def test_binary_frame_split_at_every_offset_is_served_once(self):
+        message = DataTransfer(1, 4, ObjectVersion(2, 1, {"k": [1]}), 7, True)
+        frame = {"type": "msg", "rid": 7, "message": message}
+        data = encode_frame(frame)
+        for cut in range(len(data) + 1):
+            connection, served = served_connection()
+            connection.data_received(data[:cut])
+            connection.data_received(data[cut:])
+            assert served == [frame]
+            assert not connection.closed
 
     def test_frame_after_a_raising_handler_is_served(self):
         def sink(frame):
@@ -246,6 +276,8 @@ MESSAGE_CLASSES = [
     if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
 ]
 
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
 #: What JSON carries unchanged: no tuples, NaN or infinities.
 JSON_VALUES = st.recursive(
     st.none()
@@ -260,13 +292,13 @@ JSON_VALUES = st.recursive(
 
 #: A strategy per field type of the message classes.
 FIELD_VALUES = {
-    int: st.integers(),
+    int: INT64,
     bool: st.booleans(),
     Optional[ObjectVersion]: st.none()
     | st.builds(
         ObjectVersion,
-        st.integers(min_value=0),
-        st.integers(),
+        st.integers(min_value=0, max_value=2**63 - 1),
+        INT64,
         st.none() | JSON_VALUES,
     ),
 }
@@ -279,9 +311,29 @@ def messages_of(cls):
     )
 
 
-def through_bytes(wire):
-    """A payload as the receiving end decodes it."""
-    return json.loads(encode_frame(wire)[4:])
+def msg_frame(message):
+    return {"type": "msg", "rid": message.request_id, "message": message}
+
+
+#: ``msg`` frames as JSON positional lists, well-formed or not.
+LIST_FORMS = [
+    {"type": "msg", "rid": 1, "m": ["gossip", 1, 2]},
+    {"type": "msg", "rid": 1},
+    {"type": "msg", "rid": 1, "m": []},
+    {"type": "msg", "rid": 1, "m": [["read_request"], 1, 2]},
+    {"type": "msg", "rid": 1, "m": ["read_request", 1]},
+    {"type": "msg", "rid": 1, "m": ["read_request", 1, 2, 3]},
+    {"type": "msg", "rid": 1, "m": ["read_request", "1", 2]},
+    {"type": "msg", "rid": "1", "m": ["read_request", 1, 2]},
+    {"type": "msg", "m": ["read_request", 1, 2]},
+    {"type": "msg", "rid": 1, "m": ["invalidate", 1, 2, 3.5]},
+    {"type": "msg", "rid": 1, "m": ["version_report", 1, 2, 3, 1]},
+    {"type": "msg", "rid": 1, "m": ["data_transfer", 1, 2, [3, 1], True]},
+    {"type": "msg", "rid": 1,
+     "m": ["data_transfer", 1, 2, {"writer": 1}, True]},
+    {"type": "msg", "rid": 1,
+     "m": ["data_transfer", 1, 2, {"number": "x", "writer": 1}, True]},
+]
 
 
 class TestMessageCodec:
@@ -289,53 +341,41 @@ class TestMessageCodec:
         "message", MESSAGES, ids=lambda m: type(m).__name__
     )
     def test_round_trip(self, message):
-        wire = message_to_wire(message)
-        assert wire["type"] == "msg"
-        assert wire_to_message(through_bytes(wire)) == message
+        data = encode_frame(msg_frame(message))
+        assert data[4:5] != b"{"
+        assert read_one_frame(data) == msg_frame(message)
 
     @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda c: c.__name__)
     @given(data=st.data())
     def test_round_trip_property(self, cls, data):
         message = data.draw(messages_of(cls))
-        wire = message_to_wire(message)
-        assert wire["type"] == "msg"
-        assert wire["rid"] == message.request_id
-        assert wire_to_message(through_bytes(wire)) == message
+        frame = read_one_frame(encode_frame(msg_frame(message)))
+        assert frame == msg_frame(message)
+        assert frame["rid"] == message.request_id
 
     def test_positional_layout(self):
+        """Tag, then every dataclass field in order: the version as a
+        presence flag, number and writer."""
         message = DataTransfer(
             1, 2, version=ObjectVersion(3, 1), request_id=7, save_copy=True
         )
-        assert message_to_wire(message) == {
-            "type": "msg",
-            "rid": 7,
-            "m": ["data_transfer", 1, 2, {"number": 3, "writer": 1}, True],
-        }
+        body = struct.pack(">Bqq?qqq?", 10, 1, 2, True, 3, 1, 7, True)
+        assert encode_frame(msg_frame(message)) == framed(body)
 
     def test_wire_form_is_json_clean(self):
+        """The only JSON in a ``msg`` body is a version's payload, the
+        tail after the fixed fields; a version without one has none."""
+        payload = {"b": [1, "é"], "a": None}
+        message = DataTransfer(1, 2, ObjectVersion(3, 1, payload), 7, True)
+        tail = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        data = encode_frame(msg_frame(message))
+        assert data.endswith(struct.pack(">q?", 7, True) + tail.encode())
         for message in MESSAGES:
-            json.dumps(message_to_wire(message))
+            assert b"{" not in encode_frame(msg_frame(message))
 
     @pytest.mark.parametrize(
         "wire",
-        [
-            {"type": "msg", "rid": 1, "m": ["gossip", 1, 2]},
-            {"type": "msg", "rid": 1},
-            {"type": "msg", "rid": 1, "m": []},
-            {"type": "msg", "rid": 1, "m": [["read_request"], 1, 2]},
-            {"type": "msg", "rid": 1, "m": ["read_request", 1]},
-            {"type": "msg", "rid": 1, "m": ["read_request", 1, 2, 3]},
-            {"type": "msg", "rid": 1, "m": ["read_request", "1", 2]},
-            {"type": "msg", "rid": "1", "m": ["read_request", 1, 2]},
-            {"type": "msg", "m": ["read_request", 1, 2]},
-            {"type": "msg", "rid": 1, "m": ["invalidate", 1, 2, 3.5]},
-            {"type": "msg", "rid": 1, "m": ["version_report", 1, 2, 3, 1]},
-            {"type": "msg", "rid": 1, "m": ["data_transfer", 1, 2, [3, 1], True]},
-            {"type": "msg", "rid": 1,
-             "m": ["data_transfer", 1, 2, {"writer": 1}, True]},
-            {"type": "msg", "rid": 1,
-             "m": ["data_transfer", 1, 2, {"number": "x", "writer": 1}, True]},
-        ],
+        LIST_FORMS,
         ids=[
             "unknown-tag",
             "no-body",
@@ -354,33 +394,216 @@ class TestMessageCodec:
         ],
     )
     def test_malformed_message_rejected(self, wire):
+        """A ``msg`` has no JSON form: a list-codec body, well-formed or
+        not, closes the connection."""
+        with pytest.raises(ClusterError, match="no JSON form"):
+            read_one_frame(encode_frame(wire))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"",
+            b"\x00",
+            b"\xee" + READ_BODY[1:],
+            struct.pack(">Bqq", 6, 4, 1),
+            struct.pack(">Bqqq", 6, 4, 1, 9) + b"\x00",
+            struct.pack(">Bqq?qqq?", 10, 1, 2, False, 0, 0, 7, True) + b"1",
+            struct.pack(">Bqq?qqq?", 10, 1, 2, True, 3, 1, 7, True) + b"{",
+            struct.pack(">Bqq?qqq?", 10, 1, 2, True, -1, 1, 7, True),
+            struct.pack(">Bqqq", 2, 4, 2, 1) + b"\xff",
+            struct.pack(">Bq?", 4, 5, True) + b"\xff",
+            struct.pack(">Bqq??", 5, 3, 2, False, False) + b"\x00",
+        ],
+        ids=[
+            "empty",
+            "tag-zero",
+            "unknown-tag",
+            "truncated",
+            "trailing",
+            "tail-without-version",
+            "bad-payload-json",
+            "negative-version-number",
+            "bad-payload-utf8",
+            "bad-error-utf8",
+            "done-trailing",
+        ],
+    )
+    def test_malformed_binary_rejected(self, body):
         with pytest.raises(ClusterError):
-            wire_to_message(wire)
+            read_one_frame(framed(body))
+
+    def test_every_message_class_has_a_layout(self):
+        assert set(MESSAGE_CLASSES) <= set(MESSAGE_TYPES)
+        tags = {
+            encode_frame(msg_frame(cls(1, 2)))[4] for cls in MESSAGE_TYPES
+        }
+        assert len(tags) == len(MESSAGE_TYPES) and ord("{") not in tags
 
     def test_unregistered_type_rejected(self):
         class Exotic(ReadRequest):
             pass
 
         with pytest.raises(ClusterError, match="no wire encoding"):
-            message_to_wire(Exotic(1, 2))
+            encode_frame(msg_frame(Exotic(1, 2)))
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            ReadRequest(1, 2, request_id=2**63),
+            Invalidate(1, 2, version_number=-(2**63) - 1),
+            DataTransfer(1, 2, ObjectVersion(2**64, 1)),
+        ],
+        ids=["rid", "version-number", "object-version"],
+    )
+    def test_out_of_range_field_raises_before_charge(self, message):
+        metrics = NodeMetrics(1)
+        transport = PeerTransport(1, metrics, lambda receiver, rid: None)
+        with pytest.raises(ClusterError, match="no wire encoding"):
+            transport.send_protocol(message)
+        assert metrics.to_wire() == NodeMetrics(1).to_wire()
+
+
+#: Client-plane and ``done`` frames as their producers build them, and
+#: the body each packs to.
+HOT_FRAMES = [
+    (
+        {"type": "exec", "rid": 3, "op": "write",
+         "version": version_to_wire(ObjectVersion(2, 1, payload="é"))},
+        struct.pack(">Bqqq", 2, 3, 2, 1) + b'"\\u00e9"',
+    ),
+    ({"type": "exec", "rid": 4, "op": "read"}, struct.pack(">Bq", 1, 4)),
+    (
+        {"type": "result", "rid": 3, "ok": True,
+         "version": version_to_wire(ObjectVersion(2, 1))},
+        struct.pack(">Bq?qq", 3, 3, True, 2, 1),
+    ),
+    (
+        {"type": "result", "rid": 3, "ok": True, "version": None},
+        struct.pack(">Bq?qq", 3, 3, False, 0, 0),
+    ),
+    (
+        {"type": "result", "rid": 5, "ok": False, "error": "boom",
+         "degraded": True},
+        struct.pack(">Bq?", 4, 5, True) + b"boom",
+    ),
+    (
+        {"type": "result", "rid": 5, "ok": False, "error": "né"},
+        struct.pack(">Bq?", 4, 5, False) + "né".encode(),
+    ),
+    (
+        {"type": "done", "rid": 3, "from": 2, "dropped": False},
+        struct.pack(">Bqq??", 5, 3, 2, False, False),
+    ),
+    (
+        {"type": "done", "rid": 3, "from": 2, "dropped": True, "failed": True},
+        struct.pack(">Bqq??", 5, 3, 2, True, True),
+    ),
+]
+
+PAYLOADS = st.none() | JSON_VALUES
+VERSION_WIRES = st.builds(
+    lambda number, writer, payload: version_to_wire(
+        ObjectVersion(number, writer, payload)
+    ),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    INT64,
+    PAYLOADS,
+)
+
+#: Frames of every binary layout, each field across its int64 range.
+LAID_OUT = st.one_of(
+    st.fixed_dictionaries({"type": st.just("exec"), "rid": INT64,
+                           "op": st.just("read")}),
+    st.fixed_dictionaries({"type": st.just("exec"), "rid": INT64,
+                           "op": st.just("write"), "version": VERSION_WIRES}),
+    st.fixed_dictionaries({"type": st.just("result"), "rid": INT64,
+                           "ok": st.just(True),
+                           "version": st.none() | VERSION_WIRES}),
+    st.fixed_dictionaries({"type": st.just("result"), "rid": INT64,
+                           "ok": st.just(False), "error": st.text()},
+                          optional={"degraded": st.just(True)}),
+    st.fixed_dictionaries({"type": st.just("done"), "rid": INT64,
+                           "from": INT64, "dropped": st.booleans()},
+                          optional={"failed": st.just(True)}),
+)
+
+#: Values a hand-written frame may carry, in and out of the layouts' range.
+ODD_VALUES = (
+    st.integers()
+    | st.booleans()
+    | st.sampled_from(["read", "write"])
+    | st.none()
+    | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def same_json(left, right):
+    """Equal as JSON sees them: ``True`` is not ``1``, ``1.0`` is not ``1``."""
+    return json.dumps(left, sort_keys=True) == json.dumps(right, sort_keys=True)
+
+
+class TestBinaryLayouts:
+    @pytest.mark.parametrize(
+        "frame, body",
+        HOT_FRAMES,
+        ids=["write", "read", "ok", "ok-none", "degraded", "failed", "done",
+             "done-failed"],
+    )
+    def test_hot_frames_pack_to_their_layouts(self, frame, body):
+        assert encode_frame(frame) == framed(body)
+        assert read_one_frame(framed(body)) == frame
+
+    @given(frame=LAID_OUT)
+    def test_round_trip_property(self, frame):
+        data = encode_frame(frame)
+        assert data[4:5] != b"{"
+        assert same_json(read_one_frame(data), frame)
+
+    @given(
+        kind=st.sampled_from(["exec", "result", "done"]),
+        extra=st.dictionaries(
+            st.sampled_from(["rid", "op", "ok", "from", "dropped", "failed",
+                             "degraded", "error", "version", "x"]),
+            ODD_VALUES,
+        ),
+    )
+    def test_any_frame_decodes_as_its_json_form(self, kind, extra):
+        """A frame a layout cannot carry exactly falls back to JSON, so
+        what arrives is what JSON would deliver, types included."""
+        frame = {**extra, "type": kind}
+        as_json = json.loads(json.dumps(frame))
+        assert same_json(read_one_frame(encode_frame(frame)), as_json)
 
 
 class TestEncoder:
-    """The shared encoder writes exactly what ``json.dumps`` would."""
+    """The shared encoder writes exactly what ``json.dumps`` would, for
+    every frame that no binary layout carries."""
 
     @pytest.mark.parametrize(
         "payload",
         [
-            {"type": "exec", "rid": 3, "op": "write",
+            # A string rid, and a read with a version key.
+            {"type": "exec", "rid": "3", "op": "write",
              "version": version_to_wire(ObjectVersion(2, 1, payload="é"))},
-            {"type": "exec", "rid": 4, "op": "read"},
-            {"type": "result", "rid": 3, "ok": True,
-             "version": version_to_wire(ObjectVersion(2, 1))},
+            {"type": "exec", "rid": 4, "op": "read", "version": None},
+            # The reply to an exec without a rid, and a non-degraded
+            # failure that says so.
+            {"type": "result", "rid": None, "ok": False, "error": "boom"},
             {"type": "result", "rid": 5, "ok": False, "error": "boom",
-             "degraded": True},
-            *(message_to_wire(message) for message in MESSAGES),
-            {"type": "done", "rid": 3, "from": 2, "dropped": False},
-            {"type": "done", "rid": 3, "from": 2, "dropped": True,
+             "degraded": False},
+            # A msg as a JSON positional list carries no message object.
+            {"type": "msg", "rid": 9, "m": ["read_request", 4, 1]},
+            {"type": "msg", "rid": 11, "m": ["invalidate", 2, 5, 3]},
+            {"type": "msg", "rid": 6, "m": ["version_inquiry", 3, 1]},
+            {"type": "msg", "rid": 6, "m": ["version_report", 1, 3, 8, True]},
+            {"type": "msg", "rid": 7,
+             "m": ["data_transfer", 1, 4, {"number": 2, "writer": 1}, True]},
+            {"type": "msg", "rid": 7,
+             "m": ["data_transfer", 1, 4, {"number": 2, "writer": 1}, False]},
+            # A rid beyond int64, and an int where a bool belongs.
+            {"type": "done", "rid": 2**63, "from": 2, "dropped": False},
+            {"type": "done", "rid": 3, "from": 2, "dropped": 1,
              "failed": True},
             {"type": "repair", "rid": 1_000_000_001, "from": 1,
              "version": version_to_wire(ObjectVersion(7, 2))},
