@@ -458,9 +458,10 @@ class NodeServer:
         self.protocol.handle_message(message)
 
     def _handle_done(self, frame: Mapping[str, Any]) -> None:
-        rid = int(frame.get("rid", 0))
+        rid, source = frame.get("rid"), frame.get("from")
+        if type(rid) is not int or type(source) is not int:
+            return  # malformed: peers send both as ints
         dropped = bool(frame.get("dropped", False))
-        source = int(frame.get("from", -1))
         pending = self._pending.get(rid)
         if pending is None:
             return  # late oracle for a request that already failed

@@ -23,7 +23,7 @@ kernel's masks and the offline DP's masks are directly comparable.
 Processor ids need not be contiguous; compilation maps them to dense
 bit indices.  The universe has no size cap: both evaluators work on
 ``(B, T)`` arrays, and the universe size ``n`` enters only as the
-width of the DA evaluator's ``row*n + proc`` sort keys.
+width of the keys the DA evaluator sorts each row by.
 
 **Columns, not requests.**  Compilation reads each schedule's cached
 columnar form (:attr:`~repro.model.schedule.Schedule.columns`) rather
@@ -31,8 +31,10 @@ than its ``Request`` objects.  The concatenated issuer columns (plus
 the extras) are ranked without a sort: when they span no more values
 than there are ids, a bool table marks the ids present, and its
 running count gives the universe and every request's bit index in
-O(N).  Wider, sparse ids fall back to one ``np.unique`` sort.  A
-masked copy then lays the indices out row by row.  A generator may
+O(N).  Wider, sparse ids fall back to one ``np.unique`` sort.  When
+every trace has the horizon's length, the concatenated columns are
+already the rows and a reshape lays them out; a ragged batch takes a
+masked copy into zero padding.  A generator may
 build its schedules from their columns
 (:meth:`~repro.model.schedule.Schedule.from_columns`), and compiling
 one then builds no ``Request`` at all; other schedules compute their
@@ -151,6 +153,13 @@ def _universe_bits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(ids, return_inverse=True)
 
 
+def _padded(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``values`` laid out over the True cells of ``valid``, zero elsewhere."""
+    laid = np.zeros(valid.shape, dtype=values.dtype)
+    laid[valid] = values
+    return laid
+
+
 def compile_batch(
     schedules: Sequence[Schedule],
     extra_processors: Iterable[ProcessorId] = (),
@@ -173,13 +182,17 @@ def compile_batch(
         [len(column.processors) for column in columns], dtype=np.int64
     )
     horizon = int(lengths.max())
-    # Row-major boolean-mask assignment lays the concatenated columns
-    # out trace by trace, leaving the padding zero.
-    valid = np.arange(horizon)[None, :] < lengths[:, None]
-    procs = np.zeros((len(columns), horizon), dtype=np.int32)
-    procs[valid] = bits[len(extra):]
-    is_write = np.zeros((len(columns), horizon), dtype=bool)
-    is_write[valid] = np.concatenate([column.is_write for column in columns])
+    shape = (len(columns), horizon)
+    procs = bits[len(extra):].astype(np.int32, copy=False)
+    is_write = np.concatenate([column.is_write for column in columns])
+    if procs.size == len(columns) * horizon:
+        # Equal lengths: the concatenated columns are already the rows.
+        procs, is_write = procs.reshape(shape), is_write.reshape(shape)
+    else:
+        # Row-major boolean-mask assignment lays the concatenated
+        # columns out trace by trace, leaving the padding zero.
+        valid = np.arange(horizon)[None, :] < lengths[:, None]
+        procs, is_write = (_padded(column, valid) for column in (procs, is_write))
     universe = tuple(universe_ids.tolist())
     procs.setflags(write=False)
     is_write.setflags(write=False)

@@ -33,8 +33,8 @@ saving-reads so far in the segment, and whether the issuer ``q`` is a
 member needs only: ``q ∈ F``, ``q`` is the segment's ``x``, or
 ``q``'s previous request in the trace came after the last write (a
 write by ``q`` would itself be the last write, so that request was a
-read).  The previous request by the same processor comes from one
-stable argsort on ``row*n + proc`` keys; the last write is one running
+read).  The previous request by the same processor comes from a
+stable argsort of each row by processor; the last write is one running
 maximum; the segment's saving-reads are one running sum.  A write's
 invalidations are ``|Y∖X| = |Y| - (t-1) - [x ∈ Y]``, and ``[x ∈ Y]``
 for a writer in ``F ∪ {p}`` (``x = p``) takes one more running maximum
@@ -179,22 +179,27 @@ def _previous_same_processor(
     """For every cell of ``procs``, the flat position of the previous
     cell of its row holding the same processor (``-1``: none).
 
-    One stable argsort groups the cells by ``row*n + proc``, each group
-    in row order; keys that fit 16 bits let numpy radix-sort them.
+    A stable argsort of each row by processor, offset by the row's
+    flat start, orders the cells as one global sort on ``row*n + proc``
+    keys would, each processor's cells in row order.  Keys of
+    ``np.min_scalar_type(n - 1)`` (8 bits up to 256 processors) let
+    numpy radix-sort them.  Neighbours in that order that hold the
+    same processor are a cell and its previous one, except across a
+    row boundary.
     """
-    rows = procs.shape[0]
-    key_type = np.min_scalar_type(rows * n - 1)
-    keys = np.arange(0, rows * n, n, dtype=key_type)[:, None] + procs.astype(
-        key_type
-    )
-    keys = keys.ravel()
-    order = np.argsort(keys, kind="stable").astype(flat.dtype)
-    sorted_keys = keys.take(order)
+    width = procs.shape[1]
+    keys = procs.astype(np.min_scalar_type(n - 1))
+    order = np.argsort(keys, axis=1, kind="stable").astype(flat.dtype)
+    order += flat[:, :1]
+    order = order.ravel()
+    sorted_keys = keys.ravel().take(order)
+    del keys
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    # The last cell of one row and the first of the next.
+    same[width - 1 :: width] = False
     previous = np.empty(flat.size, dtype=flat.dtype)
     previous[order[0]] = -1
-    previous[order[1:]] = np.where(
-        sorted_keys[1:] == sorted_keys[:-1], order[:-1], -1
-    )
+    previous[order[1:]] = np.where(same, order[:-1], -1)
     return previous.reshape(flat.shape)
 
 
@@ -245,50 +250,55 @@ def da_request_counts(
     p_idx = batch.bit_index(primary)
 
     # The virtual-write layout: (B, T+1), request (b, i) at column i+1.
+    # Each array is deleted after its last use, to keep the peak low.
+    laid = (batch_size, horizon + 1)
     cells = batch_size * (horizon + 1)
     position = np.int32 if cells < 2**31 else np.int64
-    flat = np.arange(cells, dtype=position).reshape(batch_size, horizon + 1)
-    laid_procs = np.empty(flat.shape, dtype=procs.dtype)
+    flat = np.arange(cells, dtype=position).reshape(laid)
+    laid_procs = np.empty(laid, dtype=procs.dtype)
     laid_procs[:, 0] = p_idx
     laid_procs[:, 1:] = procs
-    laid_writes = np.empty(flat.shape, dtype=bool)
+    laid_writes = np.empty(laid, dtype=bool)
     laid_writes[:, 0] = True
     laid_writes[:, 1:] = is_write
     last_write = _last_before(laid_writes, flat)
+    del laid_writes
 
     # x: the non-core execution-set member of a write (p for writers
     # in F ∪ {p}), at each request and at the last write before it.
     x_of = np.where(in_fp, p_idx, np.arange(n)).astype(procs.dtype)
     x_before = x_of.take(laid_procs).take(last_write)
-
     member_self = batch.bit_flags(scheme - {primary}).take(procs)
     member_self |= x_before == procs
+    # [x ∈ Y] at writes needs p's membership: p is the last write's x,
+    # or p's last request came after that write.
+    p_in = x_before == p_idx
+    del x_before
+
     previous = _previous_same_processor(laid_procs, n, flat)[:, 1:]
     member_self |= previous > last_write
     del previous
     saving = valid & ~(is_write | member_self)
 
+    p_in |= _last_before(laid_procs == p_idx, flat) > last_write
+    del laid_procs, flat
     # [x ∈ Y] at writes: p's membership for writers in F ∪ {p}, the
     # writer's own otherwise.
-    p_in = (x_before == p_idx) | (
-        _last_before(laid_procs == p_idx, flat) > last_write
-    )
     primary_writer = in_fp.take(procs)
     x_in = (primary_writer & p_in) | (~primary_writer & member_self)
-    del x_before, p_in, primary_writer, member_self
+    del p_in, primary_writer, member_self
 
     # Saving-reads since the last write: a running sum over the layout,
     # differenced at the request and at the write.
-    laid_saving = np.zeros(flat.shape, dtype=bool)
+    laid_saving = np.zeros(laid, dtype=bool)
     laid_saving[:, 1:] = saving
     running = np.cumsum(laid_saving.ravel(), dtype=position)
     del laid_saving
-    invalidations = running.reshape(flat.shape)[:, :-1] - running.take(
-        last_write
-    )
+    invalidations = running.reshape(laid)[:, :-1] - running.take(last_write)
+    del running, last_write
     invalidations += 1
     invalidations -= x_in
-    del running, x_in
+    del x_in
 
     saving = saving.astype(COUNT)
     data = is_write * (size - 1) + saving

@@ -17,20 +17,25 @@ relies on how CPython's ``random.Random`` (3.11 to 3.13) spends its
   one word, and draws again while that value is ``>= n``;
 * ``random()`` takes two words ``a`` and ``b`` and returns
   ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``;
-* ``getrandbits(32 * m)`` packs the next m words into one integer, the
-  first word least significant.
+* the words come from the 624-word key and position that ``getstate()``
+  exposes, exactly as ``numpy.random.MT19937`` spends the same state.
 
-The decoder draws words in bulk with ``getrandbits`` and replays the
-first two rules over whole arrays of them.  The schedule it returns is
-held as its two columns (:meth:`Schedule.from_columns`); its
-``Request`` tuple is built from an interned table only if something
-reads it, which the kernel never does.
+The decoder copies the ``Random``'s state into one shared
+``numpy.random.MT19937``, draws its words in bulk with ``random_raw``
+and replays the first two rules over whole arrays of them.  A
+caller-owned ``Random`` is then set to the state after the last word a
+request used, its cached ``gauss`` value kept.  The schedule the
+decoder returns is held as its two columns
+(:meth:`Schedule.from_columns`); its ``Request`` tuple is built from an
+interned table only if something reads it, which the kernel never
+does.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -107,11 +112,10 @@ def generate_decoded(workload: UniformWorkload, seed: SeedLike) -> Schedule:
     """:func:`generate_stepwise`'s schedule, decoded from the MT19937
     words of ``seed`` in chunks of at most :data:`CHUNK_WORDS` words.
 
-    A caller-owned ``random.Random`` ends in the state the stepwise
-    loop leaves it in.
+    A caller-owned ``Random`` ends in the state the stepwise loop
+    leaves it in.
     """
     rng = rng_from(seed)
-    owned = isinstance(seed, random.Random)
     n = len(workload.processors)
     shift = 32 - n.bit_length()
     # Expected words per request: 2**k / n per choice, two per random().
@@ -121,29 +125,62 @@ def generate_decoded(workload: UniformWorkload, seed: SeedLike) -> Schedule:
     index = np.empty(workload.length, np.min_scalar_type(n - 1))
     is_write = np.empty(workload.length, bool)
     tail = np.empty(0, dtype=np.uint32)
-    done = 0
-    while done < workload.length:
-        remaining = workload.length - done
-        if owned:
-            before = rng.getstate()
-        count = min(CHUNK_WORDS, math.ceil(remaining * words_per_request * 1.01) + 64)
-        fresh = np.frombuffer(
-            rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4"
-        )
-        words = np.concatenate((tail, fresh)) if tail.size else fresh
-        chosen = _choice_words((words >> shift) < n, remaining)
-        filled = slice(done, done + chosen.size)
-        index[filled] = words[chosen] >> shift
-        high, low = words[chosen + 1] >> 5, words[chosen + 2] >> 6
-        floats = (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
-        is_write[filled] = floats < workload.write_fraction
-        done += chosen.size
-        tail = words[chosen[-1] + 3 :] if chosen.size else words
-    if owned and workload.length:
-        # Replay the last draw only up to the last word a request used.
-        rng.setstate(before)
-        rng.getrandbits(32 * (fresh.size - tail.size))
+    done = drawn = 0
+    with _BITS_LOCK:
+        _copy_state(rng)
+        while done < workload.length:
+            remaining = workload.length - done
+            count = min(
+                CHUNK_WORDS, math.ceil(remaining * words_per_request * 1.01) + 64
+            )
+            fresh = _BITS.random_raw(count).astype(np.uint32)
+            drawn += count
+            words = np.concatenate((tail, fresh)) if tail.size else fresh
+            top = words >> shift
+            chosen = _choice_words(top < n, remaining)
+            filled = slice(done, done + chosen.size)
+            index[filled] = top[chosen]
+            high, low = words[chosen + 1] >> 5, words[chosen + 2] >> 6
+            floats = (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+            is_write[filled] = floats < workload.write_fraction
+            done += chosen.size
+            tail = words[chosen[-1] + 3 :] if chosen.size else words
+        if isinstance(seed, random.Random):
+            _advance(rng, drawn - tail.size)
     return workload._schedule(index, is_write)
+
+
+#: The bit generator every decode draws its words from.  Building one
+#: costs more than copying a state into it, so the decoders share it,
+#: one at a time under :data:`_BITS_LOCK`.  (Its own ``lock`` is taken
+#: inside each call; holding it across calls would need it to be
+#: re-entrant, which numpy does not promise.)
+_BITS = np.random.MT19937(0)
+_BITS_LOCK = threading.Lock()
+
+
+def _copy_state(rng: random.Random) -> None:
+    """Copy ``rng``'s MT19937 key and position into :data:`_BITS`, whose
+    ``random_raw(m)`` then gives, as uint32, the m words that
+    ``rng.getrandbits(32 * m)`` would pack (first word least
+    significant).  The caller holds :data:`_BITS_LOCK`; ``rng`` is not
+    advanced."""
+    internal = rng.getstate()[1]
+    _BITS.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": internal[:-1], "pos": internal[-1]},
+    }
+
+
+def _advance(rng: random.Random, words: int) -> None:
+    """Advance ``rng`` by ``words`` 32-bit words, as ``getrandbits(32 *
+    words)`` would, keeping its cached ``gauss`` value.  The caller
+    holds :data:`_BITS_LOCK`; :data:`_BITS` is left in the new state."""
+    _copy_state(rng)
+    _BITS.random_raw(words, output=False)
+    state = _BITS.state["state"]
+    version, _, gauss_next = rng.getstate()
+    rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
 
 
 def _choice_words(accepted: np.ndarray, limit: int) -> np.ndarray:

@@ -450,6 +450,55 @@ class TestMalformedExec:
         run(scenario())
 
 
+class TestMalformedDone:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rid", "1"),
+            ("rid", 1.9),
+            ("rid", True),
+            ("from", "2"),
+            ("from", 2.0),
+            ("from", True),
+        ],
+        ids=["rid-string", "rid-float", "rid-bool", "from-string", "from-float", "from-bool"],
+    )
+    def test_a_done_that_is_not_all_ints_settles_nothing(self, field, value):
+        """Write 1's store to node 2 waits out a delayed link 1 -> 2.  A
+        hand-written JSON ``done`` for it whose rid or sender is not an
+        int is dropped: the write is acknowledged only once its store
+        has landed."""
+        frame = {"type": "done", "rid": 1, "from": 2, "dropped": False, field: value}
+        # No binary layout fits the frame, so its body is JSON.
+        assert encode_frame(frame)[4:5] == b"{"
+
+        async def scenario():
+            cluster, client = await booted("SA")
+            raw = await RawConnection.open(cluster.addresses[1])
+            try:
+                await cluster.set_fault_plan(
+                    FaultPlan(link_delays={(1, 2): 0.5}), nodes=[1]
+                )
+                write = asyncio.ensure_future(
+                    client.execute(1, "write", rid=1, version=ObjectVersion(1, 1))
+                )
+                await asyncio.sleep(0.1)
+                assert 1 in cluster.nodes[1]._pending
+                raw.send(frame)
+                await asyncio.sleep(0.1)
+                assert not write.done()
+                reply = await write
+                assert reply.ok and reply.latency > 0.5
+                status = await cluster.status(2)
+                assert status["version"] == {"number": 1, "writer": 1}
+            finally:
+                raw.close()
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
 class TestDeadlines:
     """Node 3 holds no copy, so its read asks node 1 over the delayed
     link 3 -> 1.  The node keeps no clock; the client's timeout is the

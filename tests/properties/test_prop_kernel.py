@@ -29,6 +29,7 @@ from repro.core.static_allocation import StaticAllocation
 from repro.model.accounting import CostBreakdown
 from repro.model.cost_model import mobile, stationary
 from repro.model.costs import request_breakdown
+from repro.model.request import read, write
 from repro.model.schedule import Schedule
 
 from tests.properties.strategies import (
@@ -228,3 +229,45 @@ def test_request_counts_are_stepped_breakdowns(batch_schedules, pair):
                 batch.horizon - len(schedule)
             )
             assert [CostBreakdown(*vector) for vector in vectors] == padded
+
+
+@st.composite
+def narrow_batches(draw):
+    """Batches of up to six traces, each of 0 to 6 requests, all issued
+    by the same one or two processors of 1..4: a row of the batch
+    often ends on the processor the next row starts with."""
+    issuers = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=2)))
+    request = st.builds(
+        lambda processor, is_write: (write if is_write else read)(processor),
+        st.sampled_from(issuers),
+        st.booleans(),
+    )
+    trace = st.lists(request, max_size=6).map(lambda items: Schedule(tuple(items)))
+    return draw(st.lists(trace, min_size=1, max_size=6))
+
+
+@settings(max_examples=300)
+@given(
+    batch_schedules=narrow_batches(),
+    scheme=st.sets(st.integers(1, 4), min_size=2, max_size=3).map(frozenset),
+    data=st.data(),
+)
+def test_da_counts_over_one_or_two_issuers(batch_schedules, scheme, data):
+    # DA's previous-request lookup sorts each row by issuer; with one
+    # or two issuers nearly every row boundary joins equal issuers.
+    primary = data.draw(st.sampled_from(sorted(scheme)))
+    batch = kernel.compile_batch(batch_schedules, scheme)
+    counts = kernel.da_request_counts(batch, scheme, primary=primary)
+    for row, schedule in enumerate(batch_schedules):
+        stepped = [
+            request_breakdown(step, before)
+            for before, step in DynamicAllocation(scheme, primary=primary)
+            .run(schedule)
+            .schemes()
+        ]
+        vectors = zip(
+            counts.io[row, : len(schedule)].tolist(),
+            counts.control[row, : len(schedule)].tolist(),
+            counts.data[row, : len(schedule)].tolist(),
+        )
+        assert [CostBreakdown(*vector) for vector in vectors] == stepped

@@ -6,16 +6,21 @@ chunks.  It must give exactly what the per-request loop
 :func:`~repro.workloads.uniform.generate_stepwise` gives — the same
 requests, the same columns — and leave a caller-owned ``Random`` in
 the same state.  Tiny chunks make every trace cross chunk boundaries.
-The chain of ``choice`` words inside one buffer is checked on its own
-against a word-by-word loop.
+The word source — a ``Random``'s state copied into numpy's MT19937 —
+is checked on its own against ``getrandbits``, and under threads that
+share it.  The chain of ``choice`` words inside one buffer is checked
+on its own against a word-by-word loop.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +93,91 @@ def test_int_seed_matches_stepping_across_default_chunks(count, write_fraction, 
     """Long enough for several full-size chunks of the default size."""
     workload = UniformWorkload(range(count), 40_000, write_fraction)
     assert workload.generate(seed) == generate_stepwise(workload, seed)
+
+
+def state_at(seed, pos, gauss_next):
+    """``Random(seed)``'s key with its position set to ``pos`` (0 to
+    624; 624 regenerates the key before the next word)."""
+    version, internal, _ = random.Random(seed).getstate()
+    rng = random.Random()
+    rng.setstate((version, internal[:-1] + (pos,), gauss_next))
+    return rng
+
+
+#: Draw sizes that end just before, on and just after the chunk size.
+DRAWS = [
+    (1,),
+    (uniform.CHUNK_WORDS - 1, 1),
+    (uniform.CHUNK_WORDS, 3),
+    (2, uniform.CHUNK_WORDS + 1),
+]
+
+
+@pytest.mark.parametrize("pos", [0, 1, 623, 624])
+@pytest.mark.parametrize("gauss_next", [None, 0.25], ids=["no-gauss", "gauss"])
+@pytest.mark.parametrize("draws", DRAWS, ids=["one", "chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize("unused", [0, 1, 5])
+def test_word_source_is_getrandbits(pos, gauss_next, draws, unused):
+    """The shared bit generator draws the words ``getrandbits`` packs,
+    and advancing the source by the words used leaves it where
+    ``getrandbits`` over those words leaves it, its gauss kept."""
+    seed = 2**200 + pos
+    rng, twin = state_at(seed, pos, gauss_next), state_at(seed, pos, gauss_next)
+    with uniform._BITS_LOCK:
+        uniform._copy_state(rng)
+        words = np.concatenate([uniform._BITS.random_raw(m) for m in draws])
+        assert rng.getstate() == twin.getstate()
+        used = max(words.size - unused, 0)
+        uniform._advance(rng, used)
+    total = sum(draws)
+    packed = twin.getrandbits(32 * total).to_bytes(4 * total, "little")
+    assert words.astype(np.uint32).tolist() == np.frombuffer(packed, "<u4").tolist()
+    twin = state_at(seed, pos, gauss_next)
+    if used:
+        twin.getrandbits(32 * used)
+    assert rng.getstate() == twin.getstate()
+    assert rng.getstate()[2] == gauss_next
+    assert rng.random() == twin.random()
+
+
+def test_threads_share_the_word_source():
+    """Decodes on several threads take turns with the one shared bit
+    generator: each gets its own stream, and each caller-owned
+    ``Random`` ends where stepping leaves it."""
+    workload = UniformWorkload(range(5), 3_000, 0.3)
+    expected = {seed: generate_stepwise(workload, seed) for seed in range(8)}
+    after = {}
+    for seed in expected:
+        stepped = random.Random(seed)
+        generate_stepwise(workload, stepped)
+        after[seed] = stepped.getstate()
+    failures = []
+
+    def decode(seeds):
+        for _ in range(5):
+            for seed in seeds:
+                owned = random.Random(seed)
+                if generate_decoded(workload, owned) != expected[seed]:
+                    failures.append(("owned", seed))
+                if owned.getstate() != after[seed]:
+                    failures.append(("state", seed))
+                if generate_decoded(workload, seed) != expected[seed]:
+                    failures.append(("int", seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=decode, args=([i, i + 4],)) for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def first_words(seed, count):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from unittest import mock
 
@@ -14,6 +15,7 @@ from repro import kernel
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
+from repro.kernel import evaluate
 from repro.kernel.compile import compile_batch, compile_schedule
 from repro.model.cost_model import CostModel
 from repro.model.request import read, write
@@ -40,6 +42,20 @@ def reference_compile(schedules, extra_processors=()):
             procs[row, column] = index_of[request.processor]
             is_write[row, column] = request.is_write
     return universe, procs, is_write, lengths
+
+
+def reference_previous(procs):
+    """Row by row: the flat position of each cell's previous cell in
+    its row with the same processor, or -1."""
+    width = procs.shape[1]
+    previous = []
+    for row, cells in enumerate(procs.tolist()):
+        last = {}
+        previous.append([])
+        for column, processor in enumerate(cells):
+            previous[-1].append(last.get(processor, -1))
+            last[processor] = row * width + column
+    return previous
 
 
 def assert_matches_reference(schedules, extra_processors=()):
@@ -129,6 +145,27 @@ class TestCompile:
         batch = compile_schedule(Schedule.parse("r1 w2"))
         with pytest.raises(ValueError):
             batch.procs[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "processors", [(1, 2, 3, 4, 5), (0, 2**40, 2**62)], ids=["dense", "sparse"]
+    )
+    def test_equal_and_ragged_batches_lay_out_alike(self, processors):
+        """Equal lengths take the reshape, a shorter trace the masked
+        copy; the traces they share compile to the same rows."""
+        traces = UniformWorkload(processors, 50).batch_independent(4, root_seed=3)
+        short = UniformWorkload(processors, 20).generate(9)
+        equal = compile_batch(traces, processors)
+        ragged = compile_batch([*traces, short], processors)
+        assert equal.universe == ragged.universe == processors
+        assert ragged.procs[:4].tolist() == equal.procs.tolist()
+        assert ragged.is_write[:4].tolist() == equal.is_write.tolist()
+        assert ragged.procs[4, 20:].tolist() == [0] * 30
+        assert not ragged.is_write[4, 20:].any()
+        for batch in (equal, ragged):
+            assert batch.procs.dtype == np.int32
+            for array in (batch.procs, batch.is_write, batch.lengths):
+                assert not array.flags.writeable
+        assert_matches_reference(traces, processors)
 
     def test_foreign_processor_lookup_raises(self):
         batch = compile_schedule(Schedule.parse("r1 w2"))
@@ -368,6 +405,29 @@ class TestEvaluate:
         batch = compile_schedule(Schedule.parse("r3 w3 r1"), {1, 2, 3})
         with pytest.raises(ConfigurationError):
             kernel.da_final_schemes(batch, {1})
+
+    def test_previous_same_processor_is_the_row_loop(self):
+        """Every batch of 1 to 3 rows, each 1 to 4 cells wide (a trace of
+        0 to 3 requests behind its virtual write), over 1 or 2
+        processors: a row's first cell of a processor has no previous
+        cell, even where the row before ends on the same processor."""
+        for n in (1, 2):
+            for rows in (1, 2, 3):
+                for width in (1, 2, 3, 4):
+                    flat = np.arange(rows * width, dtype=np.int32)
+                    flat = flat.reshape(rows, width)
+                    for cells in itertools.product(range(n), repeat=rows * width):
+                        procs = np.array(cells, dtype=np.int32).reshape(flat.shape)
+                        previous = evaluate._previous_same_processor(procs, n, flat)
+                        assert previous.dtype == flat.dtype
+                        assert previous.tolist() == reference_previous(procs)
+
+    def test_previous_same_processor_stops_at_the_row(self):
+        # Row 0 sorts last to processor 1, which row 1 sorts first.
+        procs = np.array([[1, 0], [1, 1], [0, 0]], dtype=np.int32)
+        flat = np.arange(6, dtype=np.int32).reshape(3, 2)
+        previous = evaluate._previous_same_processor(procs, 2, flat)
+        assert previous.tolist() == [[-1, -1], [-1, 2], [-1, 4]]
 
     def test_schedule_totals_price_summed_counts(self):
         counts = kernel.RequestCounts(
