@@ -3,8 +3,9 @@
 This is the glue between the generic log machinery
 (:mod:`repro.storage.wal`, :mod:`repro.storage.snapshot`) and the
 cluster node's lifecycle.  A :class:`NodeDurability` owns one node's
-``state-dir/node-<id>/`` directory (``wal.log`` + ``snapshot.bin``) and
-exposes typed appenders for every correctness-relevant transition:
+``state-dir/node-<id>/`` directory (``wal.log`` plus the two checkpoint
+slots ``snapshot.bin`` and ``snapshot.bin.1``) and exposes typed
+appenders for every correctness-relevant transition:
 
 ===========  =============================================  ==========
 kind         payload                                        folds into
@@ -152,25 +153,28 @@ class NodeDurability:
             self.take_snapshot()
 
     def log_seed(self, version: ObjectVersion) -> None:
-        self.record("seed", {"version": version_to_wire(version)})
+        if not self._muted:
+            self.record("seed", {"version": version_to_wire(version)})
 
     def log_object(self, version: ObjectVersion) -> None:
-        self.record("object", {"version": version_to_wire(version)})
+        if not self._muted:
+            self.record("object", {"version": version_to_wire(version)})
 
     def log_invalidate(self) -> None:
         self.record("inval")
 
     def log_join(self, members, steward: bool) -> None:
-        self.record(
-            "join",
-            {"members": sorted(int(n) for n in members), "steward": bool(steward)},
-        )
+        if not self._muted:
+            members = sorted(int(n) for n in members)
+            self.record("join", {"members": members, "steward": bool(steward)})
 
     def log_scheme(self, members) -> None:
-        self.record("scheme", {"members": sorted(int(n) for n in members)})
+        if not self._muted:
+            self.record("scheme", {"members": sorted(int(n) for n in members)})
 
     def log_commit(self, rid: int, number: int) -> None:
-        self.record("commit", {"rid": int(rid), "number": int(number)})
+        if not self._muted:
+            self.record("commit", {"rid": int(rid), "number": int(number)})
 
     def log_note(self, note: str, **payload: Any) -> None:
         self.record("note", {"note": note, **payload})
@@ -178,7 +182,8 @@ class NodeDurability:
     # -- snapshots ---------------------------------------------------------
 
     def take_snapshot(self) -> None:
-        """Fold the current node state into a snapshot; restart the log."""
+        """Fold the current node state into a checkpoint, written over the
+        older slot in place; then truncate the log in place."""
         if self.snapshot_state is None:
             return
         state = dict(self.snapshot_state())
@@ -191,10 +196,13 @@ class NodeDurability:
     # -- recovery ----------------------------------------------------------
 
     def recover(self) -> DurableState:
-        """Fold snapshot + log into the state a restarting node resumes.
+        """Fold checkpoint + log into the state a restarting node resumes.
 
-        Damage handling is the WAL's truncate-at-damage rule; a corrupt
-        snapshot degrades to pure log replay.  The caller charges
+        Damage handling is the WAL's truncate-at-damage rule.  Records at
+        or below the checkpoint's ``last_seq`` are inside it, so they are
+        skipped and not charged; a log starting past ``last_seq + 1`` is
+        ``damaged``.  With no valid checkpoint, recovery degrades to pure
+        log replay.  The caller charges
         ``state.replay_cost`` into ``io_reads`` and decides the recovery
         tier (fresh / stale) by probing a peer — this method is purely
         local.
@@ -206,13 +214,15 @@ class NodeDurability:
         if snapshot is not None:
             self._fold_snapshot(snapshot, state)
         result = self.wal.replay()
-        for record in result.records:
+        records = [r for r in result.records if r.seq > state.last_seq]
+        for record in records:
             self._fold_record(record, state)
-        state.replayed = len(result.records)
+        state.replayed = len(records)
         state.truncated_bytes = result.truncated_bytes
-        state.damaged = result.damaged
-        if result.records:
-            state.last_seq = result.records[-1].seq
+        gap = state.from_snapshot and records and records[0].seq > state.last_seq + 1
+        state.damaged = result.damaged or bool(gap)
+        if records:
+            state.last_seq = records[-1].seq
         self.wal.resume_from(max(state.last_seq, 0) + 1)
         self.metrics.wal_replayed += state.replayed
         if state.damaged:

@@ -1,8 +1,8 @@
 """Versioned per-processor storage: the paper's "local database".
 
 Also home to the durable-node machinery (PR 5): a CRC-checksummed
-append-only :class:`~repro.storage.wal.WriteAheadLog` and an atomic
-:class:`~repro.storage.snapshot.SnapshotStore`, which
+append-only :class:`~repro.storage.wal.WriteAheadLog` and a two-slot,
+overwritten-in-place :class:`~repro.storage.snapshot.SnapshotStore`, which
 :mod:`repro.cluster.durability` folds into crash recovery.
 """
 

@@ -40,6 +40,10 @@ from repro.exceptions import StorageError
 #: ``(length, crc32)`` header in front of every record body.
 _HEADER = struct.Struct(">II")
 
+#: One encoder for every record (and checkpoint): ``json.dumps`` would
+#: build a new one per call.  Sorted keys make the bytes stable.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 #: Records larger than this are rejected on append and treated as
 #: damage on replay: WAL payloads are tiny typed state transitions, so
 #: a huge length prefix means corruption, not a legitimate record.
@@ -127,10 +131,8 @@ class WriteAheadLog:
             kind=str(kind),
             payload=dict(payload or {}),
         )
-        body = json.dumps(
-            {"kind": record.kind, "payload": record.payload, "seq": record.seq},
-            separators=(",", ":"),
-            sort_keys=True,
+        body = _ENCODER.encode(
+            {"kind": record.kind, "payload": record.payload, "seq": record.seq}
         ).encode("utf-8")
         if len(body) > MAX_RECORD_BYTES:
             raise StorageError(
@@ -138,8 +140,7 @@ class WriteAheadLog:
                 f"{MAX_RECORD_BYTES}-byte limit"
             )
         handle = self._handle()
-        handle.write(_HEADER.pack(len(body), zlib.crc32(body)))
-        handle.write(body)
+        handle.write(_HEADER.pack(len(body), zlib.crc32(body)) + body)
         handle.flush()
         if self.sync:
             os.fsync(handle.fileno())
@@ -231,18 +232,16 @@ class WriteAheadLog:
         self._next_seq = int(next_seq)
 
     def reset(self) -> None:
-        """Drop the log content (after its state moved to a snapshot).
+        """Drop the log content (after its state moved to a checkpoint).
 
-        Sequence numbers keep counting: the snapshot records the last
-        folded sequence number, so replay can verify the log continues
-        where the snapshot left off.
+        The open handle is truncated in place; appends continue through
+        it.  Sequence numbers keep counting: the checkpoint records the
+        last folded sequence number, so recovery can verify the log
+        continues where the checkpoint left off.
         """
-        self.close()
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "wb"):
-            pass
+        handle = self._handle()
+        handle.seek(0)
+        handle.truncate()
 
     def _truncate_to(self, size: int) -> None:
         self.close()

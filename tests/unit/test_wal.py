@@ -75,6 +75,18 @@ class TestAppendReplay:
         assert wal.size() == 0
         assert wal.append("c").seq == 3
 
+    def test_reset_truncates_the_open_handle_in_place(self, log_path):
+        wal = WriteAheadLog(log_path)
+        wal.append("a")
+        handle, inode = wal._file, os.stat(log_path).st_ino
+        for kind in ("b", "c", "d"):
+            wal.reset()
+            wal.append(kind)
+            assert wal._file is handle and not handle.closed
+            assert os.stat(log_path).st_ino == inode
+        wal.close()
+        assert [r.kind for r in WriteAheadLog(log_path).replay().records] == ["d"]
+
     def test_resume_from_validates(self, log_path):
         with pytest.raises(StorageError):
             WriteAheadLog(log_path).resume_from(0)
@@ -192,13 +204,32 @@ class TestSnapshotStore:
         inject_tail_corruption(path, offset_from_end=1)
         assert store.load() is None
 
-    def test_save_replaces_atomically(self, tmp_path):
+    def test_save_overwrites_the_older_slot_in_place(self, tmp_path):
         path = str(tmp_path / "snap.bin")
         store = SnapshotStore(path)
-        store.save({"gen": 1})
-        store.save({"gen": 2})
-        assert store.load() == {"gen": 2}
+        store.save({"gen": 1, "last_seq": 1})
+        store.save({"gen": 2, "last_seq": 2})
+        assert store.load() == {"gen": 2, "last_seq": 2}
         assert not os.path.exists(path + ".tmp")
+        inodes = [os.stat(slot).st_ino for slot in store.paths]
+        store.save({"gen": 3, "last_seq": 3})
+        assert [os.stat(slot).st_ino for slot in store.paths] == inodes
+        assert SnapshotStore(path).load() == {"gen": 3, "last_seq": 3}
+        assert sorted(os.listdir(tmp_path)) == ["snap.bin", "snap.bin.1"]
+
+    def test_load_falls_back_to_the_older_valid_slot(self, tmp_path):
+        path = str(tmp_path / "snap.bin")
+        store = SnapshotStore(path)
+        store.save({"gen": 1, "last_seq": 1})
+        store.save({"gen": 2, "last_seq": 2})
+        inject_tail_corruption(store.paths[1], offset_from_end=1)
+        fresh = SnapshotStore(path)
+        assert fresh.load() == {"gen": 1, "last_seq": 1}
+        # The next save overwrites the corrupt slot, not the survivor.
+        fresh.save({"gen": 3, "last_seq": 3})
+        assert fresh.load() == {"gen": 3, "last_seq": 3}
+        fresh.delete()
+        assert SnapshotStore(path).load() is None
 
     def test_delete(self, tmp_path):
         store = SnapshotStore(str(tmp_path / "snap.bin"))
@@ -338,3 +369,137 @@ class TestNodeDurability:
         assert state.empty
         assert state.replay_cost == 0
         assert DurableState().empty
+
+
+class TestCheckpointSlots:
+    """Checkpoints overwrite two fixed slots in place; recovery takes
+    the newest valid one and folds only the log records after it."""
+
+    def _durability(self, tmp_path, **kwargs):
+        metrics = NodeMetrics(node_id=1)
+        durability = NodeDurability(1, str(tmp_path), metrics, **kwargs)
+        durability.snapshot_state = lambda: {
+            "version": {"number": durability.wal.last_seq, "writer": 1},
+            "valid": True, "join_list": [], "steward": False,
+            "scheme": [1, 2], "latest_commit": 0,
+        }
+        return durability, metrics
+
+    @staticmethod
+    def _log(durability, count):
+        for _ in range(count):
+            number = durability.wal.next_seq
+            durability.log_object(ObjectVersion(number, writer=1))
+
+    @staticmethod
+    def _folded(state):
+        return (state.version, state.valid, state.join_list, state.steward,
+                state.scheme, state.latest_commit, state.last_seq)
+
+    def test_slots_keep_their_inodes_and_no_temp_file_appears(self, tmp_path):
+        durability, metrics = self._durability(tmp_path, snapshot_every=2)
+        self._log(durability, 4)
+        slots = durability.snapshots.paths
+        inodes = [os.stat(slot).st_ino for slot in slots]
+        wal_inode = os.stat(wal_path(str(tmp_path), 1)).st_ino
+        for _ in range(4):
+            self._log(durability, 2)
+            assert [os.stat(slot).st_ino for slot in slots] == inodes
+            assert os.stat(wal_path(str(tmp_path), 1)).st_ino == wal_inode
+            assert sorted(os.listdir(node_state_dir(str(tmp_path), 1))) == [
+                "snapshot.bin", "snapshot.bin.1", "wal.log",
+            ]
+        assert metrics.snapshots_written == 6
+
+    @pytest.mark.parametrize("checkpoints", [3, 4])
+    def test_fresh_node_loads_the_newest_slot_and_overwrites_the_other(
+        self, tmp_path, checkpoints
+    ):
+        durability, _ = self._durability(tmp_path, snapshot_every=0)
+        for _ in range(checkpoints):
+            self._log(durability, 2)
+            durability.take_snapshot()
+        durability.close()
+        newest = (checkpoints - 1) % 2
+        slots = durability.snapshots.paths
+        with open(slots[newest], "rb") as handle:
+            newest_frame = handle.read()
+
+        fresh, _ = self._durability(tmp_path, snapshot_every=0)
+        state = fresh.recover()
+        assert state.from_snapshot and state.replayed == 0
+        assert state.last_seq == 2 * checkpoints
+        assert state.version == ObjectVersion(2 * checkpoints, writer=1)
+        self._log(fresh, 1)
+        fresh.take_snapshot()
+        fresh.close()
+        with open(slots[newest], "rb") as handle:
+            assert handle.read() == newest_frame
+        assert SnapshotStore(slots[0]).load()["last_seq"] == 2 * checkpoints + 1
+
+    def test_log_records_inside_the_checkpoint_are_not_charged_again(
+        self, tmp_path
+    ):
+        """A crash between the checkpoint and the log reset leaves the
+        checkpointed records in the log; recovery skips them."""
+        durability, _ = self._durability(tmp_path, snapshot_every=0)
+        self._log(durability, 3)
+        durability.wal.reset = lambda: None  # the crash: no reset
+        durability.take_snapshot()
+        self._log(durability, 1)
+        durability.close()
+
+        fresh, metrics = self._durability(tmp_path)
+        state = fresh.recover()
+        assert state.from_snapshot and not state.damaged
+        assert state.replayed == 1
+        assert state.replay_cost == 2  # one checkpoint + one record
+        assert metrics.wal_replayed == 1
+        assert state.version == ObjectVersion(4, writer=1)
+        assert state.last_seq == 4
+        assert fresh.wal.next_seq == 5
+
+    def test_log_that_skips_past_the_checkpoint_is_damage(self, tmp_path):
+        durability, _ = self._durability(tmp_path, snapshot_every=0)
+        self._log(durability, 2)
+        durability.take_snapshot()  # last_seq 2
+        durability.wal.resume_from(5)  # records 3 and 4 never reach the log
+        self._log(durability, 1)
+        durability.close()
+
+        fresh, metrics = self._durability(tmp_path)
+        state = fresh.recover()
+        assert state.from_snapshot
+        assert state.damaged
+        assert metrics.wal_truncations == 1
+        assert state.last_seq == 5
+
+    def test_newest_slot_torn_at_every_offset_recovers_the_same_state(
+        self, tmp_path
+    ):
+        """Crash mid-checkpoint: the slot being overwritten holds a
+        prefix of the new frame over its old content, and the log was
+        not yet reset.  The older slot plus the log give the same state
+        as the finished checkpoint."""
+        durability, _ = self._durability(tmp_path, snapshot_every=0)
+        for _ in range(2):
+            self._log(durability, 3)
+            durability.take_snapshot()
+        self._log(durability, 3)
+        slot = durability.snapshots.paths[0]  # holds the oldest checkpoint
+        with open(slot, "rb") as handle:
+            old_frame = handle.read()
+        durability.wal.reset = lambda: None  # the crash: no reset
+        durability.take_snapshot()
+        durability.close()
+        with open(slot, "rb") as handle:
+            new_frame = handle.read()
+        expected = self._folded(self._durability(tmp_path)[0].recover())
+        assert expected[-1] == 9
+
+        for cut in range(len(new_frame)):
+            with open(slot, "wb") as handle:
+                handle.write(new_frame[:cut] + old_frame[cut:])
+            state = self._durability(tmp_path)[0].recover()
+            assert self._folded(state) == expected, cut
+            assert state.from_snapshot and not state.damaged, cut
