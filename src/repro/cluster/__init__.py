@@ -3,9 +3,9 @@
 The third realization of the paper's algorithms, after the stepped
 analytic model (:mod:`repro.core`) and the discrete-event simulator
 (:mod:`repro.distsim`): real asyncio nodes, real length-prefixed
-frames — fixed binary layouts for the hot client, protocol and
-completion frames, JSON for the rest — on real TCP or Unix-domain
-sockets, per-node metrics that map 1:1 onto the paper's
+frames — one fixed binary layout per client, protocol, completion and
+repair frame type, JSON for the admin plane only — on real TCP or
+Unix-domain sockets, per-node metrics that map 1:1 onto the paper's
 ``c_c``/``c_d``/I-O accounting.  The headline
 invariant — asserted end-to-end in ``tests/integration`` — is that a
 replayed trace produces *bit-identical* message and I/O totals across

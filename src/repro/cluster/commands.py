@@ -29,7 +29,6 @@ import time
 from typing import Dict, List
 
 from repro.analysis.report import format_mapping, format_table
-from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
 from repro.cluster.launcher import LISTENING_BANNER, ClusterSpec, start_cluster
 from repro.cluster.loadgen import (
     ClusterClient,
@@ -66,7 +65,6 @@ def cmd_cluster_serve(args) -> int:
         primary=args.primary,
         address=Address.parse(args.listen),
         state_dir=args.state_dir,
-        snapshot_every=args.snapshot_every,
     )
 
     async def serve() -> None:
@@ -109,7 +107,6 @@ def _cluster_spec(args, schedule=None) -> ClusterSpec:
         transport=args.transport,
         resilience=RetryPolicy(seed=args.seed),
         state_dir=args.state_dir,
-        snapshot_every=args.snapshot_every,
     )
 
 
@@ -329,10 +326,6 @@ def add_cluster_parser(subparsers, scheme_type) -> None:
             "--state-dir", default=None,
             help="root directory for per-node WAL + snapshots "
                  "(enables durability; see docs/durability.md)",
-        )
-        parser.add_argument(
-            "--snapshot-every", type=int, default=DEFAULT_SNAPSHOT_EVERY,
-            help="compact the WAL into a snapshot every N records",
         )
         if with_nodes:
             parser.add_argument(

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.cluster.metrics import NodeMetrics
-from repro.cluster.rpc import version_from_wire, version_to_wire
 from repro.storage.snapshot import SnapshotStore
 from repro.storage.versions import ObjectVersion
 from repro.storage.wal import WriteAheadLog
@@ -66,6 +65,24 @@ def wal_path(state_dir: str, node_id: int) -> str:
 
 def snapshot_path(state_dir: str, node_id: int) -> str:
     return os.path.join(node_state_dir(state_dir, node_id), SNAPSHOT_FILENAME)
+
+
+def version_to_wire(version: Optional[ObjectVersion]) -> Optional[dict]:
+    """A version as the WAL and snapshot JSON store it."""
+    if version is None:
+        return None
+    wire: Dict[str, Any] = {"number": version.number, "writer": version.writer}
+    if version.payload is not None:
+        wire["payload"] = version.payload
+    return wire
+
+
+def version_from_wire(wire: Optional[Mapping[str, Any]]) -> Optional[ObjectVersion]:
+    if wire is None:
+        return None
+    return ObjectVersion(
+        int(wire["number"]), int(wire["writer"]), wire.get("payload")
+    )
 
 
 @dataclass

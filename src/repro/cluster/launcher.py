@@ -28,7 +28,6 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
 from repro.cluster.loadgen import NodeCalls
 from repro.cluster.metrics import NodeMetrics, aggregate
 from repro.cluster.node import NodeConfig, NodeServer
@@ -77,8 +76,6 @@ class ClusterSpec:
     #: Fault-free traffic is the same either way — only recovery
     #: changes (tiered log replay; see ``docs/durability.md``).
     state_dir: Optional[str] = None
-    #: WAL records between snapshots on each durable node.
-    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
 
     def __post_init__(self) -> None:
         self.processors = tuple(sorted(set(int(p) for p in self.processors)))
@@ -100,7 +97,6 @@ class ClusterSpec:
             address=address,
             resilience=self.resilience,
             state_dir=self.state_dir,
-            snapshot_every=self.snapshot_every,
         )
 
 
@@ -356,12 +352,7 @@ def _serve_command(spec: ClusterSpec, node_id: int, address: Address) -> List[st
     if spec.primary is not None:
         command += ["--primary", str(spec.primary)]
     if spec.state_dir is not None:
-        command += [
-            "--state-dir",
-            spec.state_dir,
-            "--snapshot-every",
-            str(spec.snapshot_every),
-        ]
+        command += ["--state-dir", spec.state_dir]
     return command
 
 

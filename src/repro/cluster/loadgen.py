@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.resilience import RetryPolicy
-from repro.cluster.rpc import FrameConnection, version_from_wire, version_to_wire
+from repro.cluster.rpc import FrameConnection
 from repro.cluster.transport import Address, connect
 from repro.exceptions import ClusterError
 from repro.model.schedule import Schedule
@@ -208,9 +208,7 @@ class ClusterClient(NodeCalls):
     ) -> RequestOutcome:
         """Run one request on a node; never raises for protocol-level
         failures — inspect the outcome's ``ok``/``error``."""
-        frame: Dict[str, object] = {"type": "exec", "rid": rid, "op": op}
-        if version is not None:
-            frame["version"] = version_to_wire(version)
+        frame = {"type": "exec", "rid": rid, "op": op, "version": version}
         started = time.monotonic()
         attempts = self.retry.attempts
         retries = 0
@@ -234,7 +232,7 @@ class ClusterClient(NodeCalls):
                 node=node_id,
                 op=op,
                 ok=bool(reply.get("ok")),
-                version=version_from_wire(reply.get("version")),
+                version=reply.get("version"),
                 error=reply.get("error"),
                 latency=time.monotonic() - started,
                 retries=retries,

@@ -18,6 +18,12 @@ connection speaks the frame vocabulary of :mod:`repro.cluster.rpc`:
   ``reset_metrics``/``crash``/``recover``/``shutdown``) let launchers,
   the repairer and tests steer the node.
 
+Only admin frames are JSON.  Every other frame arrives decoded from its
+binary layout, with each field present and typed and versions as
+:class:`~repro.storage.versions.ObjectVersion`, so its handler reads it
+without guards: a malformed one closed its connection before the node
+saw it.  An admin frame with a malformed field is answered ``error``.
+
 Every frame is served the moment it arrives, and the node's own peer
 sends are plain calls; the node starts no task.  A client ``exec``, a
 ``repair_send`` and a ``recover`` are continuations: the handler opens a
@@ -52,19 +58,17 @@ from typing import (
     Mapping,
     Optional,
     Set,
-    Tuple,
 )
 
-from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY, NodeDurability
+from repro.cluster.durability import NodeDurability, version_to_wire
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.protocol import make_live_protocol
 from repro.cluster.resilience import DedupCache, RetryPolicy
-from repro.cluster.rpc import FrameConnection, version_from_wire, version_to_wire
+from repro.cluster.rpc import FrameConnection
 from repro.cluster.transport import Address, FaultPlan, PeerTransport, start_server
 from repro.exceptions import (
     ClusterDegradedError,
     ClusterError,
-    ConfigurationError,
     ProtocolError,
     StorageError,
 )
@@ -98,8 +102,6 @@ class NodeConfig:
     #: uncharged riders on already-charged I/O); only recovery changes,
     #: gaining the tiered log-replay path.
     state_dir: Optional[str] = None
-    #: WAL records between snapshots (bounds replay length).
-    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY
 
 
 @dataclass
@@ -158,10 +160,6 @@ class _JournaledSet(set):
             super().discard(item)
             self._notify()
 
-    def remove(self, item) -> None:
-        super().remove(item)
-        self._notify()
-
     def update(self, items) -> None:
         fresh = set(items) - self
         if fresh:
@@ -188,10 +186,7 @@ class NodeServer:
         #: The node's journal (WAL + snapshots); a permanently muted
         #: no-op for a volatile node (no state dir).
         self.durability = NodeDurability(
-            config.node_id,
-            config.state_dir,
-            self.metrics,
-            snapshot_every=config.snapshot_every,
+            config.node_id, config.state_dir, self.metrics
         )
         self.durability.snapshot_state = self._durable_snapshot_state
         #: Highest version number this node acknowledged a write for.
@@ -348,11 +343,7 @@ class NodeServer:
         ran (or is running) observes the original outcome and never
         re-executes a write.  A retry of a running request joins the
         connections its reply goes to."""
-        try:
-            rid, op, version = self._decode_exec(frame)
-        except ClusterError as error:
-            _send(connection, self._failure(frame.get("rid"), error))
-            return
+        rid, op, version = frame["rid"], frame["op"], frame["version"]
         cached = self._exec_cache.lookup(rid)
         if cached is not None or rid in self._exec_inflight:
             self.metrics.dedup_hits += 1
@@ -376,26 +367,6 @@ class NodeServer:
             self.fail_pending(rid, error)
             then(None, error)
 
-    @staticmethod
-    def _decode_exec(
-        frame: Mapping[str, Any],
-    ) -> Tuple[int, str, Optional[ObjectVersion]]:
-        """Parse an exec frame; a malformed one is a ClusterError.  The
-        rid must be an int as sent: its reply is matched by it."""
-        rid = frame.get("rid")
-        if type(rid) is not int:
-            raise ClusterError(f"malformed exec frame: rid {rid!r} is not an int")
-        try:
-            version = version_from_wire(frame.get("version"))
-        except (TypeError, ValueError, KeyError, ConfigurationError) as error:
-            raise ClusterError(f"malformed exec frame: {error!r}") from error
-        op = frame.get("op")
-        if op not in ("read", "write"):
-            raise ClusterError(f"unknown exec op {op!r} (expected read/write)")
-        if op == "write" and version is None:
-            raise ClusterError("a write exec frame needs a 'version'")
-        return rid, op, version
-
     def _reply(
         self,
         rid: int,
@@ -418,22 +389,20 @@ class NodeServer:
                 # an acknowledged write must be recoverable from the log.
                 self._latest_commit = max(self._latest_commit, version.number)
                 self.durability.log_commit(rid, version.number)
-            payload = {
-                "type": "result",
-                "rid": rid,
-                "ok": True,
-                "version": version_to_wire(version),
-            }
+            payload = {"type": "result", "rid": rid, "ok": True, "version": version}
         self._exec_cache.store(rid, payload)
         for connection in waiters:
             _send(connection, payload)
 
-    def _failure(self, rid: Any, error: Exception) -> Dict[str, Any]:
+    def _failure(self, rid: int, error: Exception) -> Dict[str, Any]:
         self.metrics.request_errors += 1
-        payload = {"type": "result", "rid": rid, "ok": False, "error": str(error)}
-        if isinstance(error, ClusterDegradedError):
-            payload["degraded"] = True
-        return payload
+        return {
+            "type": "result",
+            "rid": rid,
+            "ok": False,
+            "error": str(error),
+            "degraded": isinstance(error, ClusterDegradedError),
+        }
 
     # -- the peer plane ----------------------------------------------------
 
@@ -449,19 +418,12 @@ class NodeServer:
             # drop and resolve the sender's work unit via the oracle,
             # matching the simulated network's on_dropped rule.
             self.metrics.dropped_messages += 1
-            self.transport.send_done(
-                message.sender,
-                getattr(message, "request_id", 0),
-                dropped=True,
-            )
+            self.transport.send_done(message.sender, frame["rid"], dropped=True)
             return
         self.protocol.handle_message(message)
 
     def _handle_done(self, frame: Mapping[str, Any]) -> None:
-        rid, source = frame.get("rid"), frame.get("from")
-        if type(rid) is not int or type(source) is not int:
-            return  # malformed: peers send both as ints
-        dropped = bool(frame.get("dropped", False))
+        rid, source = frame["rid"], frame["from"]
         pending = self._pending.get(rid)
         if pending is None:
             return  # late oracle for a request that already failed
@@ -471,7 +433,7 @@ class NodeServer:
             # removal keeps only targets whose invalidation could NOT
             # be confirmed).
             self.join_list.discard(source)
-        if dropped:
+        if frame["dropped"]:
             pending.crash_settled.add(source)
         # A store or invalidation resolved (delivered or dropped —
         # either way the work unit is settled); ``failed`` means a relay
@@ -479,7 +441,7 @@ class NodeServer:
         # that crashed, holds no copy or lost its answer settles the
         # unit with no value, so the walk asks the next candidate.
         relayed = "a relayed invalidation was permanently lost"
-        self.finish_unit(rid, relayed if frame.get("failed") else None)
+        self.finish_unit(rid, relayed if frame["failed"] else None)
 
     def _settle_lost(self, receiver: int, rid: int) -> None:
         """The one rule for a charged frame that every attempt lost,
@@ -507,7 +469,9 @@ class NodeServer:
         self, kind: str, frame: Mapping[str, Any], connection: FrameConnection
     ) -> None:
         """Answer an admin frame: at once, or — ``repair_send`` and
-        ``recover`` — from the callback of the entry the frame opened."""
+        ``recover`` — from the callback of the entry the frame opened.
+        A frame with a malformed field is answered ``error``, and every
+        handler parses its fields before it changes any state."""
 
         def answer(
             reply: Optional[Dict[str, Any]], error: Optional[Exception] = None
@@ -526,7 +490,9 @@ class NodeServer:
                 self.recover(answer)
             else:
                 answer(self._admin_reply(kind, frame))
-        except ClusterError as error:
+        except (
+            ClusterError, LookupError, AttributeError, TypeError, ValueError
+        ) as error:
             answer(None, error)
 
     def _admin_reply(self, kind: str, frame: Mapping[str, Any]) -> Dict[str, Any]:
@@ -582,12 +548,13 @@ class NodeServer:
                 raise ClusterError(
                     f"node {self.node_id} is crashed and cannot adopt"
                 )
+            members = {int(n) for n in frame.get("nodes", ())}
             if bool(frame.get("steward", False)) and not self.steward:
                 # Flip the flag before the membership update so the
                 # journaled join record carries the steward bit.
                 self.steward = True
                 self._journal_join_state()
-            self.join_list.update(int(n) for n in frame.get("nodes", ()))
+            self.join_list.update(members)
             return {"type": "ok", "op": "adopt"}
         if kind == "set_scheme":
             members = frozenset(int(n) for n in frame.get("scheme", ()))
@@ -640,22 +607,18 @@ class NodeServer:
 
         self.open_pending(rid, "c", 1, settled)
         try:
-            self.transport.send_repair(target, rid, version_to_wire(version))
+            self.transport.send_repair(target, rid, version)
         except ClusterError as error:
             self.fail_pending(rid, error)
 
     def _handle_repair_copy(self, frame: Mapping[str, Any]) -> None:
         """Peer plane: install a repair copy shipped by a donor."""
-        rid = int(frame.get("rid", 0))
-        donor = int(frame.get("from", -1))
+        rid, donor = frame["rid"], frame["from"]
         if self.crashed:
             self.metrics.dropped_messages += 1
             self.transport.send_done(donor, rid, dropped=True)
             return
-        version = version_from_wire(frame.get("version"))
-        if version is None:
-            raise ClusterError("a repair frame needs a 'version'")
-        self.output_object(version)
+        self.output_object(frame["version"])
         self.metrics.repairs_received += 1
         self.transport.send_done(donor, rid)
 

@@ -1,24 +1,26 @@
-"""Wire format of the live cluster: length-prefixed binary or JSON frames.
+"""Wire format of the live cluster: one binary layout per frame type,
+JSON for the admin plane only.
 
 Every frame on a cluster connection — client requests, peer protocol
 messages, completion notifications, admin commands — is a body
 prefixed with a 4-byte big-endian length.  The body's first byte
 selects its layout.  ``{`` opens a UTF-8 JSON object with sorted keys:
-the admin plane, ``repair``, and any ``exec``, ``result`` or ``done``
-frame whose fields its binary layout cannot carry exactly (a string
-``rid``, an int beyond int64, a key with no slot).  Any other byte is
-a tag naming one fixed big-endian :mod:`struct` layout, ``q`` for an
-int and ``?`` for a bool: a read and a write ``exec``, an answered and
-a failed ``result``, ``done``, and one per class in
+an admin frame.  Any other byte is a tag naming one fixed big-endian
+:mod:`struct` layout, ``q`` for an int and ``?`` for a bool, built from
+one table of fields: a read and a write ``exec``, an answered and a
+failed ``result``, ``done``, ``repair``, and one per class in
 :data:`MESSAGE_TYPES`, derived from its dataclass fields.  A version's
 payload (as JSON), or a failure's error text, follows as a tail.
 
-Decoding a binary body gives the mapping that decoding its JSON form
-would.  A ``msg`` frame is binary only: its mapping is ``{"type":
-"msg", "rid": R, "message": M}``, and a message with a field its
-layout cannot carry raises ``ClusterError`` at encode.  A truncated
-binary body, an unknown tag, trailing bytes and a JSON ``msg`` are
-malformed.  A captured stream decodes with ``struct`` + ``json`` alone.
+A decoded frame is a mapping with ``type`` and ``rid`` holding every
+field of its layout, as objects: ``exec``, ``result`` and ``repair``
+carry an :class:`~repro.storage.versions.ObjectVersion` (``None`` for a
+read, or an answer without a copy), a ``msg`` its protocol message as
+``message``; ``done`` always carries ``failed``, and a failed
+``result`` ``degraded``.  A frame its layout cannot carry raises
+``ClusterError`` at encode.  A JSON body whose ``type`` has a layout, a
+truncated binary body, an unknown tag and trailing bytes are malformed.
+A captured stream decodes with ``struct`` + ``json`` alone.
 
 Frame families (the ``type`` field):
 
@@ -58,14 +60,13 @@ import asyncio
 import json
 import struct
 from dataclasses import fields
-from operator import attrgetter
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Mapping, Optional
 from typing import get_type_hints
 
 from repro.distsim.messages import (
     DataTransfer,
     Invalidate,
-    Message,
     ReadRequest,
     VersionInquiry,
     VersionReport,
@@ -89,21 +90,26 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 def encode_frame(payload: Mapping[str, Any]) -> bytes:
-    """Serialize one frame: 4-byte length prefix + body.  A payload its
-    type's binary layout carries exactly packs to that layout; any other
-    is JSON.  One that neither can carry raises ``ClusterError``."""
-    pack = _PACKERS.get(payload.get("type"))
+    """Serialize one frame: 4-byte length prefix + body.  A frame of a
+    type with a layout packs to it; any other is admin-plane JSON.  One
+    that its layout, or JSON, cannot carry raises ``ClusterError``."""
+    kind = payload.get("type")
     try:
-        data = None if pack is None else pack(payload)
-    except (_Misfit, struct.error, UnicodeEncodeError):
-        data = None  # JSON carries what the layout cannot
-    if data is None:
-        try:
+        if kind == "msg":
+            data = _BY_CLASS[type(payload["message"])].pack(payload)
+        elif kind in _BY_TYPE:
+            for layout in _BY_TYPE[kind]:
+                if layout.selects(payload):
+                    break
+            else:
+                raise ClusterError(f"no layout of a {kind!r} frame carries it")
+            data = layout.pack(payload)
+        else:
             data = _ENCODER.encode(payload).encode("utf-8")
-        except TypeError as error:
-            raise ClusterError(
-                f"no wire encoding for a {payload.get('type')!r} frame: {error}"
-            ) from error
+    except (LookupError, AttributeError, TypeError, ValueError, struct.error) as error:
+        raise ClusterError(
+            f"no wire encoding for a {kind!r} frame: {error!r}"
+        ) from error
     if len(data) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
@@ -114,14 +120,14 @@ def encode_frame(payload: Mapping[str, Any]) -> bytes:
 def _decode_body(body: bytes) -> Dict[str, Any]:
     """Parse one frame body; a malformed one raises ``ClusterError``."""
     if body[:1] != b"{":
-        unpack = _UNPACKERS.get(body[0]) if body else None
-        if unpack is None:
+        layout = _BY_TAG.get(body[0]) if body else None
+        if layout is None:
             raise ClusterError(
                 "every frame must be a JSON object with a 'type' or a "
                 f"binary body with a known tag, not {bytes(body[:1])!r}"
             )
         try:
-            return unpack(body)
+            return layout.unpack(body)
         except (struct.error, ValueError, ConfigurationError) as error:
             raise ClusterError(f"malformed binary frame body: {error}") from error
     try:
@@ -130,8 +136,8 @@ def _decode_body(body: bytes) -> Dict[str, Any]:
         raise ClusterError(f"malformed frame body: {error}") from error
     if not isinstance(payload, dict) or "type" not in payload:
         raise ClusterError("every frame must be a JSON object with a 'type'")
-    if payload["type"] == "msg":
-        raise ClusterError("a msg frame has no JSON form")
+    if payload["type"] in _LAID_OUT:
+        raise ClusterError(f"a {payload['type']} frame has no JSON form")
     return payload
 
 
@@ -227,31 +233,10 @@ class FrameConnection(asyncio.Protocol):
             self._on_close(self, self._error or exc)
 
 
-# -- object versions -------------------------------------------------------
-
-
-def version_to_wire(version: Optional[ObjectVersion]) -> Optional[dict]:
-    if version is None:
-        return None
-    wire: Dict[str, Any] = {"number": version.number, "writer": version.writer}
-    if version.payload is not None:
-        wire["payload"] = version.payload
-    return wire
-
-
-def version_from_wire(wire: Optional[Mapping[str, Any]]) -> Optional[ObjectVersion]:
-    if wire is None:
-        return None
-    return ObjectVersion(
-        int(wire["number"]), int(wire["writer"]), wire.get("payload")
-    )
-
-
 # -- binary layouts --------------------------------------------------------
 
-#: Every protocol message the cluster ships.  Each has a binary layout
-#: derived from its dataclass fields; a message class missing here has
-#: no wire form.
+#: Every protocol message the cluster ships, tagged 6 on in this order.
+#: A message class missing here has no wire form.
 MESSAGE_TYPES = (
     ReadRequest,
     Invalidate,
@@ -260,31 +245,27 @@ MESSAGE_TYPES = (
     DataTransfer,
 )
 
-#: The fixed fields of the client plane and of ``done``, tag first.
-#: ``exec``: a read's rid, or a write's rid and version number and
-#: writer.  ``result``: an answer's rid and optional version, or a
-#: failure's rid and degraded flag.  ``done``: rid, from, dropped, failed.
-_READ, _WRITE = struct.Struct(">Bq"), struct.Struct(">Bqqq")
-_OK, _FAILED = struct.Struct(">Bq?qq"), struct.Struct(">Bq?")
-_DONE = struct.Struct(">Bqq??")
-_READ_TAG, _WRITE_TAG, _OK_TAG, _FAILED_TAG, _DONE_TAG = range(1, 6)
-#: A message field's code by its type.  An optional version is a
-#: presence flag, number and writer, with its payload as a JSON tail.
-_FIELD_CODES = {int: "q", bool: "?", Optional[ObjectVersion]: "?qq"}
+#: Every other frame type's layouts: tag, type, the constant fields that
+#: select the layout (and that its decoded frames carry), and the fields
+#: it packs after the tag, in order.
+_FRAME_LAYOUTS = (
+    (1, "exec", {"op": "read", "version": None}, {"rid": int}),
+    (2, "exec", {"op": "write"}, {"rid": int, "version": ObjectVersion}),
+    (3, "result", {"ok": True}, {"rid": int, "version": Optional[ObjectVersion]}),
+    (4, "result", {"ok": False}, {"rid": int, "degraded": bool, "error": str}),
+    (5, "done", {}, {"rid": int, "from": int, "dropped": bool, "failed": bool}),
+    (11, "repair", {}, {"rid": int, "from": int, "version": ObjectVersion}),
+)
 
-
-class _Misfit(Exception):
-    """A payload its type's binary layout cannot carry exactly."""
-
-
-def _fit(fits: bool) -> None:
-    if not fits:
-        raise _Misfit
-
-
-def _split(layout: struct.Struct, body: bytes) -> Tuple[tuple, bytes]:
-    """A binary body's fixed fields and the tail after them."""
-    return layout.unpack_from(body), body[layout.size :]
+#: A field's struct code by its type.  A version is its number and
+#: writer, behind a presence flag when optional; a ``str`` is all tail.
+_CODES = {
+    int: "q",
+    bool: "?",
+    str: "",
+    ObjectVersion: "qq",
+    Optional[ObjectVersion]: "?qq",
+}
 
 
 def _no_tail(tail: bytes) -> None:
@@ -292,148 +273,114 @@ def _no_tail(tail: bytes) -> None:
         raise ClusterError(f"{len(tail)} trailing bytes after a binary frame")
 
 
-def _pack_version(wire: Any) -> tuple:
-    """A version mapping as ``(present, number, writer, payload tail)``."""
-    if wire is None:
-        return False, 0, 0, b""
-    _fit(type(wire) is dict and len(wire) == 2 + ("payload" in wire))
-    number, writer = wire.get("number"), wire.get("writer")
-    _fit(type(number) is int and type(writer) is int)
-    tail = _ENCODER.encode(wire["payload"]).encode() if "payload" in wire else b""
-    return True, number, writer, tail
+def _pack_version(version: ObjectVersion) -> tuple:
+    payload = version.payload
+    tail = b"" if payload is None else _ENCODER.encode(payload).encode()
+    return version.number, version.writer, tail
 
 
-def _unpack_version(present: bool, number: int, writer: int, tail: bytes) -> Any:
-    if not present:
-        _no_tail(tail)
-        return None
-    wire: Dict[str, Any] = {"number": number, "writer": writer}
-    if tail:
-        wire["payload"] = json.loads(tail)
-    return wire
+def _unpack_version(number: int, writer: int, tail: bytes) -> ObjectVersion:
+    return ObjectVersion(number, writer, json.loads(tail) if tail else None)
 
 
-def _pack_exec(frame: Mapping[str, Any]) -> bytes:
-    rid, op, version = frame.get("rid"), frame.get("op"), frame.get("version")
-    _fit(type(rid) is int and len(frame) == 3 + (version is not None))
-    if op == "read" and version is None:
-        return _READ.pack(_READ_TAG, rid)
-    present, number, writer, tail = _pack_version(version)
-    _fit(op == "write" and present)
-    return _WRITE.pack(_WRITE_TAG, rid, number, writer) + tail
+def _pack_optional(version: Optional[ObjectVersion]) -> tuple:
+    return (False, 0, 0, b"") if version is None else (True, *_pack_version(version))
 
 
-def _unpack_read(body: bytes) -> Dict[str, Any]:
-    (_, rid), tail = _split(_READ, body)
+def _unpack_optional(present: bool, number: int, writer: int, tail: bytes) -> Any:
+    if present:
+        return _unpack_version(number, writer, tail)
     _no_tail(tail)
-    return {"type": "exec", "rid": rid, "op": "read"}
+    return None
 
 
-def _unpack_write(body: bytes) -> Dict[str, Any]:
-    (_, rid, number, writer), tail = _split(_WRITE, body)
-    version = _unpack_version(True, number, writer, tail)
-    return {"type": "exec", "rid": rid, "op": "write", "version": version}
+#: The field types with a tail: how each packs to its fixed codes plus
+#: the tail, and how it unpacks from them.
+_TAILS = {
+    ObjectVersion: (_pack_version, _unpack_version),
+    Optional[ObjectVersion]: (_pack_optional, _unpack_optional),
+    str: (lambda text: (text.encode(),), lambda tail: tail.decode()),
+}
 
 
-def _pack_result(frame: Mapping[str, Any]) -> bytes:
-    rid, ok, error = frame.get("rid"), frame.get("ok"), frame.get("error")
-    _fit(type(rid) is int)
-    if ok is True:
-        _fit(len(frame) == 4 and "version" in frame)
-        *fixed, tail = _pack_version(frame["version"])
-        return _OK.pack(_OK_TAG, rid, *fixed) + tail
-    degraded = "degraded" in frame
-    _fit(ok is False and type(error) is str and len(frame) == 4 + degraded)
-    _fit(frame.get("degraded", True) is True)
-    return _FAILED.pack(_FAILED_TAG, rid, degraded) + error.encode()
+class _Layout:
+    """One frame layout: the tag, then each field by its :data:`_CODES`,
+    then the tail of the one field (at most) with a tail.  A message
+    layout (``cls`` set) reads its fields off the frame's ``message``
+    and decodes to an instance of ``cls``."""
 
+    def __init__(
+        self,
+        tag: int,
+        kind: str,
+        spec: Mapping[str, Any],
+        constants: Mapping[str, Any],
+        cls: Optional[type] = None,
+    ) -> None:
+        self.tag, self.kind, self.cls = tag, kind, cls
+        self.constants = dict(constants)
+        self._base = {"type": kind, **constants}
+        names, types = tuple(spec), list(spec.values())
+        codes = "".join(_CODES[t] for t in types)
+        self._packer = struct.Struct(">B" + codes)
+        self._unpacker = struct.Struct(">" + codes)
+        self._names = names
+        read = attrgetter(*names) if cls else itemgetter(*names)
+        self._read = read if len(names) > 1 else lambda frame: (read(frame),)
+        tailed = [index for index, t in enumerate(types) if t in _TAILS]
+        self._at = tailed[0] if tailed else None
+        if tailed:
+            self._width = len(_CODES[types[self._at]])
+            self._pack_tail, self._unpack_tail = _TAILS[types[self._at]]
 
-def _unpack_ok(body: bytes) -> Dict[str, Any]:
-    (_, rid, *fixed), tail = _split(_OK, body)
-    version = _unpack_version(*fixed, tail)
-    return {"type": "result", "rid": rid, "ok": True, "version": version}
+    def selects(self, frame: Mapping[str, Any]) -> bool:
+        for key, value in self.constants.items():
+            if frame.get(key) != value:
+                return False
+        return True
 
-
-def _unpack_failed(body: bytes) -> Dict[str, Any]:
-    (_, rid, degraded), tail = _split(_FAILED, body)
-    frame = {"type": "result", "rid": rid, "ok": False, "error": tail.decode()}
-    if degraded:
-        frame["degraded"] = True
-    return frame
-
-
-def _pack_done(frame: Mapping[str, Any]) -> bytes:
-    rid, source, dropped = frame.get("rid"), frame.get("from"), frame.get("dropped")
-    failed = "failed" in frame
-    _fit(type(rid) is int and type(source) is int and type(dropped) is bool)
-    _fit(frame.get("failed", True) is True and len(frame) == 4 + failed)
-    return _DONE.pack(_DONE_TAG, rid, source, dropped, failed)
-
-
-def _unpack_done(body: bytes) -> Dict[str, Any]:
-    (_, rid, source, dropped, failed), tail = _split(_DONE, body)
-    _no_tail(tail)
-    frame = {"type": "done", "rid": rid, "from": source, "dropped": dropped}
-    if failed:
-        frame["failed"] = True
-    return frame
-
-
-def _message_codec(tag: int, cls: type) -> Tuple[Callable, Callable]:
-    """The packer and unpacker of one message class: its tag, then its
-    dataclass fields in order, each by :data:`_FIELD_CODES`."""
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    layout = struct.Struct(">B" + "".join(_FIELD_CODES[hints[n]] for n in names))
-    values_of = attrgetter(*names)
-    versions = [hints[name] == Optional[ObjectVersion] for name in names]
-    at = versions.index(True) if any(versions) else None
-
-    def pack(message: Message) -> bytes:
-        values = values_of(message)
+    def pack(self, frame: Mapping[str, Any]) -> bytes:
+        values = self._read(frame if self.cls is None else frame["message"])
+        at = self._at
         if at is None:
-            return layout.pack(tag, *values)
-        *fixed, tail = _pack_version(version_to_wire(values[at]))
-        return layout.pack(tag, *values[:at], *fixed, *values[at + 1 :]) + tail
+            return self._packer.pack(self.tag, *values)
+        *fixed, tail = self._pack_tail(values[at])
+        rest = values[at + 1 :]
+        return self._packer.pack(self.tag, *values[:at], *fixed, *rest) + tail
 
-    def unpack(body: bytes) -> Dict[str, Any]:
-        values, tail = _split(layout, body)
-        args = list(values[1:])
+    def unpack(self, body: bytes) -> Dict[str, Any]:
+        values = self._unpacker.unpack_from(body, 1)
+        tail = body[self._packer.size :]
+        at = self._at
         if at is None:
             _no_tail(tail)
         else:
-            wire = _unpack_version(*args[at : at + 3], tail)
-            args[at : at + 3] = [version_from_wire(wire)]
-        message = cls(*args)
-        return {"type": "msg", "rid": message.request_id, "message": message}
-
-    return pack, unpack
-
-
-def _pack_msg(frame: Mapping[str, Any]) -> bytes:
-    message = frame.get("message")
-    pack = _MESSAGE_PACKERS.get(type(message))
-    _fit(pack is not None and len(frame) == 3)
-    _fit(frame.get("rid") == message.request_id)
-    try:
-        return pack(message)
-    except struct.error as error:
-        raise ClusterError(f"no wire encoding for {message.describe()}: {error}")
+            end = at + self._width
+            value = self._unpack_tail(*values[at:end], tail)
+            values = (*values[:at], value, *values[end:])
+        if self.cls is not None:
+            message = self.cls(*values)
+            return {"type": "msg", "rid": message.request_id, "message": message}
+        frame = self._base.copy()
+        frame.update(zip(self._names, values))
+        return frame
 
 
-_PACKERS = {
-    "exec": _pack_exec,
-    "result": _pack_result,
-    "done": _pack_done,
-    "msg": _pack_msg,
-}
-_UNPACKERS = {
-    _READ_TAG: _unpack_read,
-    _WRITE_TAG: _unpack_write,
-    _OK_TAG: _unpack_ok,
-    _FAILED_TAG: _unpack_failed,
-    _DONE_TAG: _unpack_done,
-}
-_MESSAGE_PACKERS = {}
-for _tag, _cls in enumerate(MESSAGE_TYPES, start=_DONE_TAG + 1):
-    _MESSAGE_PACKERS[_cls], _UNPACKERS[_tag] = _message_codec(_tag, _cls)
+def _message_spec(cls: type) -> Dict[str, Any]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+_LAYOUTS = [_Layout(tag, kind, spec, const) for tag, kind, const, spec in _FRAME_LAYOUTS]
+_LAYOUTS += [
+    _Layout(tag, "msg", _message_spec(cls), {}, cls)
+    for tag, cls in enumerate(MESSAGE_TYPES, start=6)
+]
+_BY_TAG = {layout.tag: layout for layout in _LAYOUTS}
+_BY_CLASS = {layout.cls: layout for layout in _LAYOUTS if layout.cls}
+_BY_TYPE: Dict[str, list] = {}
+for _layout in _LAYOUTS:
+    if _layout.cls is None:
+        _BY_TYPE.setdefault(_layout.kind, []).append(_layout)
+#: The frame types with a layout: none of them has a JSON form.
+_LAID_OUT = ("msg", *_BY_TYPE)

@@ -45,6 +45,7 @@ from repro.cluster.metrics import NodeMetrics
 from repro.cluster.resilience import RetryPolicy
 from repro.distsim.messages import Message
 from repro.exceptions import ClusterError
+from repro.storage.versions import ObjectVersion
 
 
 # -- addressing ------------------------------------------------------------
@@ -286,21 +287,15 @@ class PeerTransport:
         self.metrics.charge_message(message)
         self._ship(message.receiver, rid, data, 0)
 
-    def send_repair(
-        self, peer: int, rid: int, version_wire: Mapping[str, Any]
-    ) -> None:
+    def send_repair(self, peer: int, rid: int, version: ObjectVersion) -> None:
         """Ship a repair copy of the object to ``peer``.
 
         Charged as **one data message** (what the cost model prices a
         copy transfer at) and counted separately in ``repairs_sent``.
         Subject to transport faults and retries like any charged send."""
-        payload = {
-            "type": "repair",
-            "rid": rid,
-            "from": self.node_id,
-            "version": dict(version_wire),
-        }
-        data = encode_frame(payload)
+        data = encode_frame(
+            {"type": "repair", "rid": rid, "from": self.node_id, "version": version}
+        )
         self.metrics.data_sent += 1
         self.metrics.repairs_sent += 1
         self._ship(peer, rid, data, 0)
@@ -320,9 +315,8 @@ class PeerTransport:
             "rid": rid,
             "from": self.node_id,
             "dropped": dropped,
+            "failed": failed,
         }
-        if failed:
-            payload["failed"] = True
         self._write(peer, rid, encode_frame(payload), None)
 
     # -- plumbing ---------------------------------------------------------

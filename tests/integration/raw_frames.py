@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import struct
 from typing import Any, Dict, Mapping
 
 from repro.cluster.rpc import FrameConnection
 from repro.cluster.transport import Address, connect
+
+
+def framed(body: bytes) -> bytes:
+    """A hand-written body behind its length prefix."""
+    return struct.pack(">I", len(body)) + body
+
+
+def json_frame(frame: Mapping[str, Any]) -> bytes:
+    """A hand-written JSON frame: what no encoder emits for a type that
+    has a binary layout."""
+    return framed(json.dumps(frame, sort_keys=True).encode())
 
 
 class RawConnection:
@@ -15,8 +28,10 @@ class RawConnection:
 
     def __init__(self) -> None:
         self.replies: asyncio.Queue = asyncio.Queue()
+        self._closed = asyncio.Event()
         self.connection = FrameConnection(
-            lambda connection, frame: self.replies.put_nowait(frame)
+            lambda connection, frame: self.replies.put_nowait(frame),
+            lambda connection, error: self._closed.set(),
         )
 
     @classmethod
@@ -27,6 +42,14 @@ class RawConnection:
 
     def send(self, frame: Mapping[str, Any]) -> None:
         self.connection.send(frame)
+
+    def write(self, data: bytes) -> None:
+        """Send bytes as they are: a hand-written, maybe malformed, frame."""
+        self.connection.write(data)
+
+    async def closed_by_peer(self, timeout: float = 5.0) -> None:
+        """Wait until the node closed this connection."""
+        await asyncio.wait_for(self._closed.wait(), timeout)
 
     async def reply(self, timeout: float = 5.0) -> Dict[str, Any]:
         return await asyncio.wait_for(self.replies.get(), timeout)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 
 import pytest
 
@@ -23,14 +24,14 @@ from repro.cluster import (
     start_cluster,
     start_local_cluster,
 )
-from repro.cluster.rpc import MAX_FRAME_BYTES, encode_frame, version_to_wire
+from repro.cluster.rpc import MAX_FRAME_BYTES, encode_frame
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.distsim.messages import DataTransfer, ReadRequest
 from repro.storage.versions import ObjectVersion
 from repro.exceptions import ClusterError
 from repro.workloads.uniform import UniformWorkload
 from tests.integration.live_loop import run
-from tests.integration.raw_frames import RawConnection
+from tests.integration.raw_frames import RawConnection, framed, json_frame
 
 PROCESSORS = (1, 2, 3)
 SCHEME = frozenset({1, 2})
@@ -329,35 +330,34 @@ class TestSubprocessCluster:
 
 
 class TestMalformedExec:
-    def test_bad_version_gets_a_reply_and_releases_the_rid(self):
-        """A write whose version does not decode is answered ``ok:
-        false`` — each time it is sent — and leaves no in-flight entry
-        behind to wedge a retry of the same request id."""
+    #: A write whose version does not decode: as JSON, which no exec
+    #: has, and as its binary layout with a payload that is not JSON.
+    BAD_VERSIONS = (
+        json_frame({"type": "exec", "rid": 5, "op": "write",
+                    "version": {"number": "x", "writer": 3}}),
+        framed(struct.pack(">Bqqq", 2, 5, 1, 3) + b"{"),
+    )
+
+    def test_a_bad_version_closes_the_connection_and_runs_nothing(self):
+        """A write whose version does not decode closes the connection
+        it came on — each time it is sent — runs nothing, and leaves no
+        in-flight entry behind to wedge a later request with its rid."""
 
         async def scenario():
             cluster, client = await booted()
-            raw = await RawConnection.open(cluster.addresses[1])
             try:
-                frame = {
-                    "type": "exec",
-                    "rid": 5,
-                    "op": "write",
-                    "version": {"number": "x", "writer": 3},
-                }
-                replies = []
-                for _ in range(2):
-                    raw.send(frame)
-                    replies.append(await raw.reply())
-                for reply in replies:
-                    assert reply["type"] == "result"
-                    assert reply["rid"] == 5
-                    assert reply["ok"] is False
-                    assert "malformed exec frame" in reply["error"]
-                assert cluster.nodes[1]._exec_inflight == {}
-                # The node still serves well-formed requests.
-                assert (await client.execute(1, "read", rid=6)).ok
+                for data in self.BAD_VERSIONS * 2:
+                    raw = await RawConnection.open(cluster.addresses[1])
+                    raw.write(data)
+                    await raw.closed_by_peer()
+                    assert raw.replies.empty()
+                node = cluster.nodes[1]
+                assert node._exec_inflight == {} and node._pending == {}
+                assert node.metrics.io_writes == 0
+                assert node.metrics.requests_completed == 0
+                # The node still serves well-formed requests, rid 5 too.
+                assert (await client.execute(1, "read", rid=5)).ok
             finally:
-                raw.close()
                 await client.close()
                 await cluster.stop()
 
@@ -368,8 +368,9 @@ class TestMalformedExec:
     )
     def test_a_rid_that_is_not_an_int_is_refused(self, rid):
         """A reply is matched to its request by the rid as sent, so an
-        exec whose rid is not an int is refused: it neither reads
-        request 7's cached reply nor runs as some other request."""
+        exec whose rid is not an int — hand-written JSON, as no exec is
+        sent — closes the connection: it neither reads request 7's
+        cached reply nor runs as some other request."""
 
         async def scenario():
             cluster, client = await booted("SA")
@@ -386,14 +387,13 @@ class TestMalformedExec:
                 }
                 if rid is not None:
                     frame["rid"] = rid
-                raw.send(frame)
-                reply = await raw.reply()
-                assert reply["ok"] is False
-                assert "malformed exec frame" in reply["error"]
-                assert type(reply["rid"]) is type(rid) and reply["rid"] == rid
+                raw.write(json_frame(frame))
+                await raw.closed_by_peer()
+                assert raw.replies.empty()
                 status = await cluster.status(1)
                 assert status["version"] == {"number": 1, "writer": 1}
                 assert (await cluster.metrics())[1].io_writes == 1
+                assert cluster.nodes[1].metrics.dedup_hits == 0
             finally:
                 raw.close()
                 await client.close()
@@ -410,10 +410,10 @@ class TestMalformedExec:
         answers afterwards: it reports the rolled-back version without
         its payload."""
         header = {"type": "exec", "rid": 2, "op": "write"}
-        bare = {**header, "version": {"number": 2, "writer": 1, "payload": ""}}
+        bare = {**header, "version": ObjectVersion(2, 1, payload="")}
         payload = "x" * (MAX_FRAME_BYTES - len(encode_frame(bare)) + 4)
         version = ObjectVersion(2, 1, payload)
-        frame = {**header, "version": version_to_wire(version)}
+        frame = {**header, "version": version}
         store = DataTransfer(1, 2, version=version, request_id=2, save_copy=True)
         assert len(encode_frame(frame)) - 4 == MAX_FRAME_BYTES
         with pytest.raises(ClusterError, match="exceeds"):
@@ -466,11 +466,12 @@ class TestMalformedDone:
     def test_a_done_that_is_not_all_ints_settles_nothing(self, field, value):
         """Write 1's store to node 2 waits out a delayed link 1 -> 2.  A
         hand-written JSON ``done`` for it whose rid or sender is not an
-        int is dropped: the write is acknowledged only once its store
-        has landed."""
-        frame = {"type": "done", "rid": 1, "from": 2, "dropped": False, field: value}
-        # No binary layout fits the frame, so its body is JSON.
-        assert encode_frame(frame)[4:5] == b"{"
+        int closes its connection and settles nothing: the write is
+        acknowledged only once its store has landed."""
+        frame = {
+            "type": "done", "rid": 1, "from": 2, "dropped": False,
+            "failed": False, field: value,
+        }
 
         async def scenario():
             cluster, client = await booted("SA")
@@ -484,7 +485,8 @@ class TestMalformedDone:
                 )
                 await asyncio.sleep(0.1)
                 assert 1 in cluster.nodes[1]._pending
-                raw.send(frame)
+                raw.write(json_frame(frame))
+                await raw.closed_by_peer()
                 await asyncio.sleep(0.1)
                 assert not write.done()
                 reply = await write
@@ -612,6 +614,48 @@ class TestAdminPlane:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "adopt", "nodes": ["x"], "steward": True},
+            {"type": "set_scheme", "scheme": ["x"]},
+            {"type": "repair_send", "target": "x", "rid": 1},
+            {"type": "fault", "plan": {"default_delay": "x"}},
+            {"type": "resilience", "policy": {"attempts": "x"}},
+            {"type": "set_peers", "peers": {"x": "unix:/tmp/x.sock"}},
+        ],
+        ids=lambda frame: frame["type"],
+    )
+    def test_a_malformed_admin_field_gets_an_error_reply(self, frame):
+        """An admin frame whose field does not parse is answered
+        ``error`` with its ``id``, and changes nothing at the node."""
+
+        async def scenario():
+            cluster, client = await booted()
+            raw = await RawConnection.open(cluster.addresses[1])
+            node = cluster.nodes[1]
+
+            def state():
+                transport = node.transport
+                return (
+                    node.steward, set(node.join_list), node.protocol.scheme,
+                    dict(transport.peers), transport.fault_plan,
+                    transport.retry_policy, dict(node._pending),
+                )
+
+            try:
+                before = state()
+                raw.send({**frame, "id": 42})
+                reply = await raw.reply(timeout=2.0)
+                assert reply["type"] == "error" and reply["id"] == 42
+                assert state() == before
+                assert (await client.execute(1, "read", rid=1)).ok
+            finally:
+                raw.close()
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
 
     def test_a_reply_to_a_caller_that_hung_up_is_dropped(self):
         """An admin caller that closes its connection before the reply

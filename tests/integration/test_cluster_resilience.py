@@ -310,7 +310,7 @@ class TestDedup:
                     "type": "exec",
                     "rid": 1,
                     "op": "write",
-                    "version": {"number": 1, "writer": 1},
+                    "version": ObjectVersion(1, 1),
                 }
                 raw = await RawConnection.open(cluster.addresses[1])
                 try:
@@ -345,7 +345,7 @@ class TestDedup:
                 "type": "exec",
                 "rid": 1,
                 "op": "write",
-                "version": {"number": 1, "writer": 1},
+                "version": ObjectVersion(1, 1),
             }
             first = await RawConnection.open(cluster.addresses[1])
             retry = await RawConnection.open(cluster.addresses[1])

@@ -33,6 +33,7 @@ from repro.cluster import (
     start_local_cluster,
     wal_path,
 )
+from repro.cluster.durability import DEFAULT_SNAPSHOT_EVERY
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ClusterError
@@ -53,7 +54,6 @@ async def booted(
     processors=(1, 2, 3),
     scheme=SCHEME,
     primary=PRIMARY,
-    snapshot_every: int = 64,
 ):
     spec = ClusterSpec(
         processors=tuple(processors),
@@ -62,7 +62,6 @@ async def booted(
         primary=primary if protocol == "DA" else None,
         resilience=POLICY,
         state_dir=str(state_dir),
-        snapshot_every=snapshot_every,
     )
     cluster = await start_local_cluster(spec)
     client = ClusterClient(cluster.addresses, timeout=10.0, retry=POLICY)
@@ -315,10 +314,14 @@ class TestFaultFreeParity:
 
 class TestSnapshots:
     def test_snapshot_compaction_bounds_replay(self, tmp_path):
+        # Each write appends at least one record at node 1, so this many
+        # writes go past the snapshot interval.
+        writes = DEFAULT_SNAPSHOT_EVERY + 1
+
         async def scenario():
-            cluster, client = await booted(tmp_path, snapshot_every=4)
+            cluster, client = await booted(tmp_path)
             try:
-                for number in range(1, 10):
+                for number in range(1, writes + 1):
                     write = await client.execute(
                         1, "write", rid=number,
                         version=ObjectVersion(number, 1),
@@ -334,8 +337,8 @@ class TestSnapshots:
                 assert reply["tier"] == "log-fresh"
                 # Replay folded the snapshot plus a short log suffix,
                 # not one record per write since launch.
-                assert reply["replayed"] < 9
-                assert reply["version"]["number"] == 9
+                assert reply["replayed"] < writes
+                assert reply["version"]["number"] == writes
             finally:
                 await client.close()
                 await cluster.stop()

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.durability import version_from_wire, version_to_wire
 from repro.cluster.metrics import NodeMetrics
 from repro.cluster.rpc import (
     MAX_FRAME_BYTES,
     MESSAGE_TYPES,
     FrameConnection,
     encode_frame,
-    version_from_wire,
-    version_to_wire,
 )
 from repro.cluster.transport import Address, PeerTransport
 from repro.distsim import messages
@@ -33,6 +32,7 @@ from repro.distsim.messages import (
 )
 from repro.exceptions import ClusterError
 from repro.storage.versions import ObjectVersion
+from tests.integration.raw_frames import json_frame
 
 
 class FakeTransport:
@@ -161,6 +161,13 @@ class TestFrameConnection:
             framed(b"\xee" + READ_BODY[1:]),
             framed(READ_BODY + b"\x00"),
             framed(b'{"m":["read_request",4,1],"rid":9,"type":"msg"}'),
+            json_frame({"type": "exec", "rid": 4, "op": "read"}),
+            json_frame({"type": "result", "rid": 4, "ok": False, "error": "x",
+                         "degraded": False}),
+            json_frame({"type": "done", "rid": 4, "from": 2, "dropped": False,
+                         "failed": False}),
+            json_frame({"type": "repair", "rid": 4, "from": 2,
+                         "version": {"number": 1, "writer": 2}}),
         ],
         ids=[
             "oversize",
@@ -171,6 +178,10 @@ class TestFrameConnection:
             "unknown-tag",
             "trailing-bytes",
             "json-msg",
+            "json-exec",
+            "json-result",
+            "json-done",
+            "json-repair",
         ],
     )
     def test_bad_frame_closes_without_serving(self, data):
@@ -290,17 +301,18 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 
+VERSIONS = st.builds(
+    ObjectVersion,
+    st.integers(min_value=0, max_value=2**63 - 1),
+    INT64,
+    st.none() | JSON_VALUES,
+)
+
 #: A strategy per field type of the message classes.
 FIELD_VALUES = {
     int: INT64,
     bool: st.booleans(),
-    Optional[ObjectVersion]: st.none()
-    | st.builds(
-        ObjectVersion,
-        st.integers(min_value=0, max_value=2**63 - 1),
-        INT64,
-        st.none() | JSON_VALUES,
-    ),
+    Optional[ObjectVersion]: st.none() | VERSIONS,
 }
 
 
@@ -397,7 +409,7 @@ class TestMessageCodec:
         """A ``msg`` has no JSON form: a list-codec body, well-formed or
         not, closes the connection."""
         with pytest.raises(ClusterError, match="no JSON form"):
-            read_one_frame(encode_frame(wire))
+            read_one_frame(json_frame(wire))
 
     @pytest.mark.parametrize(
         "body",
@@ -413,6 +425,8 @@ class TestMessageCodec:
             struct.pack(">Bqqq", 2, 4, 2, 1) + b"\xff",
             struct.pack(">Bq?", 4, 5, True) + b"\xff",
             struct.pack(">Bqq??", 5, 3, 2, False, False) + b"\x00",
+            struct.pack(">Bqqqq", 11, 1, 2, -1, 2),
+            struct.pack(">Bqqq", 11, 1, 2, 3),
         ],
         ids=[
             "empty",
@@ -426,6 +440,8 @@ class TestMessageCodec:
             "bad-payload-utf8",
             "bad-error-utf8",
             "done-trailing",
+            "repair-negative-version-number",
+            "repair-truncated",
         ],
     )
     def test_malformed_binary_rejected(self, body):
@@ -463,18 +479,20 @@ class TestMessageCodec:
         assert metrics.to_wire() == NodeMetrics(1).to_wire()
 
 
-#: Client-plane and ``done`` frames as their producers build them, and
-#: the body each packs to.
+#: Client-plane, ``done`` and ``repair`` frames as their producers
+#: build them, and the body each packs to.
 HOT_FRAMES = [
     (
         {"type": "exec", "rid": 3, "op": "write",
-         "version": version_to_wire(ObjectVersion(2, 1, payload="é"))},
+         "version": ObjectVersion(2, 1, payload="é")},
         struct.pack(">Bqqq", 2, 3, 2, 1) + b'"\\u00e9"',
     ),
-    ({"type": "exec", "rid": 4, "op": "read"}, struct.pack(">Bq", 1, 4)),
     (
-        {"type": "result", "rid": 3, "ok": True,
-         "version": version_to_wire(ObjectVersion(2, 1))},
+        {"type": "exec", "rid": 4, "op": "read", "version": None},
+        struct.pack(">Bq", 1, 4),
+    ),
+    (
+        {"type": "result", "rid": 3, "ok": True, "version": ObjectVersion(2, 1)},
         struct.pack(">Bq?qq", 3, 3, True, 2, 1),
     ),
     (
@@ -487,44 +505,43 @@ HOT_FRAMES = [
         struct.pack(">Bq?", 4, 5, True) + b"boom",
     ),
     (
-        {"type": "result", "rid": 5, "ok": False, "error": "né"},
+        {"type": "result", "rid": 5, "ok": False, "error": "né",
+         "degraded": False},
         struct.pack(">Bq?", 4, 5, False) + "né".encode(),
     ),
     (
-        {"type": "done", "rid": 3, "from": 2, "dropped": False},
+        {"type": "done", "rid": 3, "from": 2, "dropped": False, "failed": False},
         struct.pack(">Bqq??", 5, 3, 2, False, False),
     ),
     (
         {"type": "done", "rid": 3, "from": 2, "dropped": True, "failed": True},
         struct.pack(">Bqq??", 5, 3, 2, True, True),
     ),
-]
-
-PAYLOADS = st.none() | JSON_VALUES
-VERSION_WIRES = st.builds(
-    lambda number, writer, payload: version_to_wire(
-        ObjectVersion(number, writer, payload)
+    (
+        {"type": "repair", "rid": 1_000_000_001, "from": 1,
+         "version": ObjectVersion(7, 2, payload=[1])},
+        struct.pack(">Bqqqq", 11, 1_000_000_001, 1, 7, 2) + b"[1]",
     ),
-    st.integers(min_value=0, max_value=2**63 - 1),
-    INT64,
-    PAYLOADS,
-)
+]
 
 #: Frames of every binary layout, each field across its int64 range.
 LAID_OUT = st.one_of(
     st.fixed_dictionaries({"type": st.just("exec"), "rid": INT64,
-                           "op": st.just("read")}),
+                           "op": st.just("read"), "version": st.none()}),
     st.fixed_dictionaries({"type": st.just("exec"), "rid": INT64,
-                           "op": st.just("write"), "version": VERSION_WIRES}),
+                           "op": st.just("write"), "version": VERSIONS}),
     st.fixed_dictionaries({"type": st.just("result"), "rid": INT64,
                            "ok": st.just(True),
-                           "version": st.none() | VERSION_WIRES}),
+                           "version": st.none() | VERSIONS}),
     st.fixed_dictionaries({"type": st.just("result"), "rid": INT64,
-                           "ok": st.just(False), "error": st.text()},
-                          optional={"degraded": st.just(True)}),
+                           "ok": st.just(False), "error": st.text(),
+                           "degraded": st.booleans()}),
     st.fixed_dictionaries({"type": st.just("done"), "rid": INT64,
-                           "from": INT64, "dropped": st.booleans()},
-                          optional={"failed": st.just(True)}),
+                           "from": INT64, "dropped": st.booleans(),
+                           "failed": st.booleans()}),
+    st.fixed_dictionaries({"type": st.just("repair"), "rid": INT64,
+                           "from": INT64, "version": VERSIONS}),
+    *(messages_of(cls).map(msg_frame) for cls in MESSAGE_TYPES),
 )
 
 #: Values a hand-written frame may carry, in and out of the layouts' range.
@@ -535,12 +552,9 @@ ODD_VALUES = (
     | st.none()
     | st.text(max_size=3)
     | st.floats(allow_nan=False, allow_infinity=False)
+    | st.dictionaries(st.sampled_from(["number", "writer"]), st.integers())
+    | VERSIONS
 )
-
-
-def same_json(left, right):
-    """Equal as JSON sees them: ``True`` is not ``1``, ``1.0`` is not ``1``."""
-    return json.dumps(left, sort_keys=True) == json.dumps(right, sort_keys=True)
 
 
 class TestBinaryLayouts:
@@ -548,7 +562,7 @@ class TestBinaryLayouts:
         "frame, body",
         HOT_FRAMES,
         ids=["write", "read", "ok", "ok-none", "degraded", "failed", "done",
-             "done-failed"],
+             "done-failed", "repair"],
     )
     def test_hot_frames_pack_to_their_layouts(self, frame, body):
         assert encode_frame(frame) == framed(body)
@@ -558,58 +572,71 @@ class TestBinaryLayouts:
     def test_round_trip_property(self, frame):
         data = encode_frame(frame)
         assert data[4:5] != b"{"
-        assert same_json(read_one_frame(data), frame)
+        assert read_one_frame(data) == frame
 
     @given(
-        kind=st.sampled_from(["exec", "result", "done"]),
+        kind=st.sampled_from(["exec", "result", "done", "repair"]),
         extra=st.dictionaries(
             st.sampled_from(["rid", "op", "ok", "from", "dropped", "failed",
                              "degraded", "error", "version", "x"]),
             ODD_VALUES,
         ),
     )
-    def test_any_frame_decodes_as_its_json_form(self, kind, extra):
-        """A frame a layout cannot carry exactly falls back to JSON, so
-        what arrives is what JSON would deliver, types included."""
+    def test_a_frame_of_a_laid_out_type_is_never_json(self, kind, extra):
+        """A hand-written frame packs to its type's layout, or raises
+        ``ClusterError`` when no layout carries it: nothing falls back to
+        JSON, and what is sent decodes as a frame of its type."""
         frame = {**extra, "type": kind}
-        as_json = json.loads(json.dumps(frame))
-        assert same_json(read_one_frame(encode_frame(frame)), as_json)
+        try:
+            data = encode_frame(frame)
+        except ClusterError:
+            return
+        assert data[4:5] != b"{"
+        decoded = read_one_frame(data)
+        assert decoded["type"] == kind and type(decoded["rid"]) is int
+
+    def test_every_layout_has_its_own_tag(self):
+        tags = [encode_frame(frame)[4] for frame, _ in HOT_FRAMES]
+        tags += [encode_frame(msg_frame(cls(1, 2)))[4] for cls in MESSAGE_TYPES]
+        assert sorted(set(tags)) == list(range(1, 12))
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "exec", "rid": 4, "op": "delete", "version": None},
+            {"type": "exec", "rid": 4, "op": "read",
+             "version": ObjectVersion(1, 1)},
+            {"type": "exec", "rid": 4, "op": "write", "version": None},
+            {"type": "exec", "rid": "4", "op": "read", "version": None},
+            {"type": "result", "rid": 2**63, "ok": True, "version": None},
+            {"type": "result", "rid": 5, "ok": False, "error": "boom"},
+            {"type": "done", "rid": 3, "from": 2, "dropped": False},
+            {"type": "repair", "rid": 1, "from": 2,
+             "version": {"number": 1, "writer": 2}},
+            {"type": "msg", "rid": 9, "m": ["read_request", 4, 1]},
+        ],
+        ids=["unknown-op", "read-with-version", "write-without-version",
+             "string-rid", "rid-beyond-int64", "failed-without-degraded",
+             "done-without-failed", "wire-dict-version", "list-form-msg"],
+    )
+    def test_a_frame_its_layout_cannot_carry_raises(self, frame):
+        with pytest.raises(ClusterError, match="no (wire encoding|layout)"):
+            encode_frame(frame)
 
 
 class TestEncoder:
     """The shared encoder writes exactly what ``json.dumps`` would, for
-    every frame that no binary layout carries."""
+    every admin-plane frame."""
 
     @pytest.mark.parametrize(
         "payload",
         [
-            # A string rid, and a read with a version key.
-            {"type": "exec", "rid": "3", "op": "write",
-             "version": version_to_wire(ObjectVersion(2, 1, payload="é"))},
-            {"type": "exec", "rid": 4, "op": "read", "version": None},
-            # The reply to an exec without a rid, and a non-degraded
-            # failure that says so.
-            {"type": "result", "rid": None, "ok": False, "error": "boom"},
-            {"type": "result", "rid": 5, "ok": False, "error": "boom",
-             "degraded": False},
-            # A msg as a JSON positional list carries no message object.
-            {"type": "msg", "rid": 9, "m": ["read_request", 4, 1]},
-            {"type": "msg", "rid": 11, "m": ["invalidate", 2, 5, 3]},
-            {"type": "msg", "rid": 6, "m": ["version_inquiry", 3, 1]},
-            {"type": "msg", "rid": 6, "m": ["version_report", 1, 3, 8, True]},
-            {"type": "msg", "rid": 7,
-             "m": ["data_transfer", 1, 4, {"number": 2, "writer": 1}, True]},
-            {"type": "msg", "rid": 7,
-             "m": ["data_transfer", 1, 4, {"number": 2, "writer": 1}, False]},
-            # A rid beyond int64, and an int where a bool belongs.
-            {"type": "done", "rid": 2**63, "from": 2, "dropped": False},
-            {"type": "done", "rid": 3, "from": 2, "dropped": 1,
-             "failed": True},
-            {"type": "repair", "rid": 1_000_000_001, "from": 1,
-             "version": version_to_wire(ObjectVersion(7, 2))},
             {"type": "metrics_report", "metrics": NodeMetrics(4).to_wire()},
+            {"type": "set_peers", "peers": {"2": "unix:/tmp/n2"}, "id": 3},
+            {"type": "status", "node": 1, "version": {"number": 2,
+                                                     "writer": 1}},
         ],
-        ids=lambda payload: payload.get("m", [payload["type"]])[0],
+        ids=lambda payload: payload["type"],
     )
     def test_bytes_match_json_dumps(self, payload):
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
