@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.resilience import RetryPolicy
-from repro.cluster.rpc import FrameConnection
+from repro.cluster.rpc import FrameConnection, encode_frame
 from repro.cluster.transport import Address, connect
 from repro.exceptions import ClusterError
 from repro.model.schedule import Schedule
@@ -90,7 +90,8 @@ class NodeCalls:
     reply frame resolves its waiting caller by ``(node, frame[key])`` as
     it arrives, so many calls can be in flight per node.  A failed dial
     or send raises ``ClusterError``; one node's lost connection fails
-    only *its* callers, and the next call redials."""
+    only *its* callers, and the next call redials.  A frame that cannot
+    be encoded raises ``ClusterError`` before any dial."""
 
     def __init__(self, addresses: Mapping[int, Address], key: str) -> None:
         self.addresses = dict(addresses)
@@ -135,15 +136,18 @@ class NodeCalls:
         node_id: int,
         frame: Mapping[str, object],
         timeout: Optional[float] = None,
+        data: Optional[bytes] = None,
     ) -> Dict[str, object]:
         """Send ``frame`` to a node and await the reply with the same
         ``key``, failing with ``asyncio.TimeoutError`` after ``timeout``
-        seconds if one is given."""
+        seconds if one is given; ``data`` is ``frame`` encoded, if given."""
+        if data is None:
+            data = encode_frame(frame)
         conn = self._conns.get(node_id)
         try:
             if conn is None or conn.closed:
                 conn = await self._conn(node_id)
-            conn.send(frame)
+            conn.write(data)
         except OSError as error:
             raise ClusterError(
                 f"connection to node {node_id} failed: {error}"
@@ -185,7 +189,7 @@ class ClusterClient(NodeCalls):
     answered; retrying would re-run a request the cluster already
     decided on.  Timeouts are not retried either: slowness is not a
     settled failure, and a duplicate of a still-running request races
-    its original."""
+    its original.  A request the client cannot encode fails at once."""
 
     def __init__(
         self,
@@ -210,12 +214,17 @@ class ClusterClient(NodeCalls):
         failures — inspect the outcome's ``ok``/``error``."""
         frame = {"type": "exec", "rid": rid, "op": op, "version": version}
         started = time.monotonic()
-        attempts = self.retry.attempts
         retries = 0
-        last_error = "request was never attempted"
+        try:
+            # Encoded once, before dialling: a retry re-sends the bytes.
+            data = encode_frame(frame)
+        except ClusterError as error:
+            attempts, last_error = 0, f"cannot encode the request: {error}"
+        else:
+            attempts, last_error = self.retry.attempts, "request was never attempted"
         for attempt in range(attempts):
             try:
-                reply = await self.call(node_id, frame, self.timeout)
+                reply = await self.call(node_id, frame, self.timeout, data)
             except asyncio.TimeoutError:
                 last_error = f"client timed out after {self.timeout}s"
                 break

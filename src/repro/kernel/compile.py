@@ -31,7 +31,8 @@ than its ``Request`` objects.  The concatenated issuer columns (plus
 the extras) are ranked without a sort: when they span no more values
 than there are ids, a bool table marks the ids present, and its
 running count gives the universe and every request's bit index in
-O(N).  Wider, sparse ids fall back to one ``np.unique`` sort.  When
+O(N), offsetting the fresh concatenation in place.  Wider, sparse ids
+fall back to one ``np.unique`` sort.  When
 every trace has the horizon's length, the concatenated columns are
 already the rows and a reshape lays them out; a ragged batch takes a
 masked copy into zero padding.  A generator may
@@ -141,15 +142,16 @@ def _universe_bits(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value's rank.  Wider spans, such as ``{0, 2**62}``, would need a
     table larger than the input and take the sort instead.  The span is
     computed in Python ints, since ids can reach ``2**63 - 1``.
+    ``ids`` is consumed: the table path subtracts ``low`` in place.
     """
     if ids.size:
         low, high = int(ids.min()), int(ids.max())
         if high - low < ids.size:
-            offsets = ids - low
+            ids -= low
             present = np.zeros(high - low + 1, dtype=bool)
-            present[offsets] = True
+            present[ids] = True
             rank = np.cumsum(present, dtype=np.int32) - 1
-            return np.flatnonzero(present) + low, rank.take(offsets)
+            return np.flatnonzero(present) + low, rank.take(ids)
     return np.unique(ids, return_inverse=True)
 
 
@@ -175,6 +177,7 @@ def compile_batch(
         raise ConfigurationError("cannot compile an empty batch")
     columns = [schedule.columns for schedule in schedules]
     extra = np.array(processor_universe(extra_processors), dtype=np.int64)
+    # The concatenation is fresh, so ``_universe_bits`` may consume it.
     universe_ids, bits = _universe_bits(
         np.concatenate([extra, *(column.processors for column in columns)])
     )

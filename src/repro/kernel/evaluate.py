@@ -215,6 +215,11 @@ def _last_before(hits: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return last.reshape(flat.shape)[:, :-1]
 
 
+#: Laid-out cells :func:`da_request_counts` evaluates at once: temporaries
+#: this small are reused from the heap instead of faulted in fresh.
+BLOCK_CELLS = 1 << 16
+
+
 def da_request_counts(
     batch: CompiledBatch,
     initial_scheme: Iterable[ProcessorId],
@@ -239,74 +244,88 @@ def da_request_counts(
 
     Every trace is laid out behind a *virtual write by p* in column 0:
     it leaves exactly DA's initial scheme ``F ∪ {p}``, so every request
-    has a last write before it and no case is special.
+    has a last write before it and no case is special.  Traces are
+    independent, so the rows are evaluated in blocks of about
+    :data:`BLOCK_CELLS` laid-out cells (one row if a row is longer),
+    each written into its rows of the three outputs.
     """
     scheme, primary = _check_da(batch, initial_scheme, primary, threshold)
     size = COUNT(len(scheme))
-    procs, is_write, valid = batch.procs, batch.is_write, batch.valid()
-    batch_size, horizon = procs.shape
+    batch_size, horizon = batch.procs.shape
     n = len(batch.universe)
     in_fp = batch.bit_flags(scheme)  # F ∪ {p}: DA's initial scheme
+    core = batch.bit_flags(scheme - {primary})
     p_idx = batch.bit_index(primary)
-
-    # The virtual-write layout: (B, T+1), request (b, i) at column i+1.
-    # Each array is deleted after its last use, to keep the peak low.
-    laid = (batch_size, horizon + 1)
-    cells = batch_size * (horizon + 1)
-    position = np.int32 if cells < 2**31 else np.int64
-    flat = np.arange(cells, dtype=position).reshape(laid)
-    laid_procs = np.empty(laid, dtype=procs.dtype)
-    laid_procs[:, 0] = p_idx
-    laid_procs[:, 1:] = procs
-    laid_writes = np.empty(laid, dtype=bool)
-    laid_writes[:, 0] = True
-    laid_writes[:, 1:] = is_write
-    last_write = _last_before(laid_writes, flat)
-    del laid_writes
-
     # x: the non-core execution-set member of a write (p for writers
-    # in F ∪ {p}), at each request and at the last write before it.
-    x_of = np.where(in_fp, p_idx, np.arange(n)).astype(procs.dtype)
-    x_before = x_of.take(laid_procs).take(last_write)
-    member_self = batch.bit_flags(scheme - {primary}).take(procs)
-    member_self |= x_before == procs
-    # [x ∈ Y] at writes needs p's membership: p is the last write's x,
-    # or p's last request came after that write.
-    p_in = x_before == p_idx
-    del x_before
+    # in F ∪ {p}).
+    x_of = np.where(in_fp, p_idx, np.arange(n)).astype(batch.procs.dtype)
 
-    previous = _previous_same_processor(laid_procs, n, flat)[:, 1:]
-    member_self |= previous > last_write
-    del previous
-    saving = valid & ~(is_write | member_self)
+    # The virtual-write layout of a block: request (b, i) at column
+    # i+1, numbered by ``flat`` from the block's first cell.
+    rows = min(batch_size, max(1, BLOCK_CELLS // (horizon + 1)))
+    cells = rows * (horizon + 1)
+    position = np.int32 if cells < 2**31 else np.int64
+    block_flat = np.arange(cells, dtype=position).reshape(rows, horizon + 1)
+    columns = np.arange(horizon)
+    # The three outputs share one buffer: one allocation per call.
+    counts = RequestCounts(*np.empty((3, *batch.procs.shape), COUNT))
+    for start in range(0, batch_size, rows):
+        block = slice(start, start + rows)
+        procs, is_write = batch.procs[block], batch.is_write[block]
+        valid = columns < batch.lengths[block, None]
+        flat = block_flat[: len(procs)]
+        laid = flat.shape
+        # Each array is deleted after its last use, to keep the peak low.
+        laid_procs = np.empty(laid, dtype=procs.dtype)
+        laid_procs[:, 0] = p_idx
+        laid_procs[:, 1:] = procs
+        laid_writes = np.empty(laid, dtype=bool)
+        laid_writes[:, 0] = True
+        laid_writes[:, 1:] = is_write
+        last_write = _last_before(laid_writes, flat)
+        del laid_writes
 
-    p_in |= _last_before(laid_procs == p_idx, flat) > last_write
-    del laid_procs, flat
-    # [x ∈ Y] at writes: p's membership for writers in F ∪ {p}, the
-    # writer's own otherwise.
-    primary_writer = in_fp.take(procs)
-    x_in = (primary_writer & p_in) | (~primary_writer & member_self)
-    del p_in, primary_writer, member_self
+        # x at each request and at the last write before it.
+        x_before = x_of.take(laid_procs).take(last_write)
+        member_self = core.take(procs)
+        member_self |= x_before == procs
+        # [x ∈ Y] at writes needs p's membership: p is the last write's
+        # x, or p's last request came after that write.
+        p_in = x_before == p_idx
+        del x_before
 
-    # Saving-reads since the last write: a running sum over the layout,
-    # differenced at the request and at the write.
-    laid_saving = np.zeros(laid, dtype=bool)
-    laid_saving[:, 1:] = saving
-    running = np.cumsum(laid_saving.ravel(), dtype=position)
-    del laid_saving
-    invalidations = running.reshape(laid)[:, :-1] - running.take(last_write)
-    del running, last_write
-    invalidations += 1
-    invalidations -= x_in
-    del x_in
+        previous = _previous_same_processor(laid_procs, n, flat)[:, 1:]
+        member_self |= previous > last_write
+        del previous
+        saving = valid & ~(is_write | member_self)
 
-    saving = saving.astype(COUNT)
-    data = is_write * (size - 1) + saving
-    return RequestCounts(
-        io=data + valid,
-        control=is_write * invalidations.astype(COUNT, copy=False) + saving,
-        data=data,
-    )
+        p_in |= _last_before(laid_procs == p_idx, flat) > last_write
+        del laid_procs
+        # [x ∈ Y] at writes: p's membership for writers in F ∪ {p}, the
+        # writer's own otherwise.
+        primary_writer = in_fp.take(procs)
+        x_in = (primary_writer & p_in) | (~primary_writer & member_self)
+        del p_in, primary_writer, member_self
+
+        # Saving-reads since the last write: a running sum over the
+        # layout, differenced at the request and at the write.
+        laid_saving = np.zeros(laid, dtype=bool)
+        laid_saving[:, 1:] = saving
+        running = np.cumsum(laid_saving.ravel(), dtype=position)
+        del laid_saving
+        invalidations = running.reshape(laid)[:, :-1] - running.take(last_write)
+        del running, last_write
+        invalidations += 1
+        invalidations -= x_in
+        del x_in
+
+        io, control, data = (field[block] for field in counts)
+        np.multiply(is_write, size - 1, out=data)
+        data += saving
+        np.add(data, valid, out=io)
+        np.multiply(is_write, invalidations, out=control)
+        control += saving
+    return counts
 
 
 def da_request_costs(

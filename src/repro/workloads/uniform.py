@@ -21,8 +21,9 @@ relies on how CPython's ``random.Random`` (3.11 to 3.13) spends its
   exposes, exactly as ``numpy.random.MT19937`` spends the same state.
 
 The decoder copies the ``Random``'s state into one shared
-``numpy.random.MT19937``, draws its words in bulk with ``random_raw``
-and replays the first two rules over whole arrays of them.  A
+``numpy.random.MT19937``, draws its words in bulk as uint32 and
+replays the first two rules over whole arrays of them; the first word
+of a ``random()`` alone decides ``random() < wf`` but for rare ties.  A
 caller-owned ``Random`` is then set to the state after the last word a
 request used, its cached ``gauss`` value kept.  The schedule the
 decoder returns is held as its two columns
@@ -133,16 +134,14 @@ def generate_decoded(workload: UniformWorkload, seed: SeedLike) -> Schedule:
             count = min(
                 CHUNK_WORDS, math.ceil(remaining * words_per_request * 1.01) + 64
             )
-            fresh = _BITS.random_raw(count).astype(np.uint32)
+            fresh = _WORDS.integers(0, 1 << 32, count, dtype=np.uint32)
             drawn += count
             words = np.concatenate((tail, fresh)) if tail.size else fresh
             top = words >> shift
             chosen = _choice_words(top < n, remaining)
             filled = slice(done, done + chosen.size)
             index[filled] = top[chosen]
-            high, low = words[chosen + 1] >> 5, words[chosen + 2] >> 6
-            floats = (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
-            is_write[filled] = floats < workload.write_fraction
+            is_write[filled] = _write_test(words, chosen, workload.write_fraction)
             done += chosen.size
             tail = words[chosen[-1] + 3 :] if chosen.size else words
         if isinstance(seed, random.Random):
@@ -157,6 +156,30 @@ def generate_decoded(workload: UniformWorkload, seed: SeedLike) -> Schedule:
 #: re-entrant, which numpy does not promise.)
 _BITS = np.random.MT19937(0)
 _BITS_LOCK = threading.Lock()
+#: Draws :data:`_BITS`'s words as uint32: over the full 32-bit range,
+#: ``integers`` spends one ``next_uint32``, the ``random_raw`` word, a value.
+_WORDS = np.random.Generator(_BITS)
+
+
+def _write_test(
+    words: np.ndarray, chosen: np.ndarray, write_fraction: float
+) -> np.ndarray:
+    """``random() < write_fraction`` for the requests whose ``choice``
+    words are at ``chosen``, the ``random()`` words ``a`` and ``b``
+    after each.  ``random()`` is below the fraction exactly when its 53
+    bits ``(a >> 5) << 26 | b >> 6`` are below ``ceil(write_fraction *
+    2**53)``, so ``a`` alone decides unless ``a >> 5`` equals that
+    bound's top 27 bits, ``tie``.  Only those ties (probability
+    ``2**-27``) gather ``b`` and take ``random()``'s float formula.  At
+    a fraction of 1.0, ``tie << 5`` is ``2**32``: every request writes."""
+    tie = math.ceil(write_fraction * 2**53) >> 26
+    first = words[chosen + 1]
+    writes = first < tie << 5
+    ties = np.flatnonzero(first >> 5 == tie)
+    high, low = first[ties] >> 5, words[chosen[ties] + 2] >> 6
+    floats = (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+    writes[ties] = floats < write_fraction
+    return writes
 
 
 def _copy_state(rng: random.Random) -> None:

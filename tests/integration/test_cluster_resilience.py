@@ -26,6 +26,7 @@ from repro.cluster import (
     resilience_totals,
     start_local_cluster,
 )
+from repro.cluster.rpc import MAX_FRAME_BYTES
 from repro.core.dynamic_allocation import DynamicAllocation
 from repro.exceptions import ClusterError
 from repro.storage.versions import ObjectVersion
@@ -583,6 +584,39 @@ class TestConnectionRecovery:
                 # ...and node 1 service recovers via redial.
                 healed = await client.execute(1, "read", rid=2)
                 assert healed.ok
+            finally:
+                await client.close()
+                await cluster.stop()
+
+        run(scenario())
+
+
+class TestUnencodableRequest:
+    """A request whose ``exec`` frame cannot be encoded fails at once:
+    it is not retried, and no node is dialled."""
+
+    @pytest.mark.parametrize(
+        "op, version",
+        [
+            ("write", ObjectVersion(1, 1, "x" * MAX_FRAME_BYTES)),
+            ("delete", None),
+        ],
+        ids=["oversize-write", "op-without-layout"],
+    )
+    def test_fails_without_a_retry_or_a_dial(self, op, version):
+        async def scenario():
+            cluster, client = await booted()
+            try:
+                outcome = await client.execute(1, op, rid=1, version=version)
+                assert not outcome.ok
+                assert outcome.retries == 0
+                assert outcome.error.startswith("cannot encode the request: ")
+                assert not client._conns
+                # The request id was never used, and service is intact.
+                write = await client.execute(
+                    1, "write", rid=1, version=ObjectVersion(1, 1)
+                )
+                assert write.ok and write.retries == 0
             finally:
                 await client.close()
                 await cluster.stop()

@@ -9,11 +9,13 @@ the same state.  Tiny chunks make every trace cross chunk boundaries.
 The word source — a ``Random``'s state copied into numpy's MT19937 —
 is checked on its own against ``getrandbits``, and under threads that
 share it.  The chain of ``choice`` words inside one buffer is checked
-on its own against a word-by-word loop.
+on its own against a word-by-word loop, and the one-word write test
+against ``random()``'s float formula on hand-built words.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
@@ -119,25 +121,68 @@ DRAWS = [
 @pytest.mark.parametrize("unused", [0, 1, 5])
 def test_word_source_is_getrandbits(pos, gauss_next, draws, unused):
     """The shared bit generator draws the words ``getrandbits`` packs,
-    and advancing the source by the words used leaves it where
-    ``getrandbits`` over those words leaves it, its gauss kept."""
+    both as ``random_raw`` (which ``_advance`` spends) and as the
+    decoder's uint32 ``integers``, and advancing the source by the
+    words used leaves it where ``getrandbits`` over those words leaves
+    it, its gauss kept."""
     seed = 2**200 + pos
     rng, twin = state_at(seed, pos, gauss_next), state_at(seed, pos, gauss_next)
     with uniform._BITS_LOCK:
         uniform._copy_state(rng)
         words = np.concatenate([uniform._BITS.random_raw(m) for m in draws])
+        uniform._copy_state(rng)
+        drawn = np.concatenate(
+            [uniform._WORDS.integers(0, 1 << 32, m, dtype=np.uint32) for m in draws]
+        )
         assert rng.getstate() == twin.getstate()
         used = max(words.size - unused, 0)
         uniform._advance(rng, used)
     total = sum(draws)
     packed = twin.getrandbits(32 * total).to_bytes(4 * total, "little")
-    assert words.astype(np.uint32).tolist() == np.frombuffer(packed, "<u4").tolist()
+    expected = np.frombuffer(packed, "<u4").tolist()
+    assert words.astype(np.uint32).tolist() == expected
+    assert drawn.dtype == np.uint32 and drawn.tolist() == expected
     twin = state_at(seed, pos, gauss_next)
     if used:
         twin.getrandbits(32 * used)
     assert rng.getstate() == twin.getstate()
     assert rng.getstate()[2] == gauss_next
     assert rng.random() == twin.random()
+
+
+#: Write fractions at the edges of the 53-bit grid and inside it.
+EDGE_FRACTIONS = [0.0, 2**-53, 0.2, 0.5, 1 - 2**-53, 1.0]
+
+
+@pytest.mark.parametrize("write_fraction", EDGE_FRACTIONS)
+def test_write_test_is_the_float_formula(write_fraction):
+    """The one-word write test, on first words just below, at the
+    bottom and top of, and just above the tie range of ``a >> 5 ==
+    bound >> 26``, each with second words around the bound's low 26
+    bits: it must be ``random() < write_fraction``, with ``random()``
+    CPython's ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``."""
+    bound = math.ceil(write_fraction * 2**53)
+    tie, low = bound >> 26, bound % 2**26
+    firsts = [(tie << 5) - 1, tie << 5, (tie << 5) + 31, (tie + 1) << 5]
+    seconds = [0, (low - 1) << 6, (low << 6) - 1, low << 6, (low + 1) << 6, 2**32 - 1]
+    pairs = [
+        (a, b)
+        for a in firsts
+        for b in seconds
+        if 0 <= a < 2**32 and 0 <= b < 2**32
+    ]
+    # Each request is a choice word (unread here) and its two words.
+    words = np.array([w for a, b in pairs for w in (7, a, b)], dtype=np.uint32)
+    chosen = np.arange(0, words.size, 3)
+    expected = [
+        ((a >> 5) * 67108864.0 + (b >> 6)) / 9007199254740992.0 < write_fraction
+        for a, b in pairs
+    ]
+    writes = uniform._write_test(words, chosen, write_fraction)
+    assert writes.dtype == bool
+    assert writes.tolist() == expected
+    if write_fraction == 1.0:
+        assert all(expected)
 
 
 def test_threads_share_the_word_source():

@@ -17,7 +17,9 @@ from repro.core.static_allocation import StaticAllocation
 from repro.exceptions import ConfigurationError
 from repro.kernel import evaluate
 from repro.kernel.compile import compile_batch, compile_schedule
+from repro.model.accounting import CostBreakdown
 from repro.model.cost_model import CostModel
+from repro.model.costs import request_breakdown
 from repro.model.request import read, write
 from repro.model.schedule import Schedule
 from repro.types import processor_universe
@@ -441,3 +443,68 @@ class TestEvaluate:
         # fold of the first row's request costs gives 5.1000000000000005.
         assert totals == [4 * 1.0 + 2 * 0.1 + 3 * 0.3, 3 * 1.0 + 0 * 0.1 + 2 * 0.3]
         assert totals[0] == 5.1
+
+
+def random_traces(lengths, seed):
+    """Traces of the given lengths over processors 1 to 4, a third of
+    their requests writes."""
+    rng = random.Random(seed)
+    return [
+        Schedule(
+            tuple(
+                (write if rng.random() < 1 / 3 else read)(rng.randint(1, 4))
+                for _ in range(length)
+            )
+        )
+        for length in lengths
+    ]
+
+
+class TestDABlocks:
+    """DA evaluates its rows in blocks of about ``BLOCK_CELLS`` laid-out
+    cells.  With the constant patched small, every block shape must
+    give the counts of one block over the whole batch, and the stepped
+    per-request breakdowns."""
+
+    @staticmethod
+    def counts_in_blocks(batch, scheme, primary, cells):
+        with mock.patch.object(evaluate, "BLOCK_CELLS", cells):
+            return kernel.da_request_counts(batch, scheme, primary=primary)
+
+    @pytest.mark.parametrize(
+        "lengths, cells",
+        [
+            # 3 rows of 5 laid-out cells per block: blocks of 3, 3, 1.
+            ((4,) * 7, 16),
+            # Rows of 41 cells, longer than a block: a block per row.
+            ((40,) * 3, 16),
+            # Ragged, 2 rows of 6 cells per block, an empty trace inside.
+            ((5, 0, 2, 5, 1, 3, 4), 12),
+            # One trace, in a block of its own or longer than a block.
+            ((9,), 16),
+            ((9,), 4),
+        ],
+        ids=["partial-last-block", "row-over-block", "ragged", "one-row", "one-long-row"],
+    )
+    @pytest.mark.parametrize("scheme, primary", [({1, 2}, 2), ({1, 2, 3}, 1)])
+    def test_blocks_match_one_block_and_stepping(self, lengths, cells, scheme, primary):
+        schedules = random_traces(lengths, seed=sum(lengths) + cells)
+        batch = compile_batch(schedules, scheme)
+        one_block = self.counts_in_blocks(batch, scheme, primary, 2**40)
+        blocked = self.counts_in_blocks(batch, scheme, primary, cells)
+        for field, whole in zip(blocked, one_block):
+            assert field.dtype == np.int32 and field.shape == batch.procs.shape
+            assert field.tolist() == whole.tolist()
+        for row, schedule in enumerate(schedules):
+            stepped = [
+                request_breakdown(step, before)
+                for before, step in DynamicAllocation(scheme, primary=primary)
+                .run(schedule)
+                .schemes()
+            ]
+            vectors = zip(*(field[row].tolist() for field in blocked))
+            laid = [CostBreakdown(*vector) for vector in vectors]
+            assert laid[: len(schedule)] == stepped
+            assert laid[len(schedule) :] == [CostBreakdown(0, 0, 0)] * (
+                batch.horizon - len(schedule)
+            )
